@@ -19,22 +19,16 @@ from .divergences import (
 from .errors import EstimationError, NumericalFailure, ParameterError
 from .mutual_info import (
     binary_entropy,
-    binomial_entropy_gaussian_approx,
-    log_binomial_pmf,
     mi_binomial_mixture,
     mi_discrete_poisson,
     mi_max_bruteforce,
 )
 from .rate_bounds import (
-    RateBoundSet,
     bound_gap,
     envelope_difference,
-    gap_between_maxima,
     gap_bounds,
     lower_bound_max,
-    lower_envelope,
     optimal_prior_upper,
-    rate_bound_set,
     upper_bound_max,
     upper_envelope,
 )
@@ -62,12 +56,7 @@ from .capacity import (
     rate_objective,
     wyner_poisson_capacity,
 )
-from .monte_carlo import (
-    SimConfig,
-    estimate_detection_probs,
-    estimate_mi_plugin,
-    simulate_symbol,
-)
+from .monte_carlo import SimConfig
 from .optimize import least_squares_slope, maximize_scalar
 
 __version__ = "0.1.0"
@@ -80,13 +69,11 @@ __all__ = [
     "EstimationError",
     "NumericalFailure",
     "ParameterError",
-    "RateBoundSet",
     "SimConfig",
     "alpha_stationary_point",
     "asymptotic_capacity_coeff_large_A",
     "beta_triple",
     "binary_entropy",
-    "binomial_entropy_gaussian_approx",
     "bound_gap",
     "capacity_bruteforce",
     "capacity_sampled",
@@ -95,13 +82,10 @@ __all__ = [
     "detection_prob",
     "duty_cycle_limits",
     "envelope_difference",
-    "estimate_detection_probs",
     "estimate_exponential_rate",
-    "estimate_mi_plugin",
     "exp_rate_large_L",
     "exp_rate_zero_background",
     "expansions_large_A",
-    "gap_between_maxima",
     "gap_bounds",
     "gap_offsets_large_A",
     "gap_offsets_low_background",
@@ -110,9 +94,7 @@ __all__ = [
     "imax_bounds_large_A",
     "kl_binomial",
     "least_squares_slope",
-    "log_binomial_pmf",
     "lower_bound_max",
-    "lower_envelope",
     "maximize_scalar",
     "mi_approx_low_background",
     "mi_binomial_mixture",
@@ -122,9 +104,7 @@ __all__ = [
     "optimal_duty_cycle",
     "optimal_prior_upper",
     "quadratic_coeffs_low_A",
-    "rate_bound_set",
     "rate_objective",
-    "simulate_symbol",
     "symbol_probs",
     "upper_bound_max",
     "upper_envelope",

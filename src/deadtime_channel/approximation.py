@@ -4,20 +4,21 @@ Valid when the expected number of background-only firings per symbol,
 L*p0, is well below one; the guard below refuses parameters outside that
 region instead of returning a silently wrong number.  The expansion is
 most accurate at medium duty cycles: the -ln(mu L p1) term diverges as
-mu -> 0, so only the exact corner values mu in {0, 1} are pinned to 0.
+mu -> 0, so only the exact corner values mu in {0, 1} are pinned to 0, as
+is a channel without signal (p_off == p_on) inside the validity region.
 """
 
 import math
 
 from .channel import BinaryDetectionProbs
 from .errors import ParameterError
+from .guards import check_unit
 from .mutual_info import binary_entropy
 
 
 def mi_approx_low_background(mu, probs: BinaryDetectionProbs, trials):
     """Expansion of I(X; N_hat) in nats, dropping o(L p0) and O(1/L) terms."""
-    if not 0.0 <= mu <= 1.0:
-        raise ParameterError(f"mu must be in [0, 1], got {mu}")
+    check_unit(mu, "mu")
     if mu == 0.0 or mu == 1.0:
         return 0.0
     p0, p1 = probs.p_off, probs.p_on
@@ -28,6 +29,8 @@ def mi_approx_low_background(mu, probs: BinaryDetectionProbs, trials):
         raise ParameterError(
             f"approximation outside validity region: trials * p_off = {lp0} >= 1"
         )
+    if p0 == p1:
+        return 0.0
     log_q1 = math.log1p(-p1)
     q1_pow = math.exp(trials * log_q1)  # (1 - p_on)^L
     zero_mass = mu * q1_pow + (1.0 - mu)

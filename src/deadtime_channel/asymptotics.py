@@ -12,19 +12,8 @@ import math
 
 from .divergences import BetaTriple
 from .errors import ParameterError
+from .guards import check_open_unit, check_positive
 from .optimize import least_squares_slope
-
-# Regime-entry thresholds used by the automated validation sweeps.  These
-# are artifact choices for when a parameter counts as "large" or "low".
-LARGE_A_TAU = 3.0
-LOW_A_TAU = 1e-2
-LOW_BACKGROUND_TAU = 1e-3
-
-
-def _check_open_unit(p, name):
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"{name} must be in (0, 1), got {p}")
-
 
 def imax_asymptote_large_L(triple: BetaTriple):
     """Dominant-term bounds on the maximal rate for many samples per symbol.
@@ -48,8 +37,8 @@ def expansions_large_A(p0, p1, trials):
     difference of L-th powers (sum of L near-equal products); without it
     the residual would not be o(sqrt(1-p1)).
     """
-    _check_open_unit(p0, "p0")
-    _check_open_unit(p1, "p1")
+    check_open_unit(p0, "p0")
+    check_open_unit(p1, "p1")
     L = trials
     q1 = 1.0 - p1
     b_half = math.exp(0.5 * L * math.log(p0))
@@ -73,7 +62,7 @@ def imax_bounds_large_A(p0, p1, trials):
     lower keeps the first-order correction in (1 - p1); upper is
     p0^L + ln(2 - p0^L).
     """
-    _check_open_unit(p0, "p0")
+    check_open_unit(p0, "p0")
     if not 0.0 < p1 <= 1.0:
         raise ParameterError(f"p1 must be in (0, 1], got {p1}")
     L = trials
@@ -104,7 +93,7 @@ def gap_offsets_large_A(p0, p1, trials):
     Piecewise in (1 - p0) * L versus 1/2; the sub-threshold branch is
     negative.  Lead terms carry the same factor L as the beta expansion.
     """
-    _check_open_unit(p0, "p0")
+    check_open_unit(p0, "p0")
     L = trials
     q0 = 1.0 - p0
     q1 = 1.0 - p1
@@ -139,7 +128,7 @@ def gap_offsets_low_background(p0, p1, trials):
     reciprocity p0 <-> 1-p1, p1 <-> 1-p0, but evaluated from its own
     formulas so the reciprocity stays testable.
     """
-    _check_open_unit(p1, "p1")
+    check_open_unit(p1, "p1")
     L = trials
     q1 = 1.0 - p1
     key = p1 * L
@@ -170,8 +159,7 @@ def exp_rate_zero_background(trials, dead_time):
     """Gap decay rate in the peak rate when the background is zero: L tau / 2."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if dead_time <= 0:
-        raise ParameterError(f"dead_time must be > 0, got {dead_time}")
+    check_positive(dead_time, "dead_time")
     return 0.5 * trials * dead_time
 
 

@@ -21,9 +21,16 @@ p(A+L0) rounds to 1.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ParameterError
+from .guards import (
+    check_nonnegative,
+    check_positive,
+    check_rates,
+    check_sampling,
+    check_unit,
+)
 from . import optimize
 
 
@@ -38,19 +45,18 @@ class CapacityResult:
     capacity_nats_per_time: float
 
 
-def _check_rates(peak_rate, background_rate, dead_time):
-    if peak_rate < 0:
-        raise ParameterError(f"peak_rate must be >= 0, got {peak_rate}")
-    if background_rate < 0:
-        raise ParameterError(
-            f"background_rate must be >= 0, got {background_rate}"
-        )
-    if dead_time <= 0:
-        raise ParameterError(f"dead_time must be > 0, got {dead_time}")
-
-
 def _neg_xlogx(x):
     return 0.0 if x <= 0.0 else -x * math.log(x)
+
+
+def _levels(peak_rate, background_rate, dead_time):
+    """(x0, x1, p0, q0, p1, q1, d) with x = rate * tau, p = 1 - exp(-x),
+    q = exp(-x) at the two levels, and d = p1 - p0 = q0 (1 - exp(-A tau))."""
+    x0 = background_rate * dead_time
+    x1 = (peak_rate + background_rate) * dead_time
+    q0 = math.exp(-x0)
+    d = q0 * (-math.expm1(-peak_rate * dead_time))
+    return x0, x1, -math.expm1(-x0), q0, -math.expm1(-x1), math.exp(-x1), d
 
 
 def _entropy_quotient(peak_rate, background_rate, dead_time):
@@ -59,13 +65,7 @@ def _entropy_quotient(peak_rate, background_rate, dead_time):
     Uses the exact identities -q ln q = q x tau for q = exp(-x tau) and
     p1 - p0 = q0 * (1 - exp(-A tau)).
     """
-    x0 = background_rate * dead_time
-    x1 = (peak_rate + background_rate) * dead_time
-    p0 = -math.expm1(-x0)
-    q0 = math.exp(-x0)
-    p1 = -math.expm1(-x1)
-    q1 = math.exp(-x1)
-    d = q0 * (-math.expm1(-peak_rate * dead_time))
+    x0, x1, p0, q0, p1, q1, d = _levels(peak_rate, background_rate, dead_time)
     if p0 == 0.0:
         dh = _neg_xlogx(p1) + q1 * x1
     else:
@@ -75,17 +75,15 @@ def _entropy_quotient(peak_rate, background_rate, dead_time):
             + q1 * peak_rate * dead_time
             - x0 * d
         )
-    return dh / d, p0, q0, p1, q1, d
+    return dh / d, p0, q0, d
 
 
 def optimal_duty_cycle(peak_rate, background_rate, dead_time):
     """Closed-form (mu_star, a) maximizing F; requires peak_rate > 0."""
-    _check_rates(peak_rate, background_rate, dead_time)
+    check_rates(peak_rate, background_rate, dead_time)
     if peak_rate == 0:
         raise ParameterError("optimal_duty_cycle is degenerate at peak_rate = 0")
-    quotient, p0, q0, _, _, d = _entropy_quotient(
-        peak_rate, background_rate, dead_time
-    )
+    quotient, p0, q0, d = _entropy_quotient(peak_rate, background_rate, dead_time)
     a = math.exp(-quotient)
     mu_star = (a * q0 - p0) / ((1.0 + a) * d)
     return min(max(mu_star, 0.0), 1.0), a
@@ -119,15 +117,8 @@ def rate_objective(mu, peak_rate, background_rate, dead_time):
     Evaluated as (1-mu)[h(p_hat)-h(p0)] + mu[h(p_hat)-h(p1)] so the value
     keeps full relative precision when the two levels nearly coincide.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ParameterError(f"mu must be in [0, 1], got {mu}")
-    x0 = background_rate * dead_time
-    x1 = (peak_rate + background_rate) * dead_time
-    p0 = -math.expm1(-x0)
-    q0 = math.exp(-x0)
-    p1 = -math.expm1(-x1)
-    q1 = math.exp(-x1)
-    d = q0 * (-math.expm1(-peak_rate * dead_time))
+    check_unit(mu, "mu")
+    _, _, p0, q0, p1, q1, d = _levels(peak_rate, background_rate, dead_time)
     p_hat = p0 + mu * d
     q_hat = (1.0 - mu) * q0 + mu * q1
     return (1.0 - mu) * _entropy_increment(p0, q0, p_hat, q_hat, mu * d) + (
@@ -137,9 +128,8 @@ def rate_objective(mu, peak_rate, background_rate, dead_time):
 
 def capacity_tau(peak_rate, background_rate, dead_time) -> CapacityResult:
     """Capacity at critical sampling T_s = tau, via the closed-form duty cycle."""
-    _check_rates(peak_rate, background_rate, dead_time)
-    p0 = -math.expm1(-background_rate * dead_time)
-    q0 = math.exp(-background_rate * dead_time)
+    check_rates(peak_rate, background_rate, dead_time)
+    _, _, p0, q0, p1, _, _ = _levels(peak_rate, background_rate, dead_time)
     if peak_rate == 0:
         # Any duty cycle is optimal; fix mu = 1/2 and the A -> 0 limit of a.
         return CapacityResult(
@@ -149,7 +139,6 @@ def capacity_tau(peak_rate, background_rate, dead_time) -> CapacityResult:
             capacity_nats_per_time=0.0,
         )
     mu_star, a = optimal_duty_cycle(peak_rate, background_rate, dead_time)
-    p1 = -math.expm1(-(peak_rate + background_rate) * dead_time)
     f = rate_objective(mu_star, peak_rate, background_rate, dead_time)
     return CapacityResult(
         duty_cycle=mu_star,
@@ -163,38 +152,27 @@ def capacity_sampled(
     peak_rate, background_rate, dead_time, sampling_interval
 ) -> CapacityResult:
     """Capacity for T_s >= tau: duty cycle unchanged, rate scaled by tau/T_s."""
-    if sampling_interval < dead_time:
-        raise ParameterError(
-            f"sampling_interval must be >= dead_time "
-            f"(got {sampling_interval} < {dead_time})"
-        )
+    check_sampling(sampling_interval, dead_time)
     base = capacity_tau(peak_rate, background_rate, dead_time)
-    return CapacityResult(
-        duty_cycle=base.duty_cycle,
-        coeff_a=base.coeff_a,
-        mix_prob=base.mix_prob,
+    return replace(
+        base,
         capacity_nats_per_time=base.capacity_nats_per_time
         * (dead_time / sampling_interval),
     )
 
 
-def capacity_bruteforce(
-    peak_rate, background_rate, dead_time, tol=1e-12
-) -> CapacityResult:
+def capacity_bruteforce(peak_rate, background_rate, dead_time) -> CapacityResult:
     """Oracle capacity: scalar maximization of F(mu); F is strictly concave."""
-    _check_rates(peak_rate, background_rate, dead_time)
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    check_rates(peak_rate, background_rate, dead_time)
     if peak_rate == 0:
         return capacity_tau(peak_rate, background_rate, dead_time)
     mu_dag, f_dag = optimize.maximize_scalar(
         lambda mu: rate_objective(mu, peak_rate, background_rate, dead_time),
         0.0,
         1.0,
-        tol=tol,
+        tol=1e-12,
     )
-    p0 = -math.expm1(-background_rate * dead_time)
-    p1 = -math.expm1(-(peak_rate + background_rate) * dead_time)
+    _, _, p0, _, p1, _, _ = _levels(peak_rate, background_rate, dead_time)
     p_hat = p0 + mu_dag * (p1 - p0)
     return CapacityResult(
         duty_cycle=mu_dag,
@@ -216,12 +194,8 @@ def wyner_poisson_capacity(peak_rate, background_rate):
     (the bracketed form keeps full precision at low SNR); background 0
     reduces to q* = 1/e, C = peak_rate / e.
     """
-    if peak_rate <= 0:
-        raise ParameterError(f"peak_rate must be > 0, got {peak_rate}")
-    if background_rate < 0:
-        raise ParameterError(
-            f"background_rate must be >= 0, got {background_rate}"
-        )
+    check_positive(peak_rate, "peak_rate")
+    check_nonnegative(background_rate, "background_rate")
     if background_rate == 0:
         return 1.0 / math.e, peak_rate / math.e
     s = background_rate / peak_rate
@@ -253,12 +227,8 @@ def asymptotic_capacity_coeff_large_A(background_rate, dead_time):
     collapsed form is exact at background 0 (ln 2) and immune to the
     h_b(1 - tiny) cancellation at strong background.
     """
-    if background_rate < 0:
-        raise ParameterError(
-            f"background_rate must be >= 0, got {background_rate}"
-        )
-    if dead_time <= 0:
-        raise ParameterError(f"dead_time must be > 0, got {dead_time}")
+    check_nonnegative(background_rate, "background_rate")
+    check_positive(dead_time, "dead_time")
     v = _scaled_off_entropy(background_rate, dead_time)
     return math.log1p(math.exp(-v))
 
@@ -274,8 +244,7 @@ def quadratic_coeffs_low_A(background_rate, dead_time):
             "quadratic coefficients need background_rate > 0 "
             f"(got {background_rate}); the zero-background regime is linear"
         )
-    if dead_time <= 0:
-        raise ParameterError(f"dead_time must be > 0, got {dead_time}")
+    check_positive(dead_time, "dead_time")
     p0 = -math.expm1(-background_rate * dead_time)
     q0 = math.exp(-background_rate * dead_time)
     return 1.0 / (8.0 * background_rate), dead_time * q0 / (8.0 * p0)
@@ -291,12 +260,8 @@ def duty_cycle_limits(background_rate, dead_time):
 
     as it diverges (evaluated at the given background and dead time).
     """
-    if background_rate < 0:
-        raise ParameterError(
-            f"background_rate must be >= 0, got {background_rate}"
-        )
-    if dead_time <= 0:
-        raise ParameterError(f"dead_time must be > 0, got {dead_time}")
+    check_nonnegative(background_rate, "background_rate")
+    check_positive(dead_time, "dead_time")
     v = _scaled_off_entropy(background_rate, dead_time)
     x = background_rate * dead_time
     # 1/((1+e^v) q0) = exp(x - ln(1+e^v)); softplus keeps huge v finite

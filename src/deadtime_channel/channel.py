@@ -13,6 +13,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
+from .guards import (
+    check_nonnegative,
+    check_positive,
+    check_rates,
+    check_sampling,
+    check_trials,
+)
 
 
 @dataclass(frozen=True)
@@ -33,30 +40,9 @@ class ChannelParams:
     samples_per_symbol: int
 
     def __post_init__(self):
-        if self.peak_rate < 0:
-            raise ParameterError(f"peak_rate must be >= 0, got {self.peak_rate}")
-        if self.background_rate < 0:
-            raise ParameterError(
-                f"background_rate must be >= 0, got {self.background_rate}"
-            )
-        if self.dead_time <= 0:
-            raise ParameterError(f"dead_time must be > 0, got {self.dead_time}")
-        if self.sampling_interval < self.dead_time:
-            raise ParameterError(
-                "sampling_interval must be >= dead_time "
-                f"(got {self.sampling_interval} < {self.dead_time})"
-            )
-        if int(self.samples_per_symbol) != self.samples_per_symbol or (
-            self.samples_per_symbol < 1
-        ):
-            raise ParameterError(
-                f"samples_per_symbol must be a positive integer, "
-                f"got {self.samples_per_symbol}"
-            )
-
-    @property
-    def symbol_duration(self) -> float:
-        return self.samples_per_symbol * self.sampling_interval
+        check_rates(self.peak_rate, self.background_rate, self.dead_time)
+        check_sampling(self.sampling_interval, self.dead_time)
+        check_trials(self.samples_per_symbol, "samples_per_symbol")
 
 
 @dataclass(frozen=True)
@@ -78,10 +64,8 @@ def detection_prob(rate, dead_time):
 
     Uses expm1 so small products keep full relative precision.
     """
-    if rate < 0:
-        raise ParameterError(f"rate must be >= 0, got {rate}")
-    if dead_time <= 0:
-        raise ParameterError(f"dead_time must be > 0, got {dead_time}")
+    check_nonnegative(rate, "rate")
+    check_positive(dead_time, "dead_time")
     return -math.expm1(-rate * dead_time)
 
 

@@ -29,33 +29,13 @@ Exit codes: 0 success, 1 validation failure, 2 usage or parameter error,
 import argparse
 import sys
 
-import numpy as np
-
 from . import experiments, validation
+from .experiments import PRESETS, parse_grid
 from .errors import EstimationError, NumericalFailure, ParameterError
 
 
 class UsageError(Exception):
     pass
-
-
-def parse_grid(text):
-    """lin:a,b,n or log:a,b,n -> list of floats."""
-    try:
-        kind, rest = text.split(":", 1)
-        start, stop, count = rest.split(",")
-        start, stop, count = float(start), float(stop), int(count)
-    except ValueError as exc:
-        raise UsageError(f"bad grid {text!r}; expected lin:a,b,n or log:a,b,n") from exc
-    if count < 1:
-        raise UsageError(f"grid count must be >= 1 in {text!r}")
-    if kind == "lin":
-        return list(np.linspace(start, stop, count))
-    if kind == "log":
-        if start <= 0 or stop <= 0:
-            raise UsageError(f"log grid endpoints must be positive in {text!r}")
-        return list(np.geomspace(start, stop, count))
-    raise UsageError(f"unknown grid kind {kind!r} in {text!r}")
 
 
 # dest -> (flag, converter, help); shared across subcommands
@@ -103,73 +83,11 @@ _COMMAND_OPTIONS = {
     "validate": ["out", "config"],
 }
 
-# Named presets; the published-setup defaults referenced in the module help.
-_PRESETS = {
-    "mi-sweep": {
-        "published": {
-            "peak_rate": 10.0, "background": 0.02, "dead_time": 0.02,
-            "samples": 30, "mu_grid": "lin:0,1,41",
-        },
-    },
-    "duty-imax": {
-        "samples20": {
-            "peak_rate": 10.0, "background": 0.02, "dead_time": 0.02,
-            "samples": 20, "a_grid": "log:0.5,200,40",
-        },
-        "samples30": {
-            "peak_rate": 10.0, "background": 0.02, "dead_time": 0.02,
-            "samples": 30, "a_grid": "log:0.5,200,40",
-        },
-    },
-    "gap": {
-        "large-L": {
-            "scenario": "large-L", "peak_rate": 10.0, "background": 0.02,
-            "dead_time": 0.02, "l_grid": "lin:50,400,15",
-        },
-        "large-A": {
-            "scenario": "large-A", "background": 10.0, "dead_time": 0.1,
-            "samples": 10, "a_grid": "lin:100,180,9",
-        },
-        "low-lambda": {
-            "scenario": "low-lambda", "peak_rate": 10.0, "dead_time": 0.1,
-            "samples": 10, "lambda_grid": "log:5.8e-6,5.8e-4,9",
-        },
-        "zero-lambda": {
-            "scenario": "zero-lambda", "background": 0.0, "dead_time": 0.1,
-            "samples": 10, "a_grid": "lin:30,80,11",
-        },
-        "low-A": {
-            "scenario": "low-A", "background": 1.0, "dead_time": 0.02,
-            "samples": 20, "a_grid": "log:1e-4,1e-2,9",
-        },
-    },
-    "capacity": {
-        "zero-background": {
-            "background": 0.0, "dead_time": 0.02, "a_grid": "log:0.01,2000,60",
-        },
-        "small-background": {
-            "background": 0.001, "dead_time": 0.02, "a_grid": "log:0.01,2000,60",
-        },
-        "dead-time-sweep": {
-            "peak_rate": 1.0, "background": 0.1, "tau_grid": "log:1e-4,1e-1,25",
-        },
-    },
-    "simulate": {
-        "published": {
-            "peak_rate": 10.0, "background": 0.02, "dead_time": 0.02,
-            "samples": 30, "symbols": 10**6, "seed": 20260808, "mu": 0.5,
-        },
-    },
-    "validate": {},
-}
-
 _DEFAULTS = {
-    "mi-sweep": _PRESETS["mi-sweep"]["published"],
-    "duty-imax": _PRESETS["duty-imax"]["samples30"],
-    "gap": {},
-    "capacity": _PRESETS["capacity"]["small-background"],
-    "simulate": _PRESETS["simulate"]["published"],
-    "validate": {},
+    "mi-sweep": PRESETS["mi-sweep"]["published"],
+    "duty-imax": PRESETS["duty-imax"]["samples30"],
+    "capacity": PRESETS["capacity"]["small-background"],
+    "simulate": PRESETS["simulate"]["published"],
 }
 
 
@@ -181,7 +99,7 @@ def _build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for command, dests in _COMMAND_OPTIONS.items():
-        presets = sorted(_PRESETS.get(command, {}))
+        presets = sorted(PRESETS.get(command, {}))
         epilog = f"presets: {', '.join(presets)}" if presets else None
         sub = subs.add_parser(command, epilog=epilog)
         for dest in dests:
@@ -221,7 +139,7 @@ def _resolve(args, command):
     merged = dict(_DEFAULTS.get(command, {}))
     preset_name = args.preset if hasattr(args, "preset") else None
     if preset_name is not None:
-        table = _PRESETS.get(command, {})
+        table = PRESETS.get(command, {})
         if preset_name not in table:
             raise UsageError(
                 f"unknown preset {preset_name!r} for {command}; "
@@ -259,26 +177,13 @@ def _run_command(command, merged):
         )
         return experiments.duty_imax_rows(parse_grid(a_grid), bg, tau, trials)
     if command == "gap":
-        scenario = merged.get("scenario")
-        if scenario is None:
-            raise UsageError("gap requires --scenario")
+        (scenario,) = _require(merged, command, "scenario")
         if scenario not in experiments.GAP_SCENARIOS:
             raise UsageError(
                 f"unknown scenario {scenario!r}; choose from "
                 f"{'|'.join(experiments.GAP_SCENARIOS)}"
             )
-        merged = {**_PRESETS["gap"][scenario], **merged}
-        if scenario == "large-L":
-            sweep = parse_grid(merged["l_grid"])
-        elif scenario == "low-lambda":
-            sweep = parse_grid(merged["lambda_grid"])
-        else:
-            sweep = parse_grid(merged["a_grid"])
-        peak = merged.get("peak_rate", 0.0) or 0.0
-        bg = merged.get("background", 0.0) or 0.0
-        return experiments.gap_rows(
-            scenario, peak, bg, merged["dead_time"], merged.get("samples"), sweep
-        )
+        return experiments.gap_sweep(merged)
     if command == "capacity":
         bg, tau = _require(merged, command, "background", "dead_time")
         tau_values = (

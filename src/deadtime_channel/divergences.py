@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .channel import BinaryDetectionProbs
 from .errors import ParameterError
+from .guards import check_trials, check_unit
 
 
 @dataclass(frozen=True)
@@ -33,21 +34,11 @@ class BetaTriple:
     beta2: float
 
 
-def _check_prob(p, name):
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"{name} must be in [0, 1], got {p}")
-
-
-def _check_trials(trials):
-    if int(trials) != trials or trials < 1:
-        raise ParameterError(f"trials must be a positive integer, got {trials}")
-
-
 def kl_binomial(p_from, p_to, trials):
     """KL(Bin(L,p_from) || Bin(L,p_to)) in nats; +inf when not absolutely continuous."""
-    _check_prob(p_from, "p_from")
-    _check_prob(p_to, "p_to")
-    _check_trials(trials)
+    check_unit(p_from, "p_from")
+    check_unit(p_to, "p_to")
+    check_trials(trials)
 
     def term(a, b):
         # a*ln(a/b) with 0*ln(0/b) = 0 and a*ln(a/0) = +inf for a > 0
@@ -66,11 +57,10 @@ def chernoff_binomial(alpha, p_a, p_b, trials):
     C_alpha = -L * ln(p_a^alpha p_b^(1-alpha) + (1-p_a)^alpha (1-p_b)^(1-alpha)),
     symmetric under (alpha, p_a, p_b) -> (1-alpha, p_b, p_a).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
-    _check_prob(p_a, "p_a")
-    _check_prob(p_b, "p_b")
-    _check_trials(trials)
+    check_unit(alpha, "alpha")
+    check_unit(p_a, "p_a")
+    check_unit(p_b, "p_b")
+    check_trials(trials)
     s = p_a**alpha * p_b ** (1.0 - alpha) + (1.0 - p_a) ** alpha * (1.0 - p_b) ** (
         1.0 - alpha
     )
@@ -81,7 +71,7 @@ def chernoff_binomial(alpha, p_a, p_b, trials):
 
 def beta_triple(probs: BinaryDetectionProbs, trials) -> BetaTriple:
     """The (beta, beta1, beta2) triple for Bin(L, p_off) vs Bin(L, p_on)."""
-    _check_trials(trials)
+    check_trials(trials)
     p0, p1 = probs.p_off, probs.p_on
     if p0 == p1:
         return BetaTriple(1.0, 1.0, 1.0)
@@ -126,7 +116,7 @@ def alpha_stationary_point(probs: BinaryDetectionProbs, trials):
     The maximizer does not depend on the trial count; ``trials`` is kept
     for interface symmetry with the grid search.
     """
-    _check_trials(trials)
+    check_trials(trials)
     p0, p1 = probs.p_off, probs.p_on
     if not 0.0 < p0 < p1 < 1.0:
         raise ParameterError(f"need 0 < p_off < p_on < 1, got ({p0}, {p1})")

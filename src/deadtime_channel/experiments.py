@@ -9,9 +9,11 @@ that do not apply to a scenario hold nan.
 
 import math
 
+import numpy as np
+
 from .channel import BinaryDetectionProbs, ChannelParams, detection_prob, symbol_probs
 from .divergences import beta_triple, chernoff_binomial
-from .errors import ParameterError
+from .errors import EstimationError, ParameterError
 from .mutual_info import (
     mi_binomial_mixture,
     mi_discrete_poisson,
@@ -37,7 +39,6 @@ from .rate_bounds import (
     bound_gap,
     gap_bounds,
     lower_bound_max,
-    lower_envelope,
     optimal_prior_upper,
     upper_bound_max,
     upper_envelope,
@@ -45,6 +46,97 @@ from .rate_bounds import (
 from . import optimize
 
 GAP_SCENARIOS = ("large-L", "large-A", "low-lambda", "zero-lambda", "low-A")
+
+# The grid setting holding a gap scenario's sweep values (else a_grid).
+GAP_GRID = {"large-L": "l_grid", "low-lambda": "lambda_grid"}
+
+# Named parameter presets per CLI subcommand (the published setups).  The
+# gap presets are also the parameters of the gap acceptance checks.
+PRESETS = {
+    "mi-sweep": {
+        "published": {
+            "peak_rate": 10.0, "background": 0.02, "dead_time": 0.02,
+            "samples": 30, "mu_grid": "lin:0,1,41",
+        },
+    },
+    "duty-imax": {
+        "samples20": {
+            "peak_rate": 10.0, "background": 0.02, "dead_time": 0.02,
+            "samples": 20, "a_grid": "log:0.5,200,40",
+        },
+        "samples30": {
+            "peak_rate": 10.0, "background": 0.02, "dead_time": 0.02,
+            "samples": 30, "a_grid": "log:0.5,200,40",
+        },
+    },
+    "gap": {
+        "large-L": {
+            "scenario": "large-L", "peak_rate": 10.0, "background": 0.02,
+            "dead_time": 0.02, "l_grid": "lin:50,400,15",
+        },
+        "large-A": {
+            "scenario": "large-A", "background": 10.0, "dead_time": 0.1,
+            "samples": 10, "a_grid": "lin:100,180,9",
+        },
+        "low-lambda": {
+            "scenario": "low-lambda", "peak_rate": 10.0, "dead_time": 0.1,
+            "samples": 10, "lambda_grid": "log:5.8e-6,5.8e-4,9",
+        },
+        "zero-lambda": {
+            "scenario": "zero-lambda", "background": 0.0, "dead_time": 0.1,
+            "samples": 10, "a_grid": "lin:30,80,11",
+        },
+        "low-A": {
+            "scenario": "low-A", "background": 1.0, "dead_time": 0.02,
+            "samples": 20, "a_grid": "log:1e-4,1e-2,9",
+        },
+    },
+    "capacity": {
+        "zero-background": {
+            "background": 0.0, "dead_time": 0.02, "a_grid": "log:0.01,2000,60",
+        },
+        "small-background": {
+            "background": 0.001, "dead_time": 0.02, "a_grid": "log:0.01,2000,60",
+        },
+        "dead-time-sweep": {
+            "peak_rate": 1.0, "background": 0.1, "tau_grid": "log:1e-4,1e-1,25",
+        },
+    },
+    "simulate": {
+        "published": {
+            "peak_rate": 10.0, "background": 0.02, "dead_time": 0.02,
+            "samples": 30, "symbols": 10**6, "seed": 20260808, "mu": 0.5,
+        },
+    },
+}
+
+
+def parse_grid(text):
+    """lin:a,b,n or log:a,b,n -> list of floats."""
+    try:
+        kind, rest = text.split(":", 1)
+        start, stop, count = rest.split(",")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError as exc:
+        raise ParameterError(
+            f"bad grid {text!r}; expected lin:a,b,n or log:a,b,n"
+        ) from exc
+    if count < 1:
+        raise ParameterError(f"grid count must be >= 1 in {text!r}")
+    if kind == "lin":
+        return list(np.linspace(start, stop, count))
+    if kind == "log":
+        if start <= 0 or stop <= 0:
+            raise ParameterError(f"log grid endpoints must be positive in {text!r}")
+        return list(np.geomspace(start, stop, count))
+    raise ParameterError(f"unknown grid kind {kind!r} in {text!r}")
+
+
+def _probs(peak_rate, background, dead_time):
+    return BinaryDetectionProbs(
+        detection_prob(background, dead_time),
+        detection_prob(peak_rate + background, dead_time),
+    )
 
 
 def _alpha_tuned_lower(mu, p0, p1, trials):
@@ -63,10 +155,7 @@ def _alpha_tuned_lower(mu, p0, p1, trials):
 
 def mi_sweep_rows(peak_rate, background, dead_time, trials, mu_values):
     """Rate and bound columns over a duty-cycle grid (one symbol interval)."""
-    probs = BinaryDetectionProbs(
-        detection_prob(background, dead_time),
-        detection_prob(peak_rate + background, dead_time),
-    )
+    probs = _probs(peak_rate, background, dead_time)
     triple = beta_triple(probs, trials)
     upper_sub = (
         upper_bound_max(triple.beta1, triple.beta2)
@@ -95,7 +184,7 @@ def mi_sweep_rows(peak_rate, background, dead_time, trials, mu_values):
                 mu,
                 exact,
                 _alpha_tuned_lower(mu, probs.p_off, probs.p_on, trials),
-                lower_envelope(mu, triple.beta),
+                upper_envelope(mu, triple.beta, triple.beta),
                 upper_envelope(mu, triple.beta1, triple.beta2),
                 upper_sub,
                 approx,
@@ -120,10 +209,7 @@ def duty_imax_rows(peak_values, background, dead_time, trials):
     ]
     rows = []
     for peak in peak_values:
-        probs = BinaryDetectionProbs(
-            detection_prob(background, dead_time),
-            detection_prob(peak + background, dead_time),
-        )
+        probs = _probs(peak, background, dead_time)
         triple = beta_triple(probs, trials)
         mu_exact, imax_exact = mi_max_bruteforce(probs, trials)
         try:
@@ -182,86 +268,102 @@ def gap_rows(scenario, peak_rate, background, dead_time, trials, sweep_values):
     """
     if scenario not in GAP_SCENARIOS:
         raise ParameterError(f"unknown gap scenario {scenario!r}")
-    rows = []
+    if scenario == "zero-lambda" and background != 0.0:
+        raise ParameterError("zero-lambda scenario requires background = 0")
+    power_law = scenario in ("low-lambda", "low-A")
+    for x in sweep_values if power_law else ():
+        if not x > 0:
+            raise ParameterError(f"{scenario} sweep values must be > 0, got {x}")
     if scenario == "large-L":
-        p0 = detection_prob(background, dead_time)
-        p1 = detection_prob(peak_rate + background, dead_time)
-        predicted = exp_rate_large_L(p0, p1)
-        pts = []
-        for L in sweep_values:
-            L = int(L)
-            triple = beta_triple(BinaryDetectionProbs(p0, p1), L)
-            gap = bound_gap(triple)
-            _, high_u, gen_l = gap_bounds(triple)
-            pts.append((L, gap))
-            rows.append([L, gap, gen_l, high_u, math.nan, math.nan])
-        fitted = -estimate_exponential_rate(pts)
-    elif scenario == "zero-lambda":
-        if background != 0.0:
-            raise ParameterError("zero-lambda scenario requires background = 0")
-        predicted = exp_rate_zero_background(trials, dead_time)
-        pts = []
-        for peak in sweep_values:
-            p1 = detection_prob(peak, dead_time)
-            triple = beta_triple(BinaryDetectionProbs(0.0, p1), trials)
-            gap = bound_gap(triple)
-            lead = _pow_log(1.0 - p1, 0.5 * trials)
-            pts.append((peak, gap))
-            rows.append([peak, gap, lead, 2.0 * lead, math.nan, math.nan])
-        fitted = -estimate_exponential_rate(pts)
-    elif scenario == "large-A":
-        p0 = detection_prob(background, dead_time)
-        b_half = _pow_log(p0, 0.5 * trials)
-        b_full = _pow_log(p0, trials)
-        const_u = 2.0 * b_half - b_full
-        const_l = math.log1p(b_half) - 0.5 * math.log1p(b_full)
-        predicted = min(0.5, (1.0 - p0) * trials) * dead_time
-        pts = []
-        for peak in sweep_values:
-            p1 = detection_prob(peak + background, dead_time)
-            triple = beta_triple(BinaryDetectionProbs(p0, p1), trials)
-            gap = bound_gap(triple)
-            _, high_u, _ = gap_bounds(triple)
-            eps_u, eps_l = gap_offsets_large_A(p0, p1, trials)
-            offset = high_u - const_u
-            pts.append((peak, abs(offset)))
-            rows.append([peak, gap, const_l + eps_l, const_u + eps_u, offset, eps_u])
-        fitted = -estimate_exponential_rate(pts)
-    elif scenario == "low-lambda":
-        p1_limit = detection_prob(peak_rate, dead_time)
-        predicted = min(0.5, p1_limit * trials)
-        pts = []
-        for lam in sweep_values:
-            p0 = detection_prob(lam, dead_time)
-            p1 = detection_prob(peak_rate + lam, dead_time)
-            triple = beta_triple(BinaryDetectionProbs(p0, p1), trials)
-            gap = bound_gap(triple)
-            _, high_u, _ = gap_bounds(triple)
-            q_half = _pow_log(1.0 - p1, 0.5 * trials)
-            q_full = _pow_log(1.0 - p1, trials)
-            const_u = 2.0 * q_half - q_full
-            const_l = math.log1p(q_half) - 0.5 * math.log1p(q_full)
-            eps_u, eps_l = gap_offsets_low_background(p0, p1, trials)
-            offset = high_u - const_u
-            pts.append((math.log(lam), abs(offset)))
-            rows.append([lam, gap, const_l + eps_l, const_u + eps_u, offset, eps_u])
-        fitted = estimate_exponential_rate(pts)
-    else:  # low-A
-        p0 = detection_prob(background, dead_time)
+        sweep_values = [int(x) for x in sweep_values]
+
+    def p(rate):
+        return detection_prob(rate, dead_time)
+
+    def offset_cells(b, eps_u, eps_l, high_u):
+        # each bound = a constant in b (p0; 1 - p1 at low background) + offset
+        half, full = _pow_log(b, 0.5 * trials), _pow_log(b, trials)
+        const_u = 2.0 * half - full
+        const_l = math.log1p(half) - 0.5 * math.log1p(full)
+        offset = high_u - const_u
+        return [const_l + eps_l, const_u + eps_u, offset, eps_u], abs(offset)
+
+    def lead_cells(p1, gap):
+        lead = _pow_log(1.0 - p1, 0.5 * trials)
+        return [lead, 2.0 * lead, math.nan, math.nan], gap
+
+    def quadratic_cells(x, p0, gap):
         coeff = gap_quadratic_coeff_low_A(p0, trials, dead_time)
-        predicted = 2.0
-        pts = []
-        for peak in sweep_values:
-            p1 = detection_prob(peak + background, dead_time)
-            triple = beta_triple(BinaryDetectionProbs(p0, p1), trials)
-            gap = bound_gap(triple)
-            quad = coeff * peak * peak
-            pts.append((math.log(peak), gap))
-            rows.append([peak, gap, quad, quad, gap / peak**2, coeff])
-        fitted = estimate_exponential_rate(pts)
+        quad = coeff * x * x
+        return [quad, quad, gap / x**2, coeff], gap
+
+    def by_peak(x):
+        return _probs(x, background, dead_time), trials
+
+    # scenario -> (sweep value x -> (probs, L);
+    #              (x, p0, p1, gap, gap_bounds) -> (four formula cells, fitted y);
+    #              predicted rate).  Power laws fit ln y against ln x, the
+    # exponential decays ln y against x.
+    table = {
+        "large-L": (
+            lambda x: (_probs(peak_rate, background, dead_time), x),
+            lambda x, p0, p1, gap, b: ([b[2], b[1], math.nan, math.nan], gap),
+            lambda: exp_rate_large_L(p(background), p(peak_rate + background)),
+        ),
+        "large-A": (
+            by_peak,
+            lambda x, p0, p1, gap, b: offset_cells(
+                p0, *gap_offsets_large_A(p0, p1, trials), b[1]
+            ),
+            lambda: min(0.5, (1.0 - p(background)) * trials) * dead_time,
+        ),
+        "low-lambda": (
+            lambda x: (_probs(peak_rate, x, dead_time), trials),
+            lambda x, p0, p1, gap, b: offset_cells(
+                1.0 - p1, *gap_offsets_low_background(p0, p1, trials), b[1]
+            ),
+            lambda: min(0.5, p(peak_rate) * trials),
+        ),
+        "zero-lambda": (
+            by_peak,
+            lambda x, p0, p1, gap, b: lead_cells(p1, gap),
+            lambda: exp_rate_zero_background(trials, dead_time),
+        ),
+        "low-A": (
+            by_peak,
+            lambda x, p0, p1, gap, b: quadratic_cells(x, p0, gap),
+            lambda: 2.0,
+        ),
+    }
+    point, cells, predicted = table[scenario]
+    predicted = predicted()
+    rows, pts = [], []
+    for x in sweep_values:
+        probs, L = point(x)
+        triple = beta_triple(probs, L)
+        gap = bound_gap(triple)
+        formula_cells, y = cells(x, probs.p_off, probs.p_on, gap, gap_bounds(triple))
+        rows.append([x, gap] + formula_cells)
+        pts.append((math.log(x) if power_law else x, y))
+    slope = estimate_exponential_rate(pts)
     for row in rows:
-        row.extend([fitted, predicted])
+        row.extend([slope if power_law else -slope, predicted])
     return GAP_HEADER, rows
+
+
+def gap_sweep(settings):
+    """gap_rows for ``settings`` over the preset of settings["scenario"];
+    the CLI ``gap`` command and the gap acceptance checks both run it."""
+    scenario = settings["scenario"]
+    merged = {**PRESETS["gap"][scenario], **settings}
+    return gap_rows(
+        scenario,
+        merged.get("peak_rate", 0.0) or 0.0,
+        merged.get("background", 0.0) or 0.0,
+        merged["dead_time"],
+        merged.get("samples"),
+        parse_grid(merged[GAP_GRID.get(scenario, "a_grid")]),
+    )
 
 
 def capacity_rows(
@@ -344,11 +446,24 @@ def simulate_rows(
         probs.p_on,
         summary["mi_plugin"],
         mi_exact,
-        (summary["p0_hat"] - probs.p_off) / summary["p0_stderr"],
-        (summary["p1_hat"] - probs.p_on) / summary["p1_stderr"],
-        (summary["mi_plugin"] - mi_exact) / summary["mi_sigma"],
+        _z_score("p0", summary["p0_hat"], probs.p_off, summary["p0_stderr"]),
+        _z_score("p1", summary["p1_hat"], probs.p_on, summary["p1_stderr"]),
+        _z_score("MI", summary["mi_plugin"], mi_exact, summary["mi_sigma"]),
     ]
     return header, [row]
+
+
+def _z_score(name, estimate, closed, stderr):
+    """(estimate - closed) / stderr.  With a zero stderr (too few symbols to
+    see a firing) only an exact match of a deterministic closed form scores."""
+    if stderr > 0.0:
+        return (estimate - closed) / stderr
+    if estimate == closed:
+        return 0.0
+    raise EstimationError(
+        f"{name} estimate {estimate} has zero standard error against the "
+        f"closed form {closed}; increase symbols"
+    )
 
 
 def format_csv(header, rows):

@@ -17,10 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, detection_prob, symbol_probs
+from .channel import ChannelParams, symbol_probs
 from .errors import EstimationError, ParameterError
+from .guards import check_unit
 
 CHUNK_SYMBOLS = 16384
+
+BOOTSTRAP_REPLICATES = 200
 
 _BOOTSTRAP_STREAM = 0xB0075
 
@@ -37,10 +40,7 @@ class SimConfig:
     def __post_init__(self):
         if self.symbols < 1:
             raise ParameterError(f"symbols must be >= 1, got {self.symbols}")
-        if not 0.0 <= self.duty_cycle <= 1.0:
-            raise ParameterError(
-                f"duty_cycle must be in [0, 1], got {self.duty_cycle}"
-            )
+        check_unit(self.duty_cycle, "duty_cycle")
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must be a 64-bit unsigned integer")
 
@@ -51,31 +51,6 @@ def _chunk_rng(seed, chunk_index, stream=0):
     return np.random.Generator(
         np.random.Philox(key=[seed, (stream << 32) + chunk_index])
     )
-
-
-def simulate_symbol(symbol, params: ChannelParams, rng, method="bernoulli"):
-    """Sample the L window indicators for one OOK symbol.
-
-    ``method`` selects the realization: "bernoulli" draws each indicator
-    directly; "arrivals" draws Poisson arrival times over the window union
-    and marks hit windows.
-    """
-    if symbol not in (0, 1):
-        raise ParameterError(f"symbol must be 0 or 1, got {symbol}")
-    rate = symbol * params.peak_rate + params.background_rate
-    L = params.samples_per_symbol
-    tau = params.dead_time
-    if method == "bernoulli":
-        return (rng.random(L) < detection_prob(rate, tau)).astype(np.uint8)
-    if method == "arrivals":
-        z = np.zeros(L, dtype=np.uint8)
-        arrivals = rng.poisson(rate * L * tau)
-        if arrivals:
-            pos = rng.random(arrivals) * (L * tau)
-            idx = np.minimum((pos / tau).astype(np.int64), L - 1)
-            z[idx] = 1
-        return z
-    raise ParameterError(f"unknown method {method!r}")
 
 
 def _chunk_window_hits(rng, bits, probs, L):
@@ -149,12 +124,6 @@ def _detection_from_counts(counts, L):
     return out[0], out[1]
 
 
-def estimate_detection_probs(config: SimConfig):
-    """Empirical ((p0_hat, stderr), (p1_hat, stderr)) from a simulated run."""
-    counts = joint_counts(config)
-    return _detection_from_counts(counts, config.params.samples_per_symbol)
-
-
 def plugin_mi_from_counts(counts):
     """Plug-in mutual information (nats) of an empirical joint histogram."""
     n = counts.sum()
@@ -166,32 +135,19 @@ def plugin_mi_from_counts(counts):
     return float((q[mask] * np.log(q[mask] / marg[mask])).sum())
 
 
-def estimate_mi_plugin(config: SimConfig):
-    """Plug-in I(X; N_hat) in nats from the empirical joint histogram."""
-    L = config.params.samples_per_symbol
-    if config.symbols < 10 * (L + 1):
-        raise EstimationError(
-            f"need at least 10*(L+1) = {10 * (L + 1)} symbols to cover the "
-            f"histogram support, got {config.symbols}"
-        )
-    return plugin_mi_from_counts(joint_counts(config))
-
-
-def bootstrap_mi_sigma(config: SimConfig, counts, replicates=200):
+def bootstrap_mi_sigma(config: SimConfig, counts):
     """Multinomial-bootstrap standard error of the plug-in MI estimate."""
-    if replicates < 2:
-        raise ParameterError(f"replicates must be >= 2, got {replicates}")
     n = int(counts.sum())
     flat = (counts / n).ravel()
     rng = _chunk_rng(config.seed, 0, stream=_BOOTSTRAP_STREAM)
-    values = np.empty(replicates)
-    for r in range(replicates):
+    values = np.empty(BOOTSTRAP_REPLICATES)
+    for r in range(BOOTSTRAP_REPLICATES):
         resampled = rng.multinomial(n, flat).reshape(counts.shape)
         values[r] = plugin_mi_from_counts(resampled)
     return float(values.std(ddof=1))
 
 
-def simulate_summary(config: SimConfig, bootstrap_replicates=200):
+def simulate_summary(config: SimConfig):
     """One simulation pass feeding the CSV emitter and the validation suite.
 
     Returns a dict with empirical detection probabilities (and standard
@@ -202,7 +158,7 @@ def simulate_summary(config: SimConfig, bootstrap_replicates=200):
         counts, config.params.samples_per_symbol
     )
     mi = plugin_mi_from_counts(counts)
-    sigma = bootstrap_mi_sigma(config, counts, bootstrap_replicates)
+    sigma = bootstrap_mi_sigma(config, counts)
     return {
         "p0_hat": p0_hat,
         "p0_stderr": se0,

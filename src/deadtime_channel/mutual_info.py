@@ -14,10 +14,10 @@ from scipy.special import gammaln, xlogy
 
 from .channel import BinaryDetectionProbs
 from .errors import ParameterError
+from .guards import check_unit
 from . import optimize
 
-# Full-support summation beyond this trial count is wasteful; callers in
-# that regime are expected to use the Gaussian entropy approximation.
+# Full-support summation beyond this trial count is wasteful.
 MAX_TRIALS_EXACT = 100_000
 
 POISSON_TAIL_MASS = 1e-14
@@ -25,29 +25,10 @@ POISSON_TAIL_MASS = 1e-14
 
 def binary_entropy(x):
     """h_b(x) = -x ln x - (1-x) ln(1-x) in nats, with 0 ln 0 = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"binary_entropy argument must be in [0, 1], got {x}")
+    check_unit(x, "binary_entropy argument")
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log(x) - (1.0 - x) * math.log1p(-x)
-
-
-def log_binomial_pmf(trials, p, k):
-    """ln P(Bin(trials, p) = k), -inf for impossible outcomes."""
-    if int(trials) != trials or trials < 1:
-        raise ParameterError(f"trials must be a positive integer, got {trials}")
-    if int(k) != k or not 0 <= k <= trials:
-        raise ParameterError(f"k must be an integer in [0, {trials}], got {k}")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"p must be in [0, 1], got {p}")
-    comb = (
-        math.lgamma(trials + 1) - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
-    )
-    if k > 0:
-        comb += -math.inf if p == 0.0 else k * math.log(p)
-    if trials - k > 0:
-        comb += -math.inf if p == 1.0 else (trials - k) * math.log1p(-p)
-    return comb
 
 
 def _binomial_logpmf_support(trials, p):
@@ -65,18 +46,8 @@ def _entropy_from_pmf(pmf):
     return float(-(pmf[mask] * np.log(pmf[mask])).sum())
 
 
-def mi_binomial_mixture(mu, probs: BinaryDetectionProbs, trials):
-    """I(X; N_hat) in nats for prior P(X=1) = mu, by full-support summation."""
-    if not 0.0 <= mu <= 1.0:
-        raise ParameterError(f"mu must be in [0, 1], got {mu}")
-    if trials > MAX_TRIALS_EXACT:
-        raise ParameterError(
-            f"trials = {trials} exceeds exact-summation cap {MAX_TRIALS_EXACT}"
-        )
-    if mu == 0.0 or mu == 1.0 or probs.p_off == probs.p_on:
-        return 0.0
-    pmf0 = np.exp(_binomial_logpmf_support(trials, probs.p_off))
-    pmf1 = np.exp(_binomial_logpmf_support(trials, probs.p_on))
+def _mixture_mi(mu, pmf0, pmf1):
+    """H(mixture) - (1-mu) H(pmf0) - mu H(pmf1) over a shared support."""
     mix = (1.0 - mu) * pmf0 + mu * pmf1
     return (
         _entropy_from_pmf(mix)
@@ -85,31 +56,39 @@ def mi_binomial_mixture(mu, probs: BinaryDetectionProbs, trials):
     )
 
 
-def mi_max_bruteforce(probs: BinaryDetectionProbs, trials, tol=1e-10):
+def mi_binomial_mixture(mu, probs: BinaryDetectionProbs, trials):
+    """I(X; N_hat) in nats for prior P(X=1) = mu, by full-support summation."""
+    check_unit(mu, "mu")
+    if trials > MAX_TRIALS_EXACT:
+        raise ParameterError(
+            f"trials = {trials} exceeds exact-summation cap {MAX_TRIALS_EXACT}"
+        )
+    if mu == 0.0 or mu == 1.0 or probs.p_off == probs.p_on:
+        return 0.0
+    pmf0 = np.exp(_binomial_logpmf_support(trials, probs.p_off))
+    pmf1 = np.exp(_binomial_logpmf_support(trials, probs.p_on))
+    return _mixture_mi(mu, pmf0, pmf1)
+
+
+def mi_max_bruteforce(probs: BinaryDetectionProbs, trials):
     """(mu_dagger, I_max): numerically maximized mutual information over mu.
 
     The exact mutual information is concave in mu, so a moderate scan plus
     golden-section refinement is reliable.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
     if probs.p_off == probs.p_on:
         return 0.5, 0.0
     return optimize.maximize_scalar(
         lambda mu: mi_binomial_mixture(mu, probs, trials),
         0.0,
         1.0,
-        tol=tol,
         coarse_points=65,
     )
 
 
 def _poisson_pmf_support(mean, n_max):
     k = np.arange(n_max + 1, dtype=np.float64)
-    if mean == 0.0:
-        pmf = np.zeros(n_max + 1)
-        pmf[0] = 1.0
-        return pmf
+    # xlogy(0, 0) = 0 and xlogy(k > 0, 0) = -inf: mean 0 is a point mass at 0
     return np.exp(xlogy(k, mean) - mean - gammaln(k + 1.0))
 
 
@@ -119,8 +98,7 @@ def mi_discrete_poisson(mu, mean_off, mean_on):
     The perfect-receiver benchmark: summation is truncated once the
     remaining tail mass of both laws is below POISSON_TAIL_MASS.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ParameterError(f"mu must be in [0, 1], got {mu}")
+    check_unit(mu, "mu")
     if mean_off < 0 or mean_on < 0:
         raise ParameterError("Poisson means must be nonnegative")
     if mu == 0.0 or mu == 1.0 or mean_off == mean_on:
@@ -135,18 +113,5 @@ def mi_discrete_poisson(mu, mean_off, mean_on):
         ) < POISSON_TAIL_MASS:
             break
         n_max *= 2
-    mix = (1.0 - mu) * pmf0 + mu * pmf1
-    return (
-        _entropy_from_pmf(mix)
-        - (1.0 - mu) * _entropy_from_pmf(pmf0)
-        - mu * _entropy_from_pmf(pmf1)
-    )
+    return _mixture_mi(mu, pmf0, pmf1)
 
-
-def binomial_entropy_gaussian_approx(trials, p):
-    """H(Bin(trials, p)) ~ 0.5 ln(2 pi e trials p (1-p)), error O(1/trials)."""
-    if int(trials) != trials or trials < 1:
-        raise ParameterError(f"trials must be a positive integer, got {trials}")
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must be in (0, 1), got {p}")
-    return 0.5 * math.log(2.0 * math.pi * math.e * trials * p * (1.0 - p))

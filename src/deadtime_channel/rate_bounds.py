@@ -13,50 +13,18 @@ sweeps drive it under 1e-100).
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
-from .channel import ChannelParams, symbol_probs
-from .divergences import BetaTriple, beta_triple
+from .divergences import BetaTriple
 from .errors import ParameterError
-from .mutual_info import mi_binomial_mixture
-from . import approximation, optimize
-
-
-@dataclass(frozen=True)
-class RateBoundSet:
-    """Exact rate, both envelopes, optional approximation, and gap at one point."""
-
-    exact_mi: float
-    lower: float
-    upper: float
-    approx: Optional[float]
-    gap: float
-    mu: float
-
-
-def _check_unit(x, name):
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"{name} must be in [0, 1], got {x}")
-
-
-def lower_envelope(mu, beta):
-    """F_l(mu, beta); zero at the mu corners by the 0 ln 0 convention."""
-    _check_unit(mu, "mu")
-    _check_unit(beta, "beta")
-    if mu == 0.0 or mu == 1.0:
-        return 0.0
-    return -(
-        mu * math.log((1.0 - mu) * beta + mu)
-        + (1.0 - mu) * math.log(mu * beta + (1.0 - mu))
-    )
+from .guards import check_unit
+from . import optimize
 
 
 def upper_envelope(mu, beta1, beta2):
-    """F_u(mu, beta1, beta2); collapses to F_l when beta1 = beta2."""
-    _check_unit(mu, "mu")
-    _check_unit(beta1, "beta1")
-    _check_unit(beta2, "beta2")
+    """F_u(mu, beta1, beta2), 0 at mu in {0, 1}; F_l(mu, b) is F_u(mu, b, b)."""
+    check_unit(mu, "mu")
+    check_unit(beta1, "beta1")
+    check_unit(beta2, "beta2")
     if mu == 0.0 or mu == 1.0:
         return 0.0
     return -(
@@ -72,7 +40,7 @@ def envelope_difference(mu, triple: BetaTriple):
     satisfies; the two log ratios are then nonnegative and evaluated as
     log1p of small increments.
     """
-    _check_unit(mu, "mu")
+    check_unit(mu, "mu")
     beta, beta1, beta2 = triple.beta, triple.beta1, triple.beta2
     if mu == 0.0 or mu == 1.0:
         return 0.0
@@ -83,7 +51,7 @@ def envelope_difference(mu, triple: BetaTriple):
 
 def lower_bound_max(beta):
     """max over mu of F_l: attained at mu = 1/2 with value ln(2/(1+beta))."""
-    _check_unit(beta, "beta")
+    check_unit(beta, "beta")
     return math.log(2.0) - math.log1p(beta)
 
 
@@ -93,8 +61,8 @@ def upper_bound_max(beta1, beta2):
     |b1-b2|(1 - min(b1,b2))/(1 - b1 b2) - ln((1 - b1 b2)/(2 - b1 - b2)),
     tight exactly when beta1 = beta2.
     """
-    _check_unit(beta1, "beta1")
-    _check_unit(beta2, "beta2")
+    check_unit(beta1, "beta1")
+    check_unit(beta2, "beta2")
     if beta1 == 1.0 and beta2 == 1.0:
         raise ParameterError("upper_bound_max is degenerate at beta1 = beta2 = 1")
     return abs(beta1 - beta2) * (1.0 - min(beta1, beta2)) / (
@@ -102,35 +70,24 @@ def upper_bound_max(beta1, beta2):
     ) - math.log((1.0 - beta1 * beta2) / (2.0 - beta1 - beta2))
 
 
-def optimal_prior_upper(beta1, beta2, tol=1e-10):
+def optimal_prior_upper(beta1, beta2):
     """Numerically maximizing duty cycle mu*(beta1, beta2) of F_u."""
-    _check_unit(beta1, "beta1")
-    _check_unit(beta2, "beta2")
+    check_unit(beta1, "beta1")
+    check_unit(beta2, "beta2")
     if beta1 >= 1.0 or beta2 >= 1.0:
         raise ParameterError("optimal_prior_upper needs beta1, beta2 in [0, 1)")
     mu_star, _ = optimize.maximize_scalar(
-        lambda mu: upper_envelope(mu, beta1, beta2), 0.0, 1.0, tol=tol
+        lambda mu: upper_envelope(mu, beta1, beta2), 0.0, 1.0
     )
     return mu_star
 
 
-def bound_gap(triple: BetaTriple, tol=1e-10):
+def bound_gap(triple: BetaTriple):
     """Delta = max over mu of the pointwise difference F_u - F_l."""
     _, gap = optimize.maximize_scalar(
-        lambda mu: envelope_difference(mu, triple), 0.0, 1.0, tol=tol
+        lambda mu: envelope_difference(mu, triple), 0.0, 1.0
     )
     return gap
-
-
-def gap_between_maxima(triple: BetaTriple, tol=1e-10):
-    """Diagnostic alternative reading of the gap: max F_u - max F_l (<= Delta)."""
-    _, fu_max = optimize.maximize_scalar(
-        lambda mu: upper_envelope(mu, triple.beta1, triple.beta2),
-        0.0,
-        1.0,
-        tol=tol,
-    )
-    return fu_max - lower_bound_max(triple.beta)
 
 
 def gap_bounds(triple: BetaTriple):
@@ -154,25 +111,3 @@ def gap_bounds(triple: BetaTriple):
     )
     return low_snr, high_snr, general_lower
 
-
-def rate_bound_set(params: ChannelParams, mu, tol=1e-10) -> RateBoundSet:
-    """Exact MI, both envelopes, the approximation when valid, and Delta."""
-    _check_unit(mu, "mu")
-    probs = symbol_probs(params)
-    trials = params.samples_per_symbol
-    triple = beta_triple(probs, trials)
-    exact = mi_binomial_mixture(mu, probs, trials)
-    lower = lower_envelope(mu, triple.beta)
-    upper = upper_envelope(mu, triple.beta1, triple.beta2)
-    try:
-        approx = approximation.mi_approx_low_background(mu, probs, trials)
-    except ParameterError:
-        approx = None
-    return RateBoundSet(
-        exact_mi=exact,
-        lower=lower,
-        upper=upper,
-        approx=approx,
-        gap=bound_gap(triple, tol=tol),
-        mu=mu,
-    )

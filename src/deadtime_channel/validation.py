@@ -2,7 +2,9 @@
 
 Each check pins its parameters and tolerance and returns a CheckResult;
 the CLI ``validate`` command prints one line per check and the test suite
-asserts each one.  Tolerances are fixed here, not tuned per run.
+asserts each one.  Tolerances are fixed here, not tuned per run.  The four
+gap-rate checks assert on the rows the CLI ``gap`` command emits for its
+presets (experiments.gap_sweep), not on a second copy of the sweeps.
 
 Known red check: ``approx-beats-bounds`` asks the medium-SNR expansion to
 beat both envelopes at >= 90% of a grid reaching peak rate 20, but the
@@ -18,16 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BinaryDetectionProbs, ChannelParams, detection_prob, symbol_probs
+from .channel import BinaryDetectionProbs, detection_prob
 from .divergences import beta_triple, optimal_alpha_grid
 from .mutual_info import mi_binomial_mixture
 from .approximation import mi_approx_low_background
-from .asymptotics import (
-    estimate_exponential_rate,
-    exp_rate_large_L,
-    exp_rate_zero_background,
-    gap_quadratic_coeff_low_A,
-)
 from .capacity import (
     asymptotic_capacity_coeff_large_A,
     capacity_bruteforce,
@@ -38,8 +34,8 @@ from .capacity import (
     quadratic_coeffs_low_A,
     wyner_poisson_capacity,
 )
-from .monte_carlo import SimConfig, simulate_summary
-from .rate_bounds import bound_gap, gap_bounds, lower_envelope, upper_envelope
+from .rate_bounds import upper_envelope
+from . import experiments
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,7 @@ def check_sandwich():
         mi = mi_binomial_mixture(mu, probs, trials)
         worst = min(
             worst,
-            mi - lower_envelope(mu, triple.beta),
+            mi - upper_envelope(mu, triple.beta, triple.beta),
             upper_envelope(mu, triple.beta1, triple.beta2) - mi,
         )
     elapsed = time.time() - t0
@@ -106,21 +102,24 @@ def check_half_alpha_optimal():
     )
 
 
+def _gap_columns(**settings):
+    """The CLI's gap rows for a scenario preset with ``settings`` overridden,
+    as a dict column name -> list of cells."""
+    header, rows = experiments.gap_sweep(settings)
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def _rate_error(cols):
+    return abs(cols["fitted_rate"][0] / cols["predicted_rate"][0] - 1.0)
+
+
 def check_large_L_rate():
     """Gap decays in L at the Bhattacharyya rate (both published peak rates)."""
     t0 = time.time()
-    tau, lam0 = 0.02, 0.02
-    rels = []
-    for peak in (5.0, 10.0):
-        p0 = detection_prob(lam0, tau)
-        p1 = detection_prob(peak + lam0, tau)
-        predicted = exp_rate_large_L(p0, p1)
-        pts = []
-        for trials in range(50, 401, 25):
-            triple = beta_triple(BinaryDetectionProbs(p0, p1), trials)
-            pts.append((trials, bound_gap(triple)))
-        fitted = -estimate_exponential_rate(pts)
-        rels.append(abs(fitted / predicted - 1.0))
+    rels = [
+        _rate_error(_gap_columns(scenario="large-L", peak_rate=peak))
+        for peak in (5.0, 10.0)
+    ]
     return _result(
         "large-L-gap-rate",
         max(rels) <= 0.02,
@@ -132,18 +131,11 @@ def check_large_L_rate():
 def check_zero_background_rate():
     """Zero-background gap: rate L*tau/2 and leading-constant bracket."""
     t0 = time.time()
-    trials, tau = 10, 0.1
-    pts, ratios = [], []
-    for a_tau in np.arange(3.0, 8.01, 0.5):
-        peak = a_tau / tau
-        p1 = detection_prob(peak, tau)
-        triple = beta_triple(BinaryDetectionProbs(0.0, p1), trials)
-        gap = bound_gap(triple)
-        pts.append((peak, gap))
-        ratios.append(gap / math.exp(0.5 * trials * math.log1p(-p1)))
-    fitted = -estimate_exponential_rate(pts)
-    predicted = exp_rate_zero_background(trials, tau)
-    rel = abs(fitted / predicted - 1.0)
+    cols = _gap_columns(scenario="zero-lambda")
+    rel = _rate_error(cols)
+    ratios = [
+        gap / lead for gap, lead in zip(cols["gap_numeric"], cols["gap_lower_formula"])
+    ]
     in_bracket = all(0.9 <= r <= 2.1 for r in ratios)
     return _result(
         "zero-background-gap-rate",
@@ -157,14 +149,11 @@ def check_zero_background_rate():
 def check_low_A_quadratic():
     """Gap is quadratic in low peak rate with the stated coefficient."""
     t0 = time.time()
-    tau, lam0, peak = 0.02, 1.0, 1e-3
-    p0 = detection_prob(lam0, tau)
     rels = []
     for trials in (10, 20):
-        p1 = detection_prob(peak + lam0, tau)
-        gap = bound_gap(beta_triple(BinaryDetectionProbs(p0, p1), trials))
-        coeff = gap_quadratic_coeff_low_A(p0, trials, tau)
-        rels.append(abs(gap / peak**2 / coeff - 1.0))
+        cols = _gap_columns(scenario="low-A", samples=trials)
+        i = cols["x"].index(1e-3)
+        rels.append(abs(cols["offset_numeric"][i] / cols["offset_formula"][i] - 1.0))
     return _result(
         "low-A-quadratic-gap",
         max(rels) <= 0.01,
@@ -181,37 +170,8 @@ def check_offset_rates():
     background rate; the fitted exponent must match min(1/2, p1 L).
     """
     t0 = time.time()
-    tau, trials = 0.1, 10
-    # large peak rate at fixed background (background*tau = 1)
-    lam0 = 10.0
-    p0 = detection_prob(lam0, tau)
-    b_half = math.exp(0.5 * trials * math.log(p0))
-    b_full = math.exp(trials * math.log(p0))
-    const_u = 2.0 * b_half - b_full
-    pts = []
-    for a_tau in np.arange(10.0, 18.01, 1.0):
-        p1 = detection_prob(a_tau / tau + lam0, tau)
-        _, high_u, _ = gap_bounds(beta_triple(BinaryDetectionProbs(p0, p1), trials))
-        pts.append((a_tau / tau, high_u - const_u))
-    fitted_a = -estimate_exponential_rate(pts)
-    predicted_a = min(0.5, (1.0 - p0) * trials) * tau
-    rel_a = abs(fitted_a / predicted_a - 1.0)
-
-    # low background at fixed peak rate (peak*tau = 1)
-    peak = 10.0
-    predicted_l = min(0.5, detection_prob(peak, tau) * trials)
-    pts = []
-    for lam in np.geomspace(5.8e-6, 5.8e-4, 9):
-        p0 = detection_prob(lam, tau)
-        p1 = detection_prob(peak + lam, tau)
-        _, high_u, _ = gap_bounds(beta_triple(BinaryDetectionProbs(p0, p1), trials))
-        q1 = 1.0 - p1
-        const = 2.0 * math.exp(0.5 * trials * math.log(q1)) - math.exp(
-            trials * math.log(q1)
-        )
-        pts.append((math.log(lam), high_u - const))
-    fitted_l = estimate_exponential_rate(pts)
-    rel_l = abs(fitted_l / predicted_l - 1.0)
+    rel_a = _rate_error(_gap_columns(scenario="large-A"))
+    rel_l = _rate_error(_gap_columns(scenario="low-lambda"))
     return _result(
         "gap-offset-rates",
         rel_a <= 0.05 and rel_l <= 0.05,
@@ -230,7 +190,7 @@ def check_capacity_vs_bruteforce():
         a_tau = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
         lam_tau = rng.uniform(0.0, 2.0)
         closed = capacity_tau(a_tau, lam_tau, 1.0)
-        brute = capacity_bruteforce(a_tau, lam_tau, 1.0, tol=1e-12)
+        brute = capacity_bruteforce(a_tau, lam_tau, 1.0)
         worst_cap = max(
             worst_cap,
             abs(closed.capacity_nats_per_time - brute.capacity_nats_per_time)
@@ -376,18 +336,14 @@ def check_monotonicity():
 
 
 def check_monte_carlo():
-    """Simulation matches closed forms within 3 sigma and reruns identically."""
+    """The CLI's simulate row for its preset: |z| < 3, and reruns identically."""
     t0 = time.time()
-    params = ChannelParams(10.0, 0.02, 0.02, 1.0 / 30.0, 30)
-    config = SimConfig(params, 10**6, 20260808, 0.5)
-    first = simulate_summary(config)
-    second = simulate_summary(config)
-    probs = symbol_probs(params)
-    mi_exact = mi_binomial_mixture(0.5, probs, 30)
-    z0 = (first["p0_hat"] - probs.p_off) / first["p0_stderr"]
-    z1 = (first["p1_hat"] - probs.p_on) / first["p1_stderr"]
-    z_mi = (first["mi_plugin"] - mi_exact) / first["mi_sigma"]
-    reproducible = first == second
+    s = experiments.PRESETS["simulate"]["published"]
+    args = (s["peak_rate"], s["background"], s["dead_time"], 1.0 / s["samples"])
+    args += (s["samples"], s["symbols"], s["seed"], s["mu"])
+    header, rows = experiments.simulate_rows(*args)
+    reproducible = rows == experiments.simulate_rows(*args)[1]
+    z0, z1, z_mi = (rows[0][header.index(z)] for z in ("z_p0", "z_p1", "z_mi"))
     elapsed = time.time() - t0
     return _result(
         "monte-carlo-validation",
@@ -415,7 +371,7 @@ def check_approximation_accuracy():
         for mu in np.linspace(0.3, 0.7, 9):
             exact = mi_binomial_mixture(mu, probs, trials)
             approx = mi_approx_low_background(mu, probs, trials)
-            lo = lower_envelope(mu, triple.beta)
+            lo = upper_envelope(mu, triple.beta, triple.beta)
             hi = upper_envelope(mu, triple.beta1, triple.beta2)
             total += 1
             if abs(approx - exact) < min(abs(lo - exact), abs(hi - exact)):

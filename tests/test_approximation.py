@@ -8,7 +8,6 @@ from deadtime_channel import (
     ParameterError,
     beta_triple,
     detection_prob,
-    lower_envelope,
     mi_approx_low_background,
     mi_binomial_mixture,
     upper_envelope,
@@ -47,6 +46,17 @@ def test_vanishing_background_consistency():
     assert prev_gap < 1e-6
 
 
+def test_zero_signal_channel_carries_nothing():
+    # p_off == p_on: no information, as in the exact mutual information
+    probs = BinaryDetectionProbs(detection_prob(0.02, 0.02), detection_prob(0.02, 0.02))
+    for mu in (0.1, 0.5, 0.9):
+        assert mi_approx_low_background(mu, probs, 30) == 0.0
+        assert mi_binomial_mixture(mu, probs, 30) == 0.0
+    # the validity region is still enforced without signal
+    with pytest.raises(ParameterError, match="validity"):
+        mi_approx_low_background(0.5, BinaryDetectionProbs(0.05, 0.05), 30)
+
+
 def test_validity_guard():
     # trials * p_off must stay below one
     with pytest.raises(ParameterError, match="validity"):
@@ -64,7 +74,7 @@ def test_published_point_beats_envelopes():
     triple = beta_triple(probs, trials)
     exact = mi_binomial_mixture(mu, probs, trials)
     approx_err = abs(mi_approx_low_background(mu, probs, trials) - exact)
-    assert approx_err < abs(lower_envelope(mu, triple.beta) - exact)
+    assert approx_err < abs(upper_envelope(mu, triple.beta, triple.beta) - exact)
     assert approx_err < abs(upper_envelope(mu, triple.beta1, triple.beta2) - exact)
 
 
@@ -80,7 +90,7 @@ def test_medium_snr_band_wins_everywhere():
         for mu in np.linspace(0.3, 0.7, 9):
             exact = mi_binomial_mixture(mu, probs, trials)
             approx_err = abs(mi_approx_low_background(mu, probs, trials) - exact)
-            assert approx_err < abs(lower_envelope(mu, triple.beta) - exact)
+            assert approx_err < abs(upper_envelope(mu, triple.beta, triple.beta) - exact)
             assert approx_err < abs(
                 upper_envelope(mu, triple.beta1, triple.beta2) - exact
             )

@@ -35,7 +35,7 @@ def test_optimal_duty_cycle_high_rate_limit():
 
 def test_optimal_duty_cycle_matches_bruteforce():
     mu, _ = optimal_duty_cycle(2.0, 0.5, 1.0)
-    brute = capacity_bruteforce(2.0, 0.5, 1.0, tol=1e-12)
+    brute = capacity_bruteforce(2.0, 0.5, 1.0)
     assert mu == pytest.approx(brute.duty_cycle, abs=1e-6)
 
 
@@ -94,7 +94,7 @@ def test_bruteforce_agreement_random():
         a_tau = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
         lam_tau = float(rng.uniform(0.0, 2.0))
         closed = capacity_tau(a_tau, lam_tau, 1.0)
-        brute = capacity_bruteforce(a_tau, lam_tau, 1.0, tol=1e-12)
+        brute = capacity_bruteforce(a_tau, lam_tau, 1.0)
         assert abs(
             closed.capacity_nats_per_time - brute.capacity_nats_per_time
         ) <= 1e-8 * (1.0 + closed.capacity_nats_per_time)

@@ -114,8 +114,26 @@ def test_channel_params_validation(kwargs):
         _params(**kwargs)
 
 
-def test_symbol_duration():
-    assert _params().symbol_duration == pytest.approx(1.0, rel=1e-15)
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(peak=math.nan),
+        dict(peak=math.inf),
+        dict(background=math.nan),
+        dict(tau=math.inf),
+        dict(ts=math.nan),
+        dict(samples=math.nan),
+    ],
+)
+def test_channel_params_reject_non_finite(kwargs):
+    with pytest.raises(ParameterError, match="finite|integer"):
+        _params(**kwargs)
+
+
+def test_detection_prob_rejects_non_finite():
+    for rate, tau in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ParameterError, match="must be finite"):
+            detection_prob(rate, tau)
 
 
 def test_detection_probs_ordering_enforced():

@@ -307,3 +307,63 @@ def test_validate_reports_every_check(capsys):
     # exactly the documented red criterion fails; exit code reflects it
     assert failing == validation.EXPECTED_FAILURES
     assert code == 1
+
+
+def _assert_one_line_error(code, err, expected_code, fragment):
+    assert code == expected_code
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert fragment in err
+
+
+def test_simulate_zero_stderr_is_estimation_error(capsys):
+    # 10 symbols at the published setting see no background firing
+    code, out, err = _run(capsys, ["simulate", "--symbols", "10"])
+    _assert_one_line_error(code, err, 3, "zero standard error")
+    assert out == ""
+
+
+def test_simulate_zero_background_scores_exact_match(capsys):
+    # p0 = 0 exactly: the off-symbol estimate is deterministically 0
+    code, out, _ = _run(
+        capsys, ["simulate", "--background", "0", "--symbols", "1000", "--seed", "4"]
+    )
+    assert code == 0
+    header, rows = _parse_csv(out)
+    assert rows[0][header.index("p0_hat")] == 0.0
+    assert rows[0][header.index("z_p0")] == 0.0
+
+
+def test_gap_low_A_rejects_non_positive_peak_rates(capsys):
+    code, _, err = _run(capsys, ["gap", "--scenario", "low-A", "--a-grid", "lin:0,1e-3,3"])
+    _assert_one_line_error(code, err, 2, "must be > 0")
+
+
+def test_gap_low_lambda_rejects_non_positive_backgrounds(capsys):
+    code, _, err = _run(
+        capsys, ["gap", "--scenario", "low-lambda", "--lambda-grid", "lin:0,1e-4,3"]
+    )
+    _assert_one_line_error(code, err, 2, "must be > 0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mi-sweep", "--background", "nan"],
+        ["mi-sweep", "--peak-rate", "inf"],
+        ["simulate", "--peak-rate", "inf", "--symbols", "100"],
+        ["capacity", "--background", "nan"],
+    ],
+)
+def test_non_finite_rates_rejected(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    _assert_one_line_error(code, err, 2, "must be finite")
+
+
+def test_duty_imax_zero_signal_row_is_zero(capsys):
+    code, out, _ = _run(capsys, ["duty-imax", "--a-grid", "lin:0,1,2"])
+    assert code == 0
+    header, rows = _parse_csv(out)
+    idx = {name: header.index(name) for name in header}
+    for name in ("imax_exact", "imax_lower", "imax_upper", "imax_approx"):
+        assert rows[0][idx[name]] == 0.0

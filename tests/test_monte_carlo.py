@@ -7,11 +7,9 @@ from scipy import stats
 from deadtime_channel import (
     ChannelParams,
     EstimationError,
+    ParameterError,
     SimConfig,
-    estimate_detection_probs,
-    estimate_mi_plugin,
     mi_binomial_mixture,
-    simulate_symbol,
     symbol_probs,
 )
 from deadtime_channel.monte_carlo import (
@@ -27,26 +25,32 @@ from deadtime_channel.monte_carlo import (
 PUBLISHED = ChannelParams(10.0, 0.02, 0.02, 1.0 / 30.0, 30)
 
 
+def _plugin_mi(config):
+    return plugin_mi_from_counts(joint_counts(config))
+
+
 def test_simulate_symbol_dark():
+    # no background: an off-symbol never fires a window
     params = ChannelParams(5.0, 0.0, 0.02, 1.0 / 30.0, 30)
-    rng = _chunk_rng(1, 0)
     for method in ("bernoulli", "arrivals"):
-        assert not simulate_symbol(0, params, rng, method=method).any()
+        counts = joint_counts(SimConfig(params, 2000, 1, 0.5), method=method)
+        assert counts[0, 1:].sum() == 0
+        assert counts[0, 0] > 0
 
 
 def test_simulate_symbol_saturated():
-    params = ChannelParams(1e6, 0.0, 0.5, 0.5, 8)
-    rng = _chunk_rng(2, 0)
+    # peak * tau = 50: p_on rounds to 1 and about 25 arrivals hit each window
+    params = ChannelParams(100.0, 0.0, 0.5, 0.5, 8)
     for method in ("bernoulli", "arrivals"):
-        assert simulate_symbol(1, params, rng, method=method).all()
+        counts = joint_counts(SimConfig(params, 200, 2, 0.5), method=method)
+        assert counts[1, :8].sum() == 0  # every on-symbol fires all 8 windows
+        assert counts[1, 8] > 0
+        assert counts[0, 1:].sum() == 0  # off-symbols stay dark
 
 
 def test_simulate_symbol_validation():
-    rng = _chunk_rng(3, 0)
-    with pytest.raises(Exception):
-        simulate_symbol(2, PUBLISHED, rng)
-    with pytest.raises(Exception):
-        simulate_symbol(1, PUBLISHED, rng, method="nope")
+    with pytest.raises(ParameterError):
+        joint_counts(SimConfig(PUBLISHED, 10, 3, 0.5), method="nope")
 
 
 def test_window_frequency_matches_closed_form():
@@ -62,42 +66,36 @@ def test_window_frequency_matches_closed_form():
 
 def test_detection_estimates_reproducible():
     config = SimConfig(PUBLISHED, 30000, 4242, 0.5)
-    assert estimate_detection_probs(config) == estimate_detection_probs(config)
+    assert simulate_summary(config) == simulate_summary(config)
 
 
 def test_detection_estimates_within_three_sigma():
     probs = symbol_probs(PUBLISHED)
-    config = SimConfig(PUBLISHED, 200000, 7, 0.5)
-    (p0_hat, se0), (p1_hat, se1) = estimate_detection_probs(config)
-    assert abs(p0_hat - probs.p_off) < 3.0 * se0
-    assert abs(p1_hat - probs.p_on) < 3.0 * se1
+    summary = simulate_summary(SimConfig(PUBLISHED, 200000, 7, 0.5))
+    assert abs(summary["p0_hat"] - probs.p_off) < 3.0 * summary["p0_stderr"]
+    assert abs(summary["p1_hat"] - probs.p_on) < 3.0 * summary["p1_stderr"]
 
 
 def test_detection_estimates_equal_without_signal():
     params = ChannelParams(0.0, 1.0, 0.02, 1.0 / 30.0, 30)
-    (p0_hat, se0), (p1_hat, se1) = estimate_detection_probs(
-        SimConfig(params, 100000, 5, 0.5)
+    summary = simulate_summary(SimConfig(params, 100000, 5, 0.5))
+    assert abs(summary["p0_hat"] - summary["p1_hat"]) < 3.0 * math.hypot(
+        summary["p0_stderr"], summary["p1_stderr"]
     )
-    assert abs(p0_hat - p1_hat) < 3.0 * math.hypot(se0, se1)
 
 
 def test_detection_estimates_need_both_classes():
     with pytest.raises(EstimationError):
-        estimate_detection_probs(SimConfig(PUBLISHED, 1000, 5, 0.0))
+        simulate_summary(SimConfig(PUBLISHED, 1000, 5, 0.0))
 
 
 def test_plugin_mi_zero_prior_is_zero():
-    assert estimate_mi_plugin(SimConfig(PUBLISHED, 1000, 5, 0.0)) == 0.0
-
-
-def test_plugin_mi_needs_support_coverage():
-    with pytest.raises(EstimationError):
-        estimate_mi_plugin(SimConfig(PUBLISHED, 100, 5, 0.5))
+    assert _plugin_mi(SimConfig(PUBLISHED, 1000, 5, 0.0)) == 0.0
 
 
 def test_plugin_mi_within_three_bootstrap_sigma():
     config = SimConfig(PUBLISHED, 120000, 11, 0.5)
-    summary = simulate_summary(config, bootstrap_replicates=120)
+    summary = simulate_summary(config)
     exact = mi_binomial_mixture(0.5, symbol_probs(PUBLISHED), 30)
     assert abs(summary["mi_plugin"] - exact) < 3.0 * summary["mi_sigma"]
 
@@ -105,7 +103,7 @@ def test_plugin_mi_within_three_bootstrap_sigma():
 def test_plugin_mi_degenerate_channel_shrinks_with_samples():
     params = ChannelParams(0.0, 1.0, 0.02, 1.0 / 30.0, 30)
     estimates = [
-        estimate_mi_plugin(SimConfig(params, n, 13, 0.5)) for n in (1000, 10000, 100000)
+        _plugin_mi(SimConfig(params, n, 13, 0.5)) for n in (1000, 10000, 100000)
     ]
     assert all(e > 0.0 for e in estimates)  # plug-in bias is upward
     assert estimates[0] > estimates[1] > estimates[2]
@@ -119,8 +117,7 @@ def test_plugin_bias_upward_and_shrinking():
     mean_bias = []
     for symbols, reps in ((320, 256), (32000, 64)):
         biases = [
-            plugin_mi_from_counts(joint_counts(SimConfig(PUBLISHED, symbols, 1000 + r, 0.5)))
-            - exact
+            _plugin_mi(SimConfig(PUBLISHED, symbols, 1000 + r, 0.5)) - exact
             for r in range(reps)
         ]
         mean_bias.append(sum(biases) / reps)
@@ -162,9 +159,9 @@ def test_adjacent_windows_uncorrelated():
 def test_bootstrap_sigma_positive_and_stable():
     config = SimConfig(PUBLISHED, 50000, 23, 0.5)
     counts = joint_counts(config)
-    sigma = bootstrap_mi_sigma(config, counts, replicates=100)
+    sigma = bootstrap_mi_sigma(config, counts)
     assert 0.0 < sigma < 0.05
-    assert sigma == bootstrap_mi_sigma(config, counts, replicates=100)
+    assert sigma == bootstrap_mi_sigma(config, counts)
 
 
 def test_sim_config_validation():

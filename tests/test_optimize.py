@@ -7,10 +7,10 @@ from deadtime_channel import (
     NumericalFailure,
     ParameterError,
     least_squares_slope,
-    lower_envelope,
     maximize_scalar,
     optimal_duty_cycle,
     rate_objective,
+    upper_envelope,
 )
 
 
@@ -21,7 +21,7 @@ def test_quadratic_maximum():
 
 
 def test_lower_envelope_peaks_at_half():
-    x, _ = maximize_scalar(lambda mu: lower_envelope(mu, 0.1), 0.0, 1.0)
+    x, _ = maximize_scalar(lambda mu: upper_envelope(mu, 0.1, 0.1), 0.0, 1.0)
     # localization is limited by the objective noise floor ~sqrt(eps)
     assert x == pytest.approx(0.5, abs=1e-7)
 

@@ -12,18 +12,22 @@ from deadtime_channel import (
     bound_gap,
     detection_prob,
     envelope_difference,
-    gap_between_maxima,
     gap_bounds,
     lower_bound_max,
-    lower_envelope,
     maximize_scalar,
+    mi_approx_low_background,
     mi_binomial_mixture,
     optimal_prior_upper,
-    rate_bound_set,
+    symbol_probs,
     upper_bound_max,
     upper_envelope,
 )
 from deadtime_channel.divergences import BetaTriple
+
+
+def lower_envelope(mu, beta):
+    """F_l(mu, beta), which the library evaluates as F_u(mu, beta, beta)."""
+    return upper_envelope(mu, beta, beta)
 
 
 def _channel_triple(rng, trials_hi=150):
@@ -55,10 +59,15 @@ def test_upper_envelope_reduces_to_binary_entropy():
 
 
 def test_upper_envelope_collapses_to_lower():
+    # F_u(mu, b, b) is the displayed F_l formula, term for term
     rng = np.random.default_rng(41)
     for _ in range(30):
         mu, beta = rng.uniform(0.0, 1.0, 2)
-        assert upper_envelope(mu, beta, beta) == lower_envelope(mu, beta)
+        f_l = -(
+            mu * math.log((1.0 - mu) * beta + mu)
+            + (1.0 - mu) * math.log(mu * beta + (1.0 - mu))
+        )
+        assert upper_envelope(mu, beta, beta) == f_l
 
 
 def test_upper_envelope_swap_symmetry():
@@ -117,8 +126,8 @@ def test_optimal_prior_complement_identity():
     rng = np.random.default_rng(45)
     for _ in range(20):
         b1, b2 = rng.uniform(0.0, 0.99, 2)
-        mu_a = optimal_prior_upper(b1, b2, tol=1e-10)
-        mu_b = optimal_prior_upper(b2, b1, tol=1e-10)
+        mu_a = optimal_prior_upper(b1, b2)
+        mu_b = optimal_prior_upper(b2, b1)
         assert mu_a + mu_b == pytest.approx(1.0, abs=2e-8)
 
 
@@ -128,7 +137,7 @@ def test_optimal_prior_threshold_side():
         b1, b2 = rng.uniform(0.0, 0.99, 2)
         if abs(b1 - b2) < 1e-3:
             continue
-        mu = optimal_prior_upper(b1, b2, tol=1e-11)
+        mu = optimal_prior_upper(b1, b2)
         threshold = (1.0 - b1) / (2.0 - b1 - b2)
         if b1 > b2:
             assert mu > threshold
@@ -194,11 +203,15 @@ def test_gap_bounds_infinite_low_snr_at_zero_beta1():
 
 
 def test_gap_between_maxima_below_pointwise_gap():
+    # max F_u - max F_l (the duty-imax imax_upper - imax_lower) <= Delta
     rng = np.random.default_rng(49)
     for _ in range(30):
         probs, trials = _channel_triple(rng)
         triple = beta_triple(probs, trials)
-        diagnostic = gap_between_maxima(triple)
+        mu_upper = optimal_prior_upper(triple.beta1, triple.beta2)
+        diagnostic = upper_envelope(
+            mu_upper, triple.beta1, triple.beta2
+        ) - lower_bound_max(triple.beta)
         assert -1e-12 <= diagnostic <= bound_gap(triple) + 1e-12
 
 
@@ -210,26 +223,31 @@ def test_lower_envelope_concave_with_interior_peak():
     assert mus[int(np.argmax(vals))] == pytest.approx(0.5, abs=0.02)
 
 
-def _published_params(mu=0.5):
-    return ChannelParams(10.0, 0.02, 0.02, 1.0 / 30.0, 30), mu
+def _bound_set(params, mu):
+    """Exact rate, both envelopes, the approximation and Delta at one point."""
+    probs = symbol_probs(params)
+    trials = params.samples_per_symbol
+    triple = beta_triple(probs, trials)
+    return (
+        mi_binomial_mixture(mu, probs, trials),
+        lower_envelope(mu, triple.beta),
+        upper_envelope(mu, triple.beta1, triple.beta2),
+        mi_approx_low_background(mu, probs, trials),
+        bound_gap(triple),
+    )
 
 
 def test_rate_bound_set_published_point():
-    params, mu = _published_params()
-    bundle = rate_bound_set(params, mu)
-    assert bundle.lower <= bundle.exact_mi <= bundle.upper
-    assert bundle.gap >= 0.0
-    assert bundle.approx is not None
-    assert bundle.mu == mu
+    params = ChannelParams(10.0, 0.02, 0.02, 1.0 / 30.0, 30)
+    exact, lower, upper, approx, gap = _bound_set(params, 0.5)
+    assert lower <= exact <= upper
+    assert gap >= 0.0
+    assert lower < approx < upper
 
 
 def test_rate_bound_set_zero_signal():
     params = ChannelParams(0.0, 0.02, 0.02, 1.0 / 30.0, 30)
-    bundle = rate_bound_set(params, 0.5)
-    assert bundle.exact_mi == 0.0
-    assert bundle.lower == 0.0
-    assert bundle.upper == 0.0
-    assert bundle.gap == 0.0
+    assert _bound_set(params, 0.5) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_sandwich_random_sweep():
