@@ -69,11 +69,14 @@ def detection_prob(rate, dead_time):
     return -math.expm1(-rate * dead_time)
 
 
-def symbol_probs(params: ChannelParams) -> BinaryDetectionProbs:
+def detection_probs(peak_rate, background_rate, dead_time) -> BinaryDetectionProbs:
     """Detection probabilities (p_off, p_on) for OOK symbols 0 and 1."""
     return BinaryDetectionProbs(
-        p_off=detection_prob(params.background_rate, params.dead_time),
-        p_on=detection_prob(
-            params.peak_rate + params.background_rate, params.dead_time
-        ),
+        p_off=detection_prob(background_rate, dead_time),
+        p_on=detection_prob(peak_rate + background_rate, dead_time),
     )
+
+
+def symbol_probs(params: ChannelParams) -> BinaryDetectionProbs:
+    """detection_probs of a ChannelParams."""
+    return detection_probs(params.peak_rate, params.background_rate, params.dead_time)

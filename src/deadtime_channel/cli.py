@@ -13,14 +13,17 @@ validate    run the acceptance suite; one pass/fail line per check
 
 Units use the normalized convention: the symbol duration is 1, rates are
 photons per symbol, and the dead time is a fraction of the symbol.  When
---sampling-interval is omitted it defaults to 1/samples for the rate
-sweeps (so the samples exactly tile one symbol) and to the dead time for
-the capacity sweep.
+--sampling-interval is omitted it defaults to 1/samples for simulate (so
+the samples exactly tile one symbol) and to the dead time for the
+capacity sweep.
 
-Grids are written lin:START,STOP,COUNT or log:START,STOP,COUNT.  A config
-file holds one flag=value per line (flag names without the leading
-dashes); command-line flags override the file, which overrides the
-subcommand preset.  Unknown config keys are errors.
+Grids are written lin:START,STOP,COUNT or log:START,STOP,COUNT with finite
+endpoints.  A config file holds one flag=value per line (flag names
+without the leading dashes); command-line flags override the file, which
+overrides the --preset, which overrides the subcommand's default preset
+(for gap, the preset of the chosen scenario).  Unknown config keys are
+errors.  The merged settings go to experiments.run, which computes the
+rows.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or parameter error,
 3 numerical failure.
@@ -30,7 +33,7 @@ import argparse
 import sys
 
 from . import experiments, validation
-from .experiments import PRESETS, parse_grid
+from .experiments import PRESETS
 from .errors import EstimationError, NumericalFailure, ParameterError
 
 
@@ -65,8 +68,7 @@ _COMMAND_OPTIONS = {
         "preset", "out", "config",
     ],
     "duty-imax": [
-        "peak_rate", "background", "dead_time", "samples", "a_grid",
-        "preset", "out", "config",
+        "background", "dead_time", "samples", "a_grid", "preset", "out", "config",
     ],
     "gap": [
         "scenario", "peak_rate", "background", "dead_time", "samples",
@@ -80,14 +82,7 @@ _COMMAND_OPTIONS = {
         "peak_rate", "background", "dead_time", "sampling_interval",
         "samples", "symbols", "seed", "mu", "preset", "out", "config",
     ],
-    "validate": ["out", "config"],
-}
-
-_DEFAULTS = {
-    "mi-sweep": PRESETS["mi-sweep"]["published"],
-    "duty-imax": PRESETS["duty-imax"]["samples30"],
-    "capacity": PRESETS["capacity"]["small-background"],
-    "simulate": PRESETS["simulate"]["published"],
+    "validate": ["out"],
 }
 
 
@@ -134,10 +129,10 @@ def _read_config(path, allowed):
 
 
 def _resolve(args, command):
-    """Merge CLI > config > preset > builtin defaults into one dict."""
+    """Merge CLI > config > preset into one dict."""
     dests = _COMMAND_OPTIONS[command]
-    merged = dict(_DEFAULTS.get(command, {}))
-    preset_name = args.preset if hasattr(args, "preset") else None
+    merged = {}
+    preset_name = getattr(args, "preset", None)
     if preset_name is not None:
         table = PRESETS.get(command, {})
         if preset_name not in table:
@@ -153,61 +148,6 @@ def _resolve(args, command):
         if value is not None:
             merged[dest] = value
     return merged
-
-
-def _require(merged, command, *dests):
-    for dest in dests:
-        if merged.get(dest) is None:
-            flag = _OPTIONS[dest][0]
-            raise UsageError(f"{command} requires {flag}")
-    return [merged[d] for d in dests]
-
-
-def _run_command(command, merged):
-    if command == "mi-sweep":
-        peak, bg, tau, trials, mu_grid = _require(
-            merged, command, "peak_rate", "background", "dead_time", "samples",
-            "mu_grid",
-        )
-        return experiments.mi_sweep_rows(peak, bg, tau, trials, parse_grid(mu_grid))
-    if command == "duty-imax":
-        _, bg, tau, trials, a_grid = _require(
-            merged, command, "peak_rate", "background", "dead_time", "samples",
-            "a_grid",
-        )
-        return experiments.duty_imax_rows(parse_grid(a_grid), bg, tau, trials)
-    if command == "gap":
-        (scenario,) = _require(merged, command, "scenario")
-        if scenario not in experiments.GAP_SCENARIOS:
-            raise UsageError(
-                f"unknown scenario {scenario!r}; choose from "
-                f"{'|'.join(experiments.GAP_SCENARIOS)}"
-            )
-        return experiments.gap_sweep(merged)
-    if command == "capacity":
-        bg, tau = _require(merged, command, "background", "dead_time")
-        tau_values = (
-            parse_grid(merged["tau_grid"]) if merged.get("tau_grid") else None
-        )
-        if tau_values is not None:
-            peaks = [_require(merged, command, "peak_rate")[0]]
-        else:
-            peaks = parse_grid(_require(merged, command, "a_grid")[0])
-        return experiments.capacity_rows(
-            peaks, tau_values, bg, tau, merged.get("sampling_interval")
-        )
-    if command == "simulate":
-        peak, bg, tau, trials, symbols, seed, mu = _require(
-            merged, command, "peak_rate", "background", "dead_time", "samples",
-            "symbols", "seed", "mu",
-        )
-        t_s = merged.get("sampling_interval")
-        if t_s is None:
-            t_s = 1.0 / trials
-        return experiments.simulate_rows(
-            peak, bg, tau, t_s, trials, symbols, seed, mu
-        )
-    raise UsageError(f"unknown command {command!r}")
 
 
 def _emit(text, out_path):
@@ -236,7 +176,7 @@ def main(argv=None):
             )
             _emit("\n".join(lines) + "\n", merged.get("out"))
             return 1 if failed else 0
-        header, rows = _run_command(command, merged)
+        header, rows = experiments.run(command, merged)
         _emit(experiments.format_csv(header, rows), merged.get("out"))
         return 0
     except (UsageError, ParameterError) as exc:

@@ -1,9 +1,14 @@
-"""Parameter sweeps behind the CLI: each returns (header, rows) for CSV.
+"""Parameter sweeps behind the CLI: ``run(command, settings)`` returns
+(header, rows) for CSV.
+
+``run`` lays the settings over the command's default preset and hands the
+merged dict to the command's ``*_rows`` function, which reads its own keys
+and grids.  The CLI and the acceptance checks both call it.
 
 Sweeps work in the normalized convention: the symbol duration is 1, so a
 dead time of 0.02 with 30 samples per symbol means the sampling interval
 is 1/30 and rates are photons per symbol.  Every row is a deterministic
-function of the flags (plus the seed for the simulation sweep); columns
+function of the settings (plus the seed for the simulation sweep); columns
 that do not apply to a scenario hold nan.
 """
 
@@ -11,7 +16,7 @@ import math
 
 import numpy as np
 
-from .channel import BinaryDetectionProbs, ChannelParams, detection_prob, symbol_probs
+from .channel import ChannelParams, detection_prob, detection_probs, symbol_probs
 from .divergences import beta_triple, chernoff_binomial
 from .errors import EstimationError, ParameterError
 from .mutual_info import (
@@ -51,7 +56,8 @@ GAP_SCENARIOS = ("large-L", "large-A", "low-lambda", "zero-lambda", "low-A")
 GAP_GRID = {"large-L": "l_grid", "low-lambda": "lambda_grid"}
 
 # Named parameter presets per CLI subcommand (the published setups).  The
-# gap presets are also the parameters of the gap acceptance checks.
+# gap presets are also the parameters of the gap acceptance checks, and a
+# gap sweep's defaults are the preset of its scenario.
 PRESETS = {
     "mi-sweep": {
         "published": {
@@ -61,12 +67,12 @@ PRESETS = {
     },
     "duty-imax": {
         "samples20": {
-            "peak_rate": 10.0, "background": 0.02, "dead_time": 0.02,
-            "samples": 20, "a_grid": "log:0.5,200,40",
+            "background": 0.02, "dead_time": 0.02, "samples": 20,
+            "a_grid": "log:0.5,200,40",
         },
         "samples30": {
-            "peak_rate": 10.0, "background": 0.02, "dead_time": 0.02,
-            "samples": 30, "a_grid": "log:0.5,200,40",
+            "background": 0.02, "dead_time": 0.02, "samples": 30,
+            "a_grid": "log:0.5,200,40",
         },
     },
     "gap": {
@@ -111,8 +117,36 @@ PRESETS = {
 }
 
 
+# The preset a command's settings are laid over (gap: its scenario's).
+DEFAULT_PRESET = {
+    "mi-sweep": "published",
+    "duty-imax": "samples30",
+    "capacity": "small-background",
+    "simulate": "published",
+}
+
+
+def run(command, settings):
+    """(header, rows) of ``command`` for ``settings`` over its default preset."""
+    if command == "gap":
+        scenario = settings.get("scenario")
+        if scenario is None:
+            raise ParameterError("gap requires --scenario")
+        if scenario not in GAP_SCENARIOS:
+            raise ParameterError(
+                f"unknown scenario {scenario!r}; choose from {'|'.join(GAP_SCENARIOS)}"
+            )
+        preset = scenario
+    else:
+        preset = DEFAULT_PRESET[command]
+    # Looked up at call time, so that a wrapper installed on this module's
+    # attribute (the benchmark's tracer) sees the call.
+    rows = globals()[command.replace("-", "_") + "_rows"]
+    return rows({**PRESETS[command][preset], **settings})
+
+
 def parse_grid(text):
-    """lin:a,b,n or log:a,b,n -> list of floats."""
+    """lin:a,b,n or log:a,b,n with finite endpoints -> list of floats."""
     try:
         kind, rest = text.split(":", 1)
         start, stop, count = rest.split(",")
@@ -123,20 +157,15 @@ def parse_grid(text):
         ) from exc
     if count < 1:
         raise ParameterError(f"grid count must be >= 1 in {text!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ParameterError(f"grid endpoints must be finite in {text!r}")
     if kind == "lin":
-        return list(np.linspace(start, stop, count))
+        return np.linspace(start, stop, count).tolist()
     if kind == "log":
         if start <= 0 or stop <= 0:
             raise ParameterError(f"log grid endpoints must be positive in {text!r}")
-        return list(np.geomspace(start, stop, count))
+        return np.geomspace(start, stop, count).tolist()
     raise ParameterError(f"unknown grid kind {kind!r} in {text!r}")
-
-
-def _probs(peak_rate, background, dead_time):
-    return BinaryDetectionProbs(
-        detection_prob(background, dead_time),
-        detection_prob(peak_rate + background, dead_time),
-    )
 
 
 def _alpha_tuned_lower(mu, p0, p1, trials):
@@ -153,9 +182,11 @@ def _alpha_tuned_lower(mu, p0, p1, trials):
     return value
 
 
-def mi_sweep_rows(peak_rate, background, dead_time, trials, mu_values):
+def mi_sweep_rows(settings):
     """Rate and bound columns over a duty-cycle grid (one symbol interval)."""
-    probs = _probs(peak_rate, background, dead_time)
+    peak_rate, background = settings["peak_rate"], settings["background"]
+    trials = settings["samples"]
+    probs = detection_probs(peak_rate, background, settings["dead_time"])
     triple = beta_triple(probs, trials)
     upper_sub = (
         upper_bound_max(triple.beta1, triple.beta2)
@@ -173,7 +204,7 @@ def mi_sweep_rows(peak_rate, background, dead_time, trials, mu_values):
         "poisson_benchmark",
     ]
     rows = []
-    for mu in mu_values:
+    for mu in parse_grid(settings["mu_grid"]):
         exact = mi_binomial_mixture(mu, probs, trials)
         try:
             approx = mi_approx_low_background(mu, probs, trials)
@@ -194,8 +225,10 @@ def mi_sweep_rows(peak_rate, background, dead_time, trials, mu_values):
     return header, rows
 
 
-def duty_imax_rows(peak_values, background, dead_time, trials):
+def duty_imax_rows(settings):
     """Optimal duty cycles and maximal rates versus peak rate."""
+    background, dead_time = settings["background"], settings["dead_time"]
+    trials = settings["samples"]
     header = [
         "A",
         "mu_exact",
@@ -208,8 +241,8 @@ def duty_imax_rows(peak_values, background, dead_time, trials):
         "imax_approx",
     ]
     rows = []
-    for peak in peak_values:
-        probs = _probs(peak, background, dead_time)
+    for peak in parse_grid(settings["a_grid"]):
+        probs = detection_probs(peak, background, dead_time)
         triple = beta_triple(probs, trials)
         mu_exact, imax_exact = mi_max_bruteforce(probs, trials)
         try:
@@ -255,19 +288,21 @@ def _pow_log(base, exponent):
     return math.exp(exponent * math.log(base))
 
 
-def gap_rows(scenario, peak_rate, background, dead_time, trials, sweep_values):
-    """Bound-gap sweep for one of the five asymptotic scenarios.
+def gap_rows(settings):
+    """Bound-gap sweep for the scenario in settings["scenario"].
 
     The sweep variable depends on the scenario: samples per symbol for
-    large-L, the peak rate for large-A / zero-lambda / low-A, and the
-    background rate for low-lambda.  fitted_rate / predicted_rate hold the
-    extracted and theoretical convergence constants (an exponential rate
-    in the sweep variable, except low-lambda where it is the power-law
-    exponent in the background rate and low-A where it is the power-law
-    order in the peak rate).
+    large-L (l_grid), the peak rate for large-A / zero-lambda / low-A
+    (a_grid), and the background rate for low-lambda (lambda_grid).
+    fitted_rate / predicted_rate hold the extracted and theoretical
+    convergence constants (an exponential rate in the sweep variable,
+    except low-lambda where it is the power-law exponent in the background
+    rate and low-A where it is the power-law order in the peak rate).
     """
-    if scenario not in GAP_SCENARIOS:
-        raise ParameterError(f"unknown gap scenario {scenario!r}")
+    scenario = settings["scenario"]
+    peak_rate, background = settings.get("peak_rate"), settings.get("background")
+    dead_time, trials = settings["dead_time"], settings.get("samples")
+    sweep_values = parse_grid(settings[GAP_GRID.get(scenario, "a_grid")])
     if scenario == "zero-lambda" and background != 0.0:
         raise ParameterError("zero-lambda scenario requires background = 0")
     power_law = scenario in ("low-lambda", "low-A")
@@ -298,7 +333,7 @@ def gap_rows(scenario, peak_rate, background, dead_time, trials, sweep_values):
         return [quad, quad, gap / x**2, coeff], gap
 
     def by_peak(x):
-        return _probs(x, background, dead_time), trials
+        return detection_probs(x, background, dead_time), trials
 
     # scenario -> (sweep value x -> (probs, L);
     #              (x, p0, p1, gap, gap_bounds) -> (four formula cells, fitted y);
@@ -306,7 +341,7 @@ def gap_rows(scenario, peak_rate, background, dead_time, trials, sweep_values):
     # exponential decays ln y against x.
     table = {
         "large-L": (
-            lambda x: (_probs(peak_rate, background, dead_time), x),
+            lambda x: (detection_probs(peak_rate, background, dead_time), x),
             lambda x, p0, p1, gap, b: ([b[2], b[1], math.nan, math.nan], gap),
             lambda: exp_rate_large_L(p(background), p(peak_rate + background)),
         ),
@@ -318,7 +353,7 @@ def gap_rows(scenario, peak_rate, background, dead_time, trials, sweep_values):
             lambda: min(0.5, (1.0 - p(background)) * trials) * dead_time,
         ),
         "low-lambda": (
-            lambda x: (_probs(peak_rate, x, dead_time), trials),
+            lambda x: (detection_probs(peak_rate, x, dead_time), trials),
             lambda x, p0, p1, gap, b: offset_cells(
                 1.0 - p1, *gap_offsets_low_background(p0, p1, trials), b[1]
             ),
@@ -351,25 +386,12 @@ def gap_rows(scenario, peak_rate, background, dead_time, trials, sweep_values):
     return GAP_HEADER, rows
 
 
-def gap_sweep(settings):
-    """gap_rows for ``settings`` over the preset of settings["scenario"];
-    the CLI ``gap`` command and the gap acceptance checks both run it."""
-    scenario = settings["scenario"]
-    merged = {**PRESETS["gap"][scenario], **settings}
-    return gap_rows(
-        scenario,
-        merged.get("peak_rate", 0.0) or 0.0,
-        merged.get("background", 0.0) or 0.0,
-        merged["dead_time"],
-        merged.get("samples"),
-        parse_grid(merged[GAP_GRID.get(scenario, "a_grid")]),
-    )
-
-
-def capacity_rows(
-    peak_values, tau_values, background, dead_time, sampling_interval=None
-):
-    """Capacity sweep over the peak rate (or dead time, when tau_values given)."""
+def capacity_rows(settings):
+    """Capacity sweep over the peak rate (a_grid), or over the dead time at
+    one peak rate when settings hold a tau_grid.  The sampling interval
+    defaults to the dead time (critical sampling)."""
+    background = settings["background"]
+    sampling_interval = settings.get("sampling_interval")
     header = [
         "A",
         "tau",
@@ -380,10 +402,14 @@ def capacity_rows(
         "approx_low_A",
         "limit_large_A",
     ]
-    if tau_values is not None:
-        points = [(peak_values[0], tau) for tau in tau_values]
+    if settings.get("tau_grid"):
+        peak = settings.get("peak_rate")
+        if peak is None:
+            raise ParameterError("capacity requires --peak-rate")
+        points = [(peak, tau) for tau in parse_grid(settings["tau_grid"])]
     else:
-        points = [(peak, dead_time) for peak in peak_values]
+        tau = settings["dead_time"]
+        points = [(peak, tau) for peak in parse_grid(settings["a_grid"])]
     rows = []
     for peak, tau in points:
         t_s = sampling_interval if sampling_interval is not None else tau
@@ -410,18 +436,21 @@ def capacity_rows(
     return header, rows
 
 
-def simulate_rows(
-    peak_rate,
-    background,
-    dead_time,
-    sampling_interval,
-    trials,
-    symbols,
-    seed,
-    duty_cycle,
-):
-    """Monte Carlo validation row: empirical vs closed-form, with z-scores."""
-    params = ChannelParams(peak_rate, background, dead_time, sampling_interval, trials)
+def simulate_rows(settings):
+    """Monte Carlo validation row: empirical vs closed-form, with z-scores.
+
+    The sampling interval defaults to 1/samples, so the samples tile one
+    symbol exactly.
+    """
+    trials, symbols = settings["samples"], settings["symbols"]
+    seed, duty_cycle = settings["seed"], settings["mu"]
+    sampling_interval = settings.get("sampling_interval")
+    if sampling_interval is None:
+        sampling_interval = 1.0 / trials
+    params = ChannelParams(
+        settings["peak_rate"], settings["background"], settings["dead_time"],
+        sampling_interval, trials,
+    )
     config = SimConfig(params, symbols, seed, duty_cycle)
     summary = simulate_summary(config)
     probs = symbol_probs(params)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,6 +38,29 @@ def test_optimal_duty_cycle_matches_bruteforce():
     mu, _ = optimal_duty_cycle(2.0, 0.5, 1.0)
     brute = capacity_bruteforce(2.0, 0.5, 1.0)
     assert mu == pytest.approx(brute.duty_cycle, abs=1e-6)
+
+
+def _mu_star_mpmath(peak_rate, background_rate):
+    """The closed-form mu* at tau = 1 in 700-digit arithmetic: enough for the
+    cancellation in a/(1+a) - p0 down to peak rates of 1e-300."""
+    with mpmath.workdps(700):
+        peak, bg = mpmath.mpf(peak_rate), mpmath.mpf(background_rate)
+        p0, q0 = -mpmath.expm1(-bg), mpmath.exp(-bg)
+        d = q0 * -mpmath.expm1(-peak)
+        p1, q1 = p0 + d, mpmath.exp(-(peak + bg))
+
+        def h(p, q):
+            return -p * mpmath.log(p) - q * mpmath.log(q)
+
+        a = mpmath.exp(-(h(p1, q1) - h(p0, q0)) / d)
+        return float((a / (1 + a) - p0) / d)
+
+
+@pytest.mark.parametrize("background", [0.01, 0.5, 5.0])
+@pytest.mark.parametrize("peak", [1e-300, 1e-100, 1e-20, 1e-12, 1e-9])
+def test_optimal_duty_cycle_vanishing_peak_rate_matches_mpmath(peak, background):
+    mu, _ = optimal_duty_cycle(peak, background, 1.0)
+    assert abs(mu - _mu_star_mpmath(peak, background)) <= 1e-12
 
 
 def test_optimal_duty_cycle_zero_rate_rejected():

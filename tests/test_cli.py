@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deadtime_channel
 from deadtime_channel import cli
 
 
@@ -177,8 +182,21 @@ def test_gap_offset_scenarios_track_their_formulas(capsys):
 
 def test_gap_requires_scenario(capsys):
     code, _, err = _run(capsys, ["gap"])
-    assert code == 2
-    assert "scenario" in err
+    _assert_one_line_error(code, err, 2, "requires --scenario")
+
+
+def test_capacity_tau_grid_requires_peak_rate(capsys):
+    code, _, err = _run(capsys, ["capacity", "--tau-grid", "log:1e-4,1e-1,3"])
+    _assert_one_line_error(code, err, 2, "requires --peak-rate")
+
+
+@pytest.mark.parametrize(
+    "argv", [["duty-imax", "--peak-rate", "5"], ["validate", "--config", "f"]]
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_gap_rejects_unknown_scenario(capsys):
@@ -263,9 +281,27 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_bad_grid_is_usage_error(capsys):
-    code, _, err = _run(capsys, ["mi-sweep", "--mu-grid", "geom:0,1,5"])
-    assert code == 2
-    assert "grid" in err
+    for argv in (
+        ["mi-sweep", "--mu-grid", "geom:0,1,5"],
+        ["gap", "--scenario", "large-L", "--l-grid", "lin:nan,3,3"],
+        ["capacity", "--a-grid", "lin:100,inf,3"],
+        ["duty-imax", "--a-grid", "log:1,-inf,3"],
+    ):
+        code, _, err = _run(capsys, argv)
+        _assert_one_line_error(code, err, 2, "grid")
+
+
+def test_capacity_extreme_peak_rates_run_clean():
+    # -W error turns any numpy RuntimeWarning into a failure
+    src = Path(deadtime_channel.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "deadtime_channel.cli",
+         "capacity", "--a-grid", "log:1e-300,1e300,3"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header, rows = _parse_csv(proc.stdout)
+    assert rows[0][header.index("mu_star")] == 0.5  # the A -> 0 limit, not a clamp
 
 
 def test_unknown_preset_rejected(capsys):
