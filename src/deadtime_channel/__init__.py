@@ -10,7 +10,6 @@ CLI that emits CSV.
 from .channel import BinaryDetectionProbs, ChannelParams, detection_prob, symbol_probs
 from .divergences import (
     BetaTriple,
-    alpha_stationary_point,
     beta_triple,
     chernoff_binomial,
     kl_binomial,
@@ -37,12 +36,9 @@ from .asymptotics import (
     estimate_exponential_rate,
     exp_rate_large_L,
     exp_rate_zero_background,
-    expansions_large_A,
     gap_offsets_large_A,
     gap_offsets_low_background,
     gap_quadratic_coeff_low_A,
-    imax_asymptote_large_L,
-    imax_bounds_large_A,
 )
 from .capacity import (
     CapacityResult,
@@ -70,7 +66,6 @@ __all__ = [
     "NumericalFailure",
     "ParameterError",
     "SimConfig",
-    "alpha_stationary_point",
     "asymptotic_capacity_coeff_large_A",
     "beta_triple",
     "binary_entropy",
@@ -85,13 +80,10 @@ __all__ = [
     "estimate_exponential_rate",
     "exp_rate_large_L",
     "exp_rate_zero_background",
-    "expansions_large_A",
     "gap_bounds",
     "gap_offsets_large_A",
     "gap_offsets_low_background",
     "gap_quadratic_coeff_low_A",
-    "imax_asymptote_large_L",
-    "imax_bounds_large_A",
     "kl_binomial",
     "least_squares_slope",
     "lower_bound_max",

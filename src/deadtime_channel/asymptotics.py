@@ -10,71 +10,9 @@ least squares fit.
 
 import math
 
-from .divergences import BetaTriple
 from .errors import ParameterError
 from .guards import check_open_unit, check_positive
 from .optimize import least_squares_slope
-
-def imax_asymptote_large_L(triple: BetaTriple):
-    """Dominant-term bounds on the maximal rate for many samples per symbol.
-
-    Returns (lower, upper): lower = ln 2 - beta; upper = ln 2 - beta1 when
-    beta1 = beta2, otherwise ln 2 + max(beta1, beta2) / 2.
-    """
-    ln2 = math.log(2.0)
-    lower = ln2 - triple.beta
-    if triple.beta1 == triple.beta2:
-        upper = ln2 - triple.beta1
-    else:
-        upper = ln2 + max(triple.beta1, triple.beta2) / 2.0
-    return lower, upper
-
-
-def expansions_large_A(p0, p1, trials):
-    """Large-peak-rate expansions of (beta, beta1, beta2), o(1-p1) dropped.
-
-    The first-order beta term carries the factor L from the telescoped
-    difference of L-th powers (sum of L near-equal products); without it
-    the residual would not be o(sqrt(1-p1)).
-    """
-    check_open_unit(p0, "p0")
-    check_open_unit(p1, "p1")
-    L = trials
-    q1 = 1.0 - p1
-    b_half = math.exp(0.5 * L * math.log(p0))
-    b_half_m1 = math.exp(0.5 * (L - 1) * math.log(p0))
-    beta_exp = b_half - L * b_half_m1 * (
-        0.5 * math.sqrt(p0) * q1 - math.sqrt(1.0 - p0) * math.sqrt(q1)
-    )
-    pL = math.exp(L * math.log(p0))
-    beta1_exp = pL - pL * (-L * q1 + q1 * L * math.log(q1 / (1.0 - p0)))
-    beta2_exp = math.exp(
-        -L * p0 * math.log(p0)
-        - L * (1.0 - p0) * math.log(1.0 - p0)
-        + L * (1.0 - p0) * math.log(q1)
-    )
-    return beta_exp, beta1_exp, beta2_exp
-
-
-def imax_bounds_large_A(p0, p1, trials):
-    """Dominant-term bounds on the maximal rate for large peak rate.
-
-    lower keeps the first-order correction in (1 - p1); upper is
-    p0^L + ln(2 - p0^L).
-    """
-    check_open_unit(p0, "p0")
-    if not 0.0 < p1 <= 1.0:
-        raise ParameterError(f"p1 must be in (0, 1], got {p1}")
-    L = trials
-    q1 = 1.0 - p1
-    b = math.exp(0.5 * L * math.log(p0))
-    b_m1 = math.exp(0.5 * (L - 1) * math.log(p0))
-    lower = math.log(2.0 / (1.0 + b)) + (L * b_m1 / (1.0 + b)) * (
-        0.5 * math.sqrt(p0) * q1 - math.sqrt(1.0 - p0) * math.sqrt(q1)
-    )
-    pL = math.exp(L * math.log(p0))
-    upper = pL + math.log(2.0 - pL)
-    return lower, upper
 
 
 def exp_rate_large_L(p0, p1):

@@ -81,16 +81,18 @@ def _entropy_quotient(peak_rate, background_rate, dead_time):
 def optimal_duty_cycle(peak_rate, background_rate, dead_time):
     """Closed-form (mu_star, a) maximizing F; requires peak_rate > 0.
 
-    With background, once d = p1 - p0 < 1e-5 p0 q0 the numerator a q0 - p0
+    With background, once d = p1 - p0 < 4e-5 p0 q0 the numerator a q0 - p0
     cancels, so mu_star comes from its expansion in d instead,
-    1/2 - (q0 - p0) d / (24 p0 q0), whose next term is O(d^2).
+    1/2 - (q0 - p0) d / (24 p0 q0), whose next term is O(d^2).  The switch
+    sits where the two errors cross (about 3e-15 p0 q0 / d for the closed
+    form, 2e-2 (d / (p0 q0))^2 for the expansion).
     """
     check_rates(peak_rate, background_rate, dead_time)
     if peak_rate == 0:
         raise ParameterError("optimal_duty_cycle is degenerate at peak_rate = 0")
     quotient, p0, q0, d = _entropy_quotient(peak_rate, background_rate, dead_time)
     a = math.exp(-quotient)
-    if p0 > 0.0 and d < 1e-5 * p0 * q0:
+    if p0 > 0.0 and d < 4e-5 * p0 * q0:
         return 0.5 - (q0 - p0) * d / (24.0 * p0 * q0), a
     return (a * q0 - p0) / ((1.0 + a) * d), a
 

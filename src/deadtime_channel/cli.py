@@ -12,10 +12,9 @@ simulate    Monte Carlo validation of the channel model (z-scores)
 validate    run the acceptance suite; one pass/fail line per check
 
 Units use the normalized convention: the symbol duration is 1, rates are
-photons per symbol, and the dead time is a fraction of the symbol.  When
---sampling-interval is omitted it defaults to 1/samples for simulate (so
-the samples exactly tile one symbol) and to the dead time for the
-capacity sweep.
+photons per symbol, and the dead time is a fraction of the symbol.  In
+simulate the samples tile one symbol (sampling interval 1/samples).
+--sampling-interval belongs to capacity and defaults to the dead time.
 
 Grids are written lin:START,STOP,COUNT or log:START,STOP,COUNT with finite
 endpoints.  A config file holds one flag=value per line (flag names
@@ -25,8 +24,10 @@ overrides the --preset, which overrides the subcommand's default preset
 errors.  The merged settings go to experiments.run, which computes the
 rows.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or parameter error,
-3 numerical failure.
+Exit codes: 0 success, 1 validation failure, 2 usage or parameter error
+(including Poisson benchmark means above 100000), 3 numerical failure: a
+gap point double precision cannot resolve, or any other exception.  Every
+error prints one line on stderr.
 """
 
 import argparse
@@ -79,8 +80,8 @@ _COMMAND_OPTIONS = {
         "a_grid", "tau_grid", "preset", "out", "config",
     ],
     "simulate": [
-        "peak_rate", "background", "dead_time", "sampling_interval",
-        "samples", "symbols", "seed", "mu", "preset", "out", "config",
+        "peak_rate", "background", "dead_time", "samples", "symbols", "seed",
+        "mu", "preset", "out", "config",
     ],
     "validate": ["out"],
 }
@@ -184,6 +185,9 @@ def main(argv=None):
         return 2
     except (NumericalFailure, EstimationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -106,24 +106,3 @@ def optimal_alpha_grid(probs: BinaryDetectionProbs, trials, grid_size):
             best_alpha, best_val = alpha, val
     return best_alpha, best_val
 
-
-def alpha_stationary_point(probs: BinaryDetectionProbs, trials):
-    """Closed-form stationary alpha maximizing C_alpha(P1||P0) for 0<p0<p1<1.
-
-    alpha = [ln((1-p0)/p0) + ln ln((1-p0)/(1-p1)) - ln ln(p1/p0)]
-            / ln(p1(1-p0) / (p0(1-p1)))
-
-    The maximizer does not depend on the trial count; ``trials`` is kept
-    for interface symmetry with the grid search.
-    """
-    check_trials(trials)
-    p0, p1 = probs.p_off, probs.p_on
-    if not 0.0 < p0 < p1 < 1.0:
-        raise ParameterError(f"need 0 < p_off < p_on < 1, got ({p0}, {p1})")
-    num = (
-        math.log((1.0 - p0) / p0)
-        + math.log(math.log((1.0 - p0) / (1.0 - p1)))
-        - math.log(math.log(p1 / p0))
-    )
-    den = math.log(p1 * (1.0 - p0) / (p0 * (1.0 - p1)))
-    return num / den

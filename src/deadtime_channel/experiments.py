@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelParams, detection_prob, detection_probs, symbol_probs
 from .divergences import beta_triple, chernoff_binomial
-from .errors import EstimationError, ParameterError
+from .errors import EstimationError, NumericalFailure, ParameterError
 from .mutual_info import (
     mi_binomial_mixture,
     mi_discrete_poisson,
@@ -315,12 +315,21 @@ def gap_rows(settings):
     def p(rate):
         return detection_prob(rate, dead_time)
 
-    def offset_cells(b, eps_u, eps_l, high_u):
+    def unresolved(x, what):
+        return NumericalFailure(
+            f"{scenario} gap at x = {x} cannot be resolved in double precision: {what}"
+        )
+
+    def offset_cells(x, b, eps_u, eps_l, high_u):
         # each bound = a constant in b (p0; 1 - p1 at low background) + offset
         half, full = _pow_log(b, 0.5 * trials), _pow_log(b, trials)
         const_u = 2.0 * half - full
         const_l = math.log1p(half) - 0.5 * math.log1p(full)
         offset = high_u - const_u
+        # A difference within 2^20 ulp of const_u is rounding, not the offset:
+        # rounded points sit at 1-29 ulp, the presets above 4e12 ulp.
+        if abs(offset) < 2.0**20 * math.ulp(const_u):
+            raise unresolved(x, f"offset {offset} is within 2^20 ulp of {const_u}")
         return [const_l + eps_l, const_u + eps_u, offset, eps_u], abs(offset)
 
     def lead_cells(p1, gap):
@@ -348,14 +357,14 @@ def gap_rows(settings):
         "large-A": (
             by_peak,
             lambda x, p0, p1, gap, b: offset_cells(
-                p0, *gap_offsets_large_A(p0, p1, trials), b[1]
+                x, p0, *gap_offsets_large_A(p0, p1, trials), b[1]
             ),
             lambda: min(0.5, (1.0 - p(background)) * trials) * dead_time,
         ),
         "low-lambda": (
             lambda x: (detection_probs(peak_rate, x, dead_time), trials),
             lambda x, p0, p1, gap, b: offset_cells(
-                1.0 - p1, *gap_offsets_low_background(p0, p1, trials), b[1]
+                x, 1.0 - p1, *gap_offsets_low_background(p0, p1, trials), b[1]
             ),
             lambda: min(0.5, p(peak_rate) * trials),
         ),
@@ -377,6 +386,8 @@ def gap_rows(settings):
         probs, L = point(x)
         triple = beta_triple(probs, L)
         gap = bound_gap(triple)
+        if not (math.isfinite(gap) and gap > 0.0):
+            raise unresolved(x, f"gap_numeric is {gap}")
         formula_cells, y = cells(x, probs.p_off, probs.p_on, gap, gap_bounds(triple))
         rows.append([x, gap] + formula_cells)
         pts.append((math.log(x) if power_law else x, y))
@@ -439,17 +450,14 @@ def capacity_rows(settings):
 def simulate_rows(settings):
     """Monte Carlo validation row: empirical vs closed-form, with z-scores.
 
-    The sampling interval defaults to 1/samples, so the samples tile one
-    symbol exactly.
+    The sampling interval is 1/samples, so the samples tile one symbol
+    exactly (and ChannelParams rejects samples * dead_time > 1).
     """
     trials, symbols = settings["samples"], settings["symbols"]
     seed, duty_cycle = settings["seed"], settings["mu"]
-    sampling_interval = settings.get("sampling_interval")
-    if sampling_interval is None:
-        sampling_interval = 1.0 / trials
     params = ChannelParams(
         settings["peak_rate"], settings["background"], settings["dead_time"],
-        sampling_interval, trials,
+        1.0 / trials, trials,
     )
     config = SimConfig(params, symbols, seed, duty_cycle)
     summary = simulate_summary(config)

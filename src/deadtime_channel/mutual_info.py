@@ -17,7 +17,8 @@ from .errors import ParameterError
 from .guards import check_unit
 from . import optimize
 
-# Full-support summation beyond this trial count is wasteful.
+# Full-support summation beyond this trial count (or Poisson mean) is
+# wasteful.
 MAX_TRIALS_EXACT = 100_000
 
 POISSON_TAIL_MASS = 1e-14
@@ -86,6 +87,12 @@ def mi_max_bruteforce(probs: BinaryDetectionProbs, trials):
     )
 
 
+def _poisson_support_max(mean):
+    """Last count kept for Poisson(mean): by Bernstein's bound the mass above
+    it is at most exp(-63), far below POISSON_TAIL_MASS, for every mean."""
+    return int(mean + 12.0 * math.sqrt(mean + 1.0) + 30.0)
+
+
 def _poisson_pmf_support(mean, n_max):
     k = np.arange(n_max + 1, dtype=np.float64)
     # xlogy(0, 0) = 0 and xlogy(k > 0, 0) = -inf: mean 0 is a point mass at 0
@@ -95,23 +102,23 @@ def _poisson_pmf_support(mean, n_max):
 def mi_discrete_poisson(mu, mean_off, mean_on):
     """Binary-input mutual information with Poisson(mean) outputs, in nats.
 
-    The perfect-receiver benchmark: summation is truncated once the
-    remaining tail mass of both laws is below POISSON_TAIL_MASS.
+    The perfect-receiver benchmark: summation stops where the tail mass of
+    both laws is below POISSON_TAIL_MASS.  Means above MAX_TRIALS_EXACT are
+    refused, like the trial counts of the binomial sum.
     """
     check_unit(mu, "mu")
     if mean_off < 0 or mean_on < 0:
         raise ParameterError("Poisson means must be nonnegative")
+    top = max(mean_off, mean_on)
+    if top > MAX_TRIALS_EXACT:
+        raise ParameterError(
+            f"Poisson mean {top} exceeds exact-summation cap {MAX_TRIALS_EXACT}"
+        )
     if mu == 0.0 or mu == 1.0 or mean_off == mean_on:
         return 0.0
-    top = max(mean_off, mean_on)
-    n_max = int(top + 12.0 * math.sqrt(top + 1.0) + 30.0)
-    while True:
-        pmf0 = _poisson_pmf_support(mean_off, n_max)
-        pmf1 = _poisson_pmf_support(mean_on, n_max)
-        if (1.0 - pmf0.sum()) < POISSON_TAIL_MASS and (
-            1.0 - pmf1.sum()
-        ) < POISSON_TAIL_MASS:
-            break
-        n_max *= 2
-    return _mixture_mi(mu, pmf0, pmf1)
-
+    n_max = _poisson_support_max(top)
+    return _mixture_mi(
+        mu,
+        _poisson_pmf_support(mean_off, n_max),
+        _poisson_pmf_support(mean_on, n_max),
+    )

@@ -12,116 +12,10 @@ from deadtime_channel import (
     estimate_exponential_rate,
     exp_rate_large_L,
     exp_rate_zero_background,
-    expansions_large_A,
     gap_offsets_large_A,
     gap_offsets_low_background,
     gap_quadratic_coeff_low_A,
-    imax_asymptote_large_L,
-    imax_bounds_large_A,
-    mi_max_bruteforce,
 )
-from deadtime_channel.divergences import BetaTriple
-
-
-def test_imax_asymptote_noiseless():
-    lo, hi = imax_asymptote_large_L(BetaTriple(0.0, 0.0, 0.0))
-    assert lo == hi == math.log(2.0)
-
-
-def test_imax_asymptote_equal_kl_branch():
-    lo, hi = imax_asymptote_large_L(BetaTriple(0.01, 0.001, 0.001))
-    assert lo == math.log(2.0) - 0.01
-    assert hi == math.log(2.0) - 0.001
-
-
-def test_imax_asymptote_unequal_kl_branch():
-    _, hi = imax_asymptote_large_L(BetaTriple(0.01, 0.002, 0.001))
-    assert hi == math.log(2.0) + 0.001
-
-
-def test_imax_asymptote_brackets_exact_maximum():
-    tau, lam0, peak = 0.02, 0.02, 10.0
-    probs = BinaryDetectionProbs(
-        detection_prob(lam0, tau), detection_prob(peak + lam0, tau)
-    )
-    slack = 1e-12  # beyond L ~ 250 the o() terms drop under summation noise
-    for trials in (200, 250):
-        triple = beta_triple(probs, trials)
-        lo, hi = imax_asymptote_large_L(triple)
-        _, imax = mi_max_bruteforce(probs, trials)
-        assert lo - slack <= imax <= hi + slack
-
-
-def _grid_expansion_residuals(a_taus, lam_tau=0.1, tau=0.1, trials=10):
-    p0 = detection_prob(lam_tau / tau, tau)
-    rows = []
-    for a_tau in a_taus:
-        p1 = detection_prob((a_tau + lam_tau) / tau, tau)
-        triple = beta_triple(BinaryDetectionProbs(p0, p1), trials)
-        be, b1e, b2e = expansions_large_A(p0, p1, trials)
-        q1 = 1.0 - p1
-        rows.append(
-            (
-                q1,
-                (triple.beta - be) / q1,
-                abs(triple.beta1 - b1e),
-                abs(triple.beta2 - b2e) / q1,
-            )
-        )
-    return rows
-
-
-def test_expansion_residuals_are_higher_order():
-    # beta residual / (1 - p1) settles to a constant; beta2's vanishes
-    rows = _grid_expansion_residuals((8.0, 12.0, 16.0, 20.0))
-    beta_ratios = [abs(r[1]) for r in rows]
-    assert beta_ratios[-1] < 2.0 * beta_ratios[0]
-    assert max(beta_ratios) < 1.0
-    assert rows[-1][3] < 1e-12
-
-
-def test_beta1_expansion_error_decays_exponentially():
-    rows = _grid_expansion_residuals((8.0, 16.0))
-    assert rows[1][2] < rows[0][2] * math.exp(-4.0)
-
-
-def test_expansion_near_saturated_signal():
-    # leading terms at p1 -> 1: (p0^(L/2), p0^L, 0); the first-order term
-    # still contributes ~sqrt(1-p1)
-    p0, trials = 0.3, 6
-    be, b1e, b2e = expansions_large_A(p0, 1.0 - 1e-13, trials)
-    assert be == pytest.approx(p0 ** (trials / 2.0), abs=1e-6)
-    assert b1e == pytest.approx(p0**trials, rel=1e-6)
-    assert b2e == pytest.approx(0.0, abs=1e-12)
-
-
-def test_expansion_domain():
-    with pytest.raises(ParameterError):
-        expansions_large_A(0.0, 0.5, 5)
-    with pytest.raises(ParameterError):
-        expansions_large_A(0.5, 1.0, 5)
-
-
-def test_imax_bounds_large_A_upper_value():
-    lo, hi = imax_bounds_large_A(0.5, 1.0, 2)
-    assert hi == pytest.approx(0.25 + math.log(1.75), rel=1e-14)
-    assert lo < hi
-
-
-def test_imax_bounds_large_A_noiseless_limit():
-    lo, hi = imax_bounds_large_A(1e-9, 1.0 - 1e-12, 4)
-    assert lo == pytest.approx(math.log(2.0), abs=1e-6)
-    assert hi == pytest.approx(math.log(2.0), abs=1e-6)
-
-
-def test_imax_bounds_large_A_bracket_exact():
-    tau, lam_tau, trials = 0.1, 0.1, 10
-    p0 = detection_prob(lam_tau / tau, tau)
-    for a_tau in np.arange(5.0, 20.01, 1.5):
-        p1 = detection_prob((a_tau + lam_tau) / tau, tau)
-        lo, hi = imax_bounds_large_A(p0, p1, trials)
-        _, imax = mi_max_bruteforce(BinaryDetectionProbs(p0, p1), trials)
-        assert lo <= imax <= hi
 
 
 def test_exp_rate_large_L_extremes():

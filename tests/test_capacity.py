@@ -40,10 +40,10 @@ def test_optimal_duty_cycle_matches_bruteforce():
     assert mu == pytest.approx(brute.duty_cycle, abs=1e-6)
 
 
-def _mu_star_mpmath(peak_rate, background_rate):
-    """The closed-form mu* at tau = 1 in 700-digit arithmetic: enough for the
-    cancellation in a/(1+a) - p0 down to peak rates of 1e-300."""
-    with mpmath.workdps(700):
+def _mu_star_mpmath(peak_rate, background_rate, digits=700):
+    """The closed-form mu* at tau = 1 in 700-digit arithmetic by default:
+    enough for the cancellation in a/(1+a) - p0 down to peak rates of 1e-300."""
+    with mpmath.workdps(digits):
         peak, bg = mpmath.mpf(peak_rate), mpmath.mpf(background_rate)
         p0, q0 = -mpmath.expm1(-bg), mpmath.exp(-bg)
         d = q0 * -mpmath.expm1(-peak)
@@ -61,6 +61,19 @@ def _mu_star_mpmath(peak_rate, background_rate):
 def test_optimal_duty_cycle_vanishing_peak_rate_matches_mpmath(peak, background):
     mu, _ = optimal_duty_cycle(peak, background, 1.0)
     assert abs(mu - _mu_star_mpmath(peak, background)) <= 1e-12
+
+
+def test_optimal_duty_cycle_near_expansion_switch_matches_mpmath():
+    # r = d / (p0 q0) across the switch between the expansion and the
+    # closed form, where each branch's error is largest
+    worst = 0.0
+    for background in np.geomspace(1e-3, 5.0, 21).tolist():
+        p0 = -math.expm1(-background)
+        for r in np.geomspace(1e-6, 1e-3, 101).tolist():
+            peak = -math.log1p(-r * p0)
+            mu, _ = optimal_duty_cycle(peak, background, 1.0)
+            worst = max(worst, abs(mu - _mu_star_mpmath(peak, background, 60)))
+    assert worst <= 5e-11
 
 
 def test_optimal_duty_cycle_zero_rate_rejected():

@@ -1,5 +1,6 @@
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -191,7 +192,12 @@ def test_capacity_tau_grid_requires_peak_rate(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["duty-imax", "--peak-rate", "5"], ["validate", "--config", "f"]]
+    "argv",
+    [
+        ["duty-imax", "--peak-rate", "5"],
+        ["validate", "--config", "f"],
+        ["simulate", "--sampling-interval", "0.5"],
+    ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -291,14 +297,23 @@ def test_bad_grid_is_usage_error(capsys):
         _assert_one_line_error(code, err, 2, "grid")
 
 
-def test_capacity_extreme_peak_rates_run_clean():
+def _limit_memory():
+    # a runaway allocation fails with MemoryError instead of exhausting the host
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def _run_subprocess(argv):
     # -W error turns any numpy RuntimeWarning into a failure
     src = Path(deadtime_channel.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "deadtime_channel.cli",
-         "capacity", "--a-grid", "log:1e-300,1e300,3"],
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "deadtime_channel.cli", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        preexec_fn=_limit_memory,
     )
+
+
+def test_capacity_extreme_peak_rates_run_clean():
+    proc = _run_subprocess(["capacity", "--a-grid", "log:1e-300,1e300,3"])
     assert (proc.returncode, proc.stderr) == (0, "")
     header, rows = _parse_csv(proc.stdout)
     assert rows[0][header.index("mu_star")] == 0.5  # the A -> 0 limit, not a clamp
@@ -403,3 +418,44 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
     idx = {name: header.index(name) for name in header}
     for name in ("imax_exact", "imax_lower", "imax_upper", "imax_approx"):
         assert rows[0][idx[name]] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, expected, fragment, in_subprocess",
+    [
+        # gap points below double resolution: the offset is rounding, or
+        # the gap itself underflows to 0
+        (["gap", "--scenario", "low-lambda", "--lambda-grid", "log:1e-300,1e-200,3"],
+         3, "low-lambda gap at x = 1e-300", False),
+        (["gap", "--scenario", "large-A", "--a-grid", "lin:300,600,3"],
+         3, "large-A gap at x = 450", False),
+        (["gap", "--scenario", "zero-lambda", "--a-grid", "lin:300,600,3"],
+         3, "zero-lambda gap at x = 450", False),
+        (["gap", "--scenario", "low-A", "--a-grid", "log:1e-200,1e-100,3"],
+         3, "low-A gap at x = 1e-200", False),
+        (["gap", "--scenario", "low-A", "--a-grid", "log:1e-12,1e-9,3"],
+         3, "low-A gap at x = 1e-12", False),
+        (["gap", "--scenario", "large-L", "--l-grid", "lin:10000,20000,3"],
+         3, "large-L gap at x = 10000", False),
+        # both levels saturate, so p1 - p0 is 0
+        (["capacity", "--dead-time", "1e300", "--a-grid", "lin:1,2,2"],
+         3, "ZeroDivisionError", True),
+        (["capacity", "--background", "1e300", "--a-grid", "lin:1,2,2"],
+         3, "ZeroDivisionError", False),
+        # Poisson benchmark means beyond the rounding floor of its pmf sum;
+        # a sum that grows its support until the sum rounds to 1 never stops
+        (["mi-sweep", "--peak-rate", "200"], 0, None, True),
+        (["mi-sweep", "--peak-rate", "1000"], 0, None, True),
+        (["mi-sweep", "--peak-rate", "1e9"], 2, "exceeds exact-summation cap", False),
+    ],
+)
+def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):
+    if in_subprocess:
+        proc = _run_subprocess(argv)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, _, err = _run(capsys, argv)
+    if expected == 0:
+        assert (code, err) == (0, "")
+    else:
+        _assert_one_line_error(code, err, expected, fragment)

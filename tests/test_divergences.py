@@ -6,11 +6,9 @@ import pytest
 from deadtime_channel import (
     BinaryDetectionProbs,
     ParameterError,
-    alpha_stationary_point,
     beta_triple,
     chernoff_binomial,
     kl_binomial,
-    maximize_scalar,
     optimal_alpha_grid,
 )
 
@@ -159,43 +157,3 @@ def test_alpha_grid_half_dominates_everywhere():
         )
         assert at_half >= val - 1e-14
 
-
-def test_stationary_alpha_symmetric_case():
-    probs = BinaryDetectionProbs(0.2, 0.8)  # p1 = 1 - p0
-    assert alpha_stationary_point(probs, 5) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_stationary_alpha_matches_grid_argmax():
-    probs, trials = BinaryDetectionProbs(0.2, 0.6), 7
-    closed = alpha_stationary_point(probs, trials)
-    refined, _ = maximize_scalar(
-        lambda a: chernoff_binomial(a, probs.p_on, probs.p_off, trials),
-        0.0,
-        1.0,
-        tol=1e-12,
-        coarse_points=2001,
-    )
-    assert closed == pytest.approx(refined, abs=1e-6)
-
-
-def test_stationary_alpha_side_of_half():
-    rng = np.random.default_rng(26)
-    for _ in range(100):
-        p0, p1 = _random_probs(rng, min_gap=5e-3)
-        alpha = alpha_stationary_point(BinaryDetectionProbs(p0, p1), 3)
-        if abs(p0 + p1 - 1.0) < 1e-9:
-            continue
-        if p0 + p1 < 1.0:
-            assert alpha > 0.5
-        else:
-            assert alpha < 0.5
-
-
-def test_stationary_alpha_domain_errors():
-    for probs in (
-        BinaryDetectionProbs(0.0, 0.5),
-        BinaryDetectionProbs(0.5, 1.0),
-        BinaryDetectionProbs(0.4, 0.4),
-    ):
-        with pytest.raises(ParameterError):
-            alpha_stationary_point(probs, 4)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from deadtime_channel import (
     BinaryDetectionProbs,
@@ -16,8 +17,10 @@ from deadtime_channel import (
 )
 from deadtime_channel.mutual_info import (
     MAX_TRIALS_EXACT,
+    POISSON_TAIL_MASS,
     _binomial_logpmf_support,
     _entropy_from_pmf,
+    _poisson_support_max,
 )
 
 # -0.25 ln 0.25 - 0.75 ln 0.75, 50-digit reference
@@ -162,6 +165,18 @@ def test_poisson_mi_domain():
         mi_discrete_poisson(0.5, -1.0, 2.0)
     with pytest.raises(ParameterError):
         mi_discrete_poisson(1.5, 1.0, 2.0)
+    with pytest.raises(ParameterError):
+        mi_discrete_poisson(0.5, 0.0, MAX_TRIALS_EXACT * 1.01)
+
+
+def test_poisson_support_leaves_negligible_tail():
+    means = np.concatenate(([0.0], np.geomspace(1e-3, 1e5, 400)))
+    n_max = np.array([_poisson_support_max(m) for m in means])
+    assert poisson.sf(n_max, means).max() < POISSON_TAIL_MASS
+    # rounding keeps 1 - sum(pmf) above the tail mass here; the sum must
+    # still finish in one pass
+    value = mi_discrete_poisson(0.5, 0.02, 1e3)
+    assert 0.0 < value <= math.log(2.0)
 
 
 def _gaussian_entropy(trials, p):
