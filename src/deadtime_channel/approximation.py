@@ -31,6 +31,11 @@ def mi_approx_low_background(mu, probs: BinaryDetectionProbs, trials):
         )
     if p0 == p1:
         return 0.0
+    signal = mu * trials * p1
+    if signal == 0.0:
+        raise ParameterError(
+            f"approximation needs mu * trials * p_on > 0, got {signal} (underflow)"
+        )
     log_q1 = math.log1p(-p1)
     q1_pow = math.exp(trials * log_q1)  # (1 - p_on)^L
     zero_mass = mu * q1_pow + (1.0 - mu)
@@ -39,7 +44,7 @@ def mi_approx_low_background(mu, probs: BinaryDetectionProbs, trials):
     value += mu * trials * q1_pow * log_q1
     value -= mu * (1.0 - q1_pow) * math.log(mu)
     value += (1.0 - mu) * lp0 * (
-        math.log(zero_mass) - math.log(mu * trials * p1) - (trials - 1) * log_q1
+        math.log(zero_mass) - math.log(signal) - (trials - 1) * log_q1
     )
     value -= (1.0 - mu) * binary_entropy(lp0)
     return value

@@ -25,6 +25,33 @@ def exp_rate_large_L(p0, p1):
     return -math.log(root)
 
 
+def _gap_offsets(b, c, other, L):
+    """(eps_u, eps_l) of both offset scenarios, with c = 1 - b: piecewise in
+    c * L versus 1/2, and the sub-threshold branch is negative."""
+    key = c * L
+    if key > 0.5:
+        common = L * math.exp(0.5 * (L - 1) * math.log(b)) * math.sqrt(c) * math.sqrt(other)
+        eps_u = 2.0 * common
+        eps_l = common / (1.0 + math.exp(0.5 * L * math.log(b)))
+    elif key == 0.5:
+        lead = L * math.exp(0.5 * (L - 1) * math.log(b)) * math.sqrt(c)
+        spike = math.exp((-L + 0.5) * math.log(b)) / math.sqrt(c)
+        eps_u = (2.0 * lead - spike) * math.sqrt(other)
+        eps_l = (
+            lead / (1.0 + math.exp(0.5 * L * math.log(b))) - 0.5 * spike
+        ) * math.sqrt(other)
+    else:
+        if other == 0.0:
+            mag = 0.0
+        else:
+            mag = math.exp(
+                -L * b * math.log(b) - L * c * math.log(c) + L * c * math.log(other)
+            )
+        eps_u = -mag
+        eps_l = -0.5 * mag
+    return eps_u, eps_l
+
+
 def gap_offsets_large_A(p0, p1, trials):
     """Offset terms (eps_u, eps_l) of the gap bounds for large peak rate.
 
@@ -32,65 +59,17 @@ def gap_offsets_large_A(p0, p1, trials):
     negative.  Lead terms carry the same factor L as the beta expansion.
     """
     check_open_unit(p0, "p0")
-    L = trials
-    q0 = 1.0 - p0
-    q1 = 1.0 - p1
-    key = q0 * L
-    if key > 0.5:
-        common = L * math.exp(0.5 * (L - 1) * math.log(p0)) * math.sqrt(q0) * math.sqrt(q1)
-        eps_u = 2.0 * common
-        eps_l = common / (1.0 + math.exp(0.5 * L * math.log(p0)))
-    elif key == 0.5:
-        lead = L * math.exp(0.5 * (L - 1) * math.log(p0)) * math.sqrt(q0)
-        spike = math.exp((-L + 0.5) * math.log(p0)) / math.sqrt(q0)
-        eps_u = (2.0 * lead - spike) * math.sqrt(q1)
-        eps_l = (
-            lead / (1.0 + math.exp(0.5 * L * math.log(p0))) - 0.5 * spike
-        ) * math.sqrt(q1)
-    else:
-        if q1 == 0.0:
-            mag = 0.0
-        else:
-            mag = math.exp(
-                -L * p0 * math.log(p0) - L * q0 * math.log(q0) + L * q0 * math.log(q1)
-            )
-        eps_u = -mag
-        eps_l = -0.5 * mag
-    return eps_u, eps_l
+    return _gap_offsets(p0, 1.0 - p0, 1.0 - p1, trials)
 
 
 def gap_offsets_low_background(p0, p1, trials):
     """Offset terms (eps_u', eps_l') of the gap bounds for low background.
 
     Piecewise in p1 * L versus 1/2; related to gap_offsets_large_A by the
-    reciprocity p0 <-> 1-p1, p1 <-> 1-p0, but evaluated from its own
-    formulas so the reciprocity stays testable.
+    reciprocity p0 <-> 1-p1, p1 <-> 1-p0.
     """
     check_open_unit(p1, "p1")
-    L = trials
-    q1 = 1.0 - p1
-    key = p1 * L
-    if key > 0.5:
-        common = L * math.exp(0.5 * (L - 1) * math.log(q1)) * math.sqrt(p1) * math.sqrt(p0)
-        eps_u = 2.0 * common
-        eps_l = common / (1.0 + math.exp(0.5 * L * math.log(q1)))
-    elif key == 0.5:
-        lead = L * math.exp(0.5 * (L - 1) * math.log(q1)) * math.sqrt(p1)
-        spike = math.exp((-L + 0.5) * math.log(q1)) / math.sqrt(p1)
-        eps_u = (2.0 * lead - spike) * math.sqrt(p0)
-        eps_l = (
-            lead / (1.0 + math.exp(0.5 * L * math.log(q1))) - 0.5 * spike
-        ) * math.sqrt(p0)
-    else:
-        if p0 == 0.0:
-            mag = 0.0
-        else:
-            mag = math.exp(
-                -L * q1 * math.log(q1) - L * p1 * math.log(p1) + L * p1 * math.log(p0)
-            )
-        eps_u = -mag
-        eps_l = -0.5 * mag
-    return eps_u, eps_l
+    return _gap_offsets(1.0 - p1, p1, p0, trials)
 
 
 def exp_rate_zero_background(trials, dead_time):

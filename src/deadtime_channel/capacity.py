@@ -23,7 +23,7 @@ p(A+L0) rounds to 1.
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ParameterError
+from .errors import NumericalFailure, ParameterError
 from .guards import (
     check_nonnegative,
     check_positive,
@@ -137,14 +137,22 @@ def rate_objective(mu, peak_rate, background_rate, dead_time):
 def capacity_tau(peak_rate, background_rate, dead_time) -> CapacityResult:
     """Capacity at critical sampling T_s = tau, via the closed-form duty cycle."""
     check_rates(peak_rate, background_rate, dead_time)
-    _, _, p0, q0, p1, _, _ = _levels(peak_rate, background_rate, dead_time)
-    if peak_rate == 0:
-        # Any duty cycle is optimal; fix mu = 1/2 and the A -> 0 limit of a.
+    _, _, p0, q0, p1, _, d = _levels(peak_rate, background_rate, dead_time)
+    if peak_rate == 0 or q0 == 0.0:
+        # No signal, or both levels saturate (p0 = p1 = 1): any duty cycle
+        # is optimal; fix mu = 1/2 and the A -> 0 limit of a.
         return CapacityResult(
             duty_cycle=0.5,
             coeff_a=p0 / q0 if q0 > 0.0 else math.inf,
             mix_prob=p0,
             capacity_nats_per_time=0.0,
+        )
+    if d == 0.0:
+        # A tau (or q0 times 1 - exp(-A tau)) underflows, yet C = F / tau
+        # need not vanish.
+        raise NumericalFailure(
+            f"capacity at A = {peak_rate}, tau = {dead_time} cannot be resolved "
+            "in double precision: p1 - p0 underflows to 0"
         )
     mu_star, a = optimal_duty_cycle(peak_rate, background_rate, dead_time)
     f = rate_objective(mu_star, peak_rate, background_rate, dead_time)
@@ -199,14 +207,20 @@ def wyner_poisson_capacity(peak_rate, background_rate):
         C      = L0 * [-ln(1 + q*/s) + q* ln(1 + 1/s)
                        + (q*/s) ln(1 + (1-q*)/(q*+s))]
 
-    (the bracketed form keeps full precision at low SNR); background 0
-    reduces to q* = 1/e, C = peak_rate / e.
+    (the bracketed form keeps full precision at low SNR); background 0, or
+    a ratio s too small for 1/s to be finite, gives q* = 1/e, C = A / e, and
+    a ratio s beyond the double range the low-SNR limit q* = 1/2,
+    C = A^2 / (8 L0).
     """
     check_positive(peak_rate, "peak_rate")
     check_nonnegative(background_rate, "background_rate")
-    if background_rate == 0:
-        return 1.0 / math.e, peak_rate / math.e
     s = background_rate / peak_rate
+    if s == 0.0 or math.isinf(1.0 / s):
+        # zero background, or a ratio below the double range
+        return 1.0 / math.e, peak_rate / math.e
+    if math.isinf(s):
+        # the low-SNR limit
+        return 0.5, peak_rate * (peak_rate / background_rate) / 8.0
     q_star = (1.0 + s) * math.exp(s * math.log1p(1.0 / s) - 1.0) - s
     cap = background_rate * (
         -math.log1p(q_star / s)
@@ -253,9 +267,13 @@ def quadratic_coeffs_low_A(background_rate, dead_time):
             f"(got {background_rate}); the zero-background regime is linear"
         )
     check_positive(dead_time, "dead_time")
+    d_poi = 1.0 / (8.0 * background_rate)
     p0 = -math.expm1(-background_rate * dead_time)
+    if p0 == 0.0:
+        # background * tau underflows: the tau -> 0 limit
+        return d_poi, d_poi
     q0 = math.exp(-background_rate * dead_time)
-    return 1.0 / (8.0 * background_rate), dead_time * q0 / (8.0 * p0)
+    return d_poi, dead_time * q0 / (8.0 * p0)
 
 
 def duty_cycle_limits(background_rate, dead_time):

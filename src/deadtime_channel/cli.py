@@ -17,17 +17,15 @@ simulate the samples tile one symbol (sampling interval 1/samples).
 --sampling-interval belongs to capacity and defaults to the dead time.
 
 Grids are written lin:START,STOP,COUNT or log:START,STOP,COUNT with finite
-endpoints.  A config file holds one flag=value per line (flag names
-without the leading dashes); command-line flags override the file, which
-overrides the --preset, which overrides the subcommand's default preset
-(for gap, the preset of the chosen scenario).  Unknown config keys are
-errors.  The merged settings go to experiments.run, which computes the
-rows.
+endpoints.  The flags given go to experiments.run, which resolves them:
+flags override the --preset, which overrides the subcommand's default
+preset (for gap, the preset of the chosen scenario).
 
 Exit codes: 0 success, 1 validation failure, 2 usage or parameter error
 (including Poisson benchmark means above 100000), 3 numerical failure: a
-gap point double precision cannot resolve, or any other exception.  Every
-error prints one line on stderr.
+gap point or a capacity point (A * tau underflowing) that double
+precision cannot resolve, or any other exception.  Every error prints one
+line on stderr.
 """
 
 import argparse
@@ -36,10 +34,6 @@ import sys
 from . import experiments, validation
 from .experiments import PRESETS
 from .errors import EstimationError, NumericalFailure, ParameterError
-
-
-class UsageError(Exception):
-    pass
 
 
 # dest -> (flag, converter, help); shared across subcommands
@@ -60,28 +54,27 @@ _OPTIONS = {
     "mu": ("--mu", float, "duty cycle for the simulation"),
     "preset": ("--preset", str, "named parameter preset"),
     "out": ("--out", str, "output path (default: stdout)"),
-    "config": ("--config", str, "flat flag=value config file"),
 }
 
 _COMMAND_OPTIONS = {
     "mi-sweep": [
         "peak_rate", "background", "dead_time", "samples", "mu_grid",
-        "preset", "out", "config",
+        "preset", "out",
     ],
     "duty-imax": [
-        "background", "dead_time", "samples", "a_grid", "preset", "out", "config",
+        "background", "dead_time", "samples", "a_grid", "preset", "out",
     ],
     "gap": [
         "scenario", "peak_rate", "background", "dead_time", "samples",
-        "a_grid", "l_grid", "lambda_grid", "preset", "out", "config",
+        "a_grid", "l_grid", "lambda_grid", "preset", "out",
     ],
     "capacity": [
         "peak_rate", "background", "dead_time", "sampling_interval",
-        "a_grid", "tau_grid", "preset", "out", "config",
+        "a_grid", "tau_grid", "preset", "out",
     ],
     "simulate": [
         "peak_rate", "background", "dead_time", "samples", "symbols", "seed",
-        "mu", "preset", "out", "config",
+        "mu", "preset", "out",
     ],
     "validate": ["out"],
 }
@@ -104,53 +97,6 @@ def _build_parser():
     return parser
 
 
-def _read_config(path, allowed):
-    values = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected flag=value, got {line!r}")
-        key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        if dest not in allowed or dest in ("config", "out"):
-            raise UsageError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-        _, conv, _ = _OPTIONS[dest]
-        try:
-            values[dest] = conv(value.strip())
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key.strip()!r}") from exc
-    return values
-
-
-def _resolve(args, command):
-    """Merge CLI > config > preset into one dict."""
-    dests = _COMMAND_OPTIONS[command]
-    merged = {}
-    preset_name = getattr(args, "preset", None)
-    if preset_name is not None:
-        table = PRESETS.get(command, {})
-        if preset_name not in table:
-            raise UsageError(
-                f"unknown preset {preset_name!r} for {command}; "
-                f"choose from {sorted(table)}"
-            )
-        merged.update(table[preset_name])
-    if getattr(args, "config", None) is not None:
-        merged.update(_read_config(args.config, set(dests)))
-    for dest in dests:
-        value = getattr(args, dest, None)
-        if value is not None:
-            merged[dest] = value
-    return merged
-
-
 def _emit(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
@@ -160,11 +106,11 @@ def _emit(text, out_path):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
+    args = vars(_build_parser().parse_args(argv))
+    command = args.pop("command")
+    settings = {dest: value for dest, value in args.items() if value is not None}
+    out = settings.pop("out", None)
     try:
-        merged = _resolve(args, command)
         if command == "validate":
             results = validation.run_all()
             lines = []
@@ -175,12 +121,12 @@ def main(argv=None):
             lines.append(
                 f"{len(results) - len(failed)}/{len(results)} checks passed"
             )
-            _emit("\n".join(lines) + "\n", merged.get("out"))
+            _emit("\n".join(lines) + "\n", out)
             return 1 if failed else 0
-        header, rows = experiments.run(command, merged)
-        _emit(experiments.format_csv(header, rows), merged.get("out"))
+        header, rows = experiments.run(command, settings)
+        _emit(experiments.format_csv(header, rows), out)
         return 0
-    except (UsageError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailure, EstimationError) as exc:

@@ -1,9 +1,10 @@
 """Parameter sweeps behind the CLI: ``run(command, settings)`` returns
 (header, rows) for CSV.
 
-``run`` lays the settings over the command's default preset and hands the
-merged dict to the command's ``*_rows`` function, which reads its own keys
-and grids.  The CLI and the acceptance checks both call it.
+``run`` is the one settings resolver: it lays the settings over the named
+preset they may hold, then over the command's default preset, and hands
+the merged dict to the command's ``*_rows`` function, which reads its own
+keys and grids.  The CLI and the acceptance checks both call it.
 
 Sweeps work in the normalized convention: the symbol duration is 1, so a
 dead time of 0.02 with 30 samples per symbol means the sampling interval
@@ -127,7 +128,21 @@ DEFAULT_PRESET = {
 
 
 def run(command, settings):
-    """(header, rows) of ``command`` for ``settings`` over its default preset."""
+    """(header, rows) of ``command`` for ``settings``.
+
+    The settings are laid over the named preset in ``settings["preset"]``,
+    if any, and the result over the command's default preset (for gap, the
+    preset of the resolved scenario).
+    """
+    settings = dict(settings)
+    name = settings.pop("preset", None)
+    if name is not None:
+        table = PRESETS[command]
+        if name not in table:
+            raise ParameterError(
+                f"unknown preset {name!r} for {command}; choose from {sorted(table)}"
+            )
+        settings = {**table[name], **settings}
     if command == "gap":
         scenario = settings.get("scenario")
         if scenario is None:
@@ -136,13 +151,13 @@ def run(command, settings):
             raise ParameterError(
                 f"unknown scenario {scenario!r}; choose from {'|'.join(GAP_SCENARIOS)}"
             )
-        preset = scenario
+        default = scenario
     else:
-        preset = DEFAULT_PRESET[command]
+        default = DEFAULT_PRESET[command]
     # Looked up at call time, so that a wrapper installed on this module's
     # attribute (the benchmark's tracer) sees the call.
     rows = globals()[command.replace("-", "_") + "_rows"]
-    return rows({**PRESETS[command][preset], **settings})
+    return rows({**PRESETS[command][default], **settings})
 
 
 def parse_grid(text):
@@ -332,11 +347,21 @@ def gap_rows(settings):
             raise unresolved(x, f"offset {offset} is within 2^20 ulp of {const_u}")
         return [const_l + eps_l, const_u + eps_u, offset, eps_u], abs(offset)
 
+    def bound_cells(triple, gap):
+        _, high_snr, general_lower = gap_bounds(triple)
+        return [general_lower, high_snr, math.nan, math.nan], gap
+
     def lead_cells(p1, gap):
         lead = _pow_log(1.0 - p1, 0.5 * trials)
         return [lead, 2.0 * lead, math.nan, math.nan], gap
 
-    def quadratic_cells(x, p0, gap):
+    def quadratic_cells(x, p0, gap, triple):
+        # beta - beta_i within 2^20 ulp of beta is rounding, as in offset_cells
+        margin = min(triple.beta - triple.beta1, triple.beta - triple.beta2)
+        if margin < 2.0**20 * math.ulp(triple.beta):
+            raise unresolved(
+                x, f"beta - max(beta1, beta2) = {margin} is within 2^20 ulp of {triple.beta}"
+            )
         coeff = gap_quadratic_coeff_low_A(p0, trials, dead_time)
         quad = coeff * x * x
         return [quad, quad, gap / x**2, coeff], gap
@@ -345,37 +370,37 @@ def gap_rows(settings):
         return detection_probs(x, background, dead_time), trials
 
     # scenario -> (sweep value x -> (probs, L);
-    #              (x, p0, p1, gap, gap_bounds) -> (four formula cells, fitted y);
+    #              (x, p0, p1, gap, beta triple) -> (four formula cells, fitted y);
     #              predicted rate).  Power laws fit ln y against ln x, the
     # exponential decays ln y against x.
     table = {
         "large-L": (
             lambda x: (detection_probs(peak_rate, background, dead_time), x),
-            lambda x, p0, p1, gap, b: ([b[2], b[1], math.nan, math.nan], gap),
+            lambda x, p0, p1, gap, t: bound_cells(t, gap),
             lambda: exp_rate_large_L(p(background), p(peak_rate + background)),
         ),
         "large-A": (
             by_peak,
-            lambda x, p0, p1, gap, b: offset_cells(
-                x, p0, *gap_offsets_large_A(p0, p1, trials), b[1]
+            lambda x, p0, p1, gap, t: offset_cells(
+                x, p0, *gap_offsets_large_A(p0, p1, trials), gap_bounds(t)[1]
             ),
             lambda: min(0.5, (1.0 - p(background)) * trials) * dead_time,
         ),
         "low-lambda": (
             lambda x: (detection_probs(peak_rate, x, dead_time), trials),
-            lambda x, p0, p1, gap, b: offset_cells(
-                x, 1.0 - p1, *gap_offsets_low_background(p0, p1, trials), b[1]
+            lambda x, p0, p1, gap, t: offset_cells(
+                x, 1.0 - p1, *gap_offsets_low_background(p0, p1, trials), gap_bounds(t)[1]
             ),
             lambda: min(0.5, p(peak_rate) * trials),
         ),
         "zero-lambda": (
             by_peak,
-            lambda x, p0, p1, gap, b: lead_cells(p1, gap),
+            lambda x, p0, p1, gap, t: lead_cells(p1, gap),
             lambda: exp_rate_zero_background(trials, dead_time),
         ),
         "low-A": (
             by_peak,
-            lambda x, p0, p1, gap, b: quadratic_cells(x, p0, gap),
+            lambda x, p0, p1, gap, t: quadratic_cells(x, p0, gap, t),
             lambda: 2.0,
         ),
     }
@@ -388,7 +413,7 @@ def gap_rows(settings):
         gap = bound_gap(triple)
         if not (math.isfinite(gap) and gap > 0.0):
             raise unresolved(x, f"gap_numeric is {gap}")
-        formula_cells, y = cells(x, probs.p_off, probs.p_on, gap, gap_bounds(triple))
+        formula_cells, y = cells(x, probs.p_off, probs.p_on, gap, triple)
         rows.append([x, gap] + formula_cells)
         pts.append((math.log(x) if power_law else x, y))
     slope = estimate_exponential_rate(pts)

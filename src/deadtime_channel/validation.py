@@ -3,9 +3,10 @@
 Each check pins its parameters and tolerance and returns a CheckResult;
 the CLI ``validate`` command prints one line per check and the test suite
 asserts each one.  Tolerances are fixed here, not tuned per run.  The four
-gap-rate checks, the Monte Carlo check and ``approx-beats-bounds`` assert
-on the rows the CLI emits for the same settings (experiments.run), not on
-a second copy of the sweeps.
+gap-rate checks, the four capacity-law checks (duty-cycle and capacity
+limits, Poisson convergence, monotonicity), the Monte Carlo check and
+``approx-beats-bounds`` assert on the rows the CLI emits for the same
+settings (experiments.run), not on a second copy of the sweeps.
 
 Known red check: ``approx-beats-bounds`` asks the medium-SNR expansion to
 beat both envelopes at >= 90% of a grid reaching peak rate 20, but the
@@ -27,10 +28,8 @@ from .mutual_info import mi_binomial_mixture
 from .capacity import (
     asymptotic_capacity_coeff_large_A,
     capacity_bruteforce,
-    capacity_sampled,
     capacity_tau,
     duty_cycle_limits,
-    optimal_duty_cycle,
     quadratic_coeffs_low_A,
     wyner_poisson_capacity,
 )
@@ -187,18 +186,24 @@ def check_capacity_vs_bruteforce():
     )
 
 
+def _limit_columns(background):
+    """The CLI's capacity rows at dead time 1 for peak rates 1e-6 and 1e4."""
+    return _columns(
+        "capacity", background=background, dead_time=1.0, a_grid="log:1e-6,1e4,2"
+    )
+
+
 def check_duty_cycle_limits():
     """Extreme-peak-rate duty cycles hit their four closed-form limits."""
-    table = duty_cycle_limits(0.5, 1.0)
-    errs = [
-        abs(optimal_duty_cycle(1e-6, 0.0, 1.0)[0] - 1.0 / math.e),
-        abs(optimal_duty_cycle(1e4, 0.0, 1.0)[0] - 0.5),
-        abs(optimal_duty_cycle(1e-6, 0.5, 1.0)[0] - 0.5),
-        abs(
-            optimal_duty_cycle(1e4, 0.5, 1.0)[0]
-            - table["high_peak_with_background"]
-        ),
-    ]
+    mu0 = _limit_columns(0.0)["mu_star"]
+    mu_bg = _limit_columns(0.5)["mu_star"]
+    limits = (
+        1.0 / math.e,
+        0.5,
+        0.5,
+        duty_cycle_limits(0.5, 1.0)["high_peak_with_background"],
+    )
+    errs = [abs(mu - limit) for mu, limit in zip(mu0 + mu_bg, limits)]
     return CheckResult(
         "duty-cycle-limits",
         max(errs) <= 1e-3,
@@ -208,14 +213,10 @@ def check_duty_cycle_limits():
 
 def check_capacity_limits():
     """Capacity limits: ln2/tau saturation, A/e low-rate slope, c/tau with bg."""
-    err_hi = abs(capacity_tau(1e4, 0.0, 1.0).capacity_nats_per_time - math.log(2.0))
-    err_lo = abs(
-        capacity_tau(1e-6, 0.0, 1.0).capacity_nats_per_time / (1e-6 / math.e) - 1.0
-    )
-    err_bg = abs(
-        capacity_tau(1e4, 0.5, 1.0).capacity_nats_per_time
-        - asymptotic_capacity_coeff_large_A(0.5, 1.0)
-    )
+    zero, bg = _limit_columns(0.0), _limit_columns(0.5)
+    err_hi = abs(zero["capacity_nats"][1] - zero["limit_large_A"][1])
+    err_lo = abs(zero["capacity_nats"][0] / zero["approx_low_A"][0] - 1.0)
+    err_bg = abs(bg["capacity_nats"][1] - bg["limit_large_A"][1])
     return CheckResult(
         "capacity-limits",
         max(err_hi, err_lo, err_bg) <= 1e-3,
@@ -226,11 +227,13 @@ def check_capacity_limits():
 
 def check_poisson_convergence():
     """Capacity converges to the continuous Poisson value as tau -> 0."""
-    _, c_poi = wyner_poisson_capacity(1.0, 0.1)
+    cols = _columns(
+        "capacity", peak_rate=1.0, background=0.1, tau_grid="log:1e-4,1e-2,3"
+    )
     rels = [
-        abs(capacity_tau(1.0, 0.1, tau).capacity_nats_per_time - c_poi) / c_poi
-        for tau in (1e-2, 1e-3, 1e-4)
-    ]
+        abs(cap - c_poi) / c_poi
+        for cap, c_poi in zip(cols["capacity_nats"], cols["wyner_capacity"])
+    ][::-1]
     return CheckResult(
         "continuous-poisson-convergence",
         rels[0] > rels[1] > rels[2] and rels[2] <= 0.01,
@@ -272,27 +275,22 @@ def check_saturation_coefficient():
 
 def check_monotonicity():
     """Monotonicity of capacity in peak rate and dead time."""
-    tau, lam0 = 0.02, 1.0
-    caps = [
-        capacity_tau(a / tau, lam0, tau).capacity_nats_per_time
-        for a in np.geomspace(1e-3, 25.0, 100)
-    ]
+    at_background = {"background": 1.0, "dead_time": 0.02}
+    caps = _columns(
+        "capacity", a_grid="log:0.05,1250,100", **at_background
+    )["capacity_nats"]
     inc_a = all(x < y for x, y in zip(caps, caps[1:]))
-    per_power = [
-        capacity_tau(a / tau, lam0, tau).capacity_nats_per_time / (a / tau)
-        for a in np.geomspace(10.0, 1000.0, 50)
-    ]
+    high = _columns("capacity", a_grid="log:500,50000,50", **at_background)
+    per_power = [c / a for c, a in zip(high["capacity_nats"], high["A"])]
     dec_per_power = all(x > y for x, y in zip(per_power, per_power[1:]))
-    lam0, t_s, peak = 1.0, 1.0, 1.0
-    fixed_ts = [
-        capacity_sampled(peak, lam0, tau_i, t_s).capacity_nats_per_time
-        for tau_i in np.linspace(math.log(2.0) / lam0, t_s, 30)
-    ]
+    fixed_ts = _columns(
+        "capacity", peak_rate=1.0, background=1.0, sampling_interval=1.0,
+        tau_grid="lin:0.6931471805599453,1,30",
+    )["capacity_nats"]
     inc_tau = all(x < y for x, y in zip(fixed_ts, fixed_ts[1:]))
-    zero_bg = [
-        capacity_tau(100.0, 0.0, tau_i).capacity_nats_per_time
-        for tau_i in np.linspace(0.1, 1.0, 30)
-    ]
+    zero_bg = _columns(
+        "capacity", peak_rate=100.0, background=0.0, tau_grid="lin:0.1,1,30"
+    )["capacity_nats"]
     dec_tau = all(x > y for x, y in zip(zero_bg, zero_bg[1:]))
     return CheckResult(
         "capacity-monotonicity",
