@@ -18,6 +18,7 @@ from .divergences import (
 from .errors import EstimationError, NumericalFailure, ParameterError
 from .mutual_info import (
     binary_entropy,
+    mi_binomial_curve,
     mi_binomial_mixture,
     mi_discrete_poisson,
     mi_max_bruteforce,
@@ -89,6 +90,7 @@ __all__ = [
     "lower_bound_max",
     "maximize_scalar",
     "mi_approx_low_background",
+    "mi_binomial_curve",
     "mi_binomial_mixture",
     "mi_discrete_poisson",
     "mi_max_bruteforce",

@@ -21,6 +21,7 @@ p(A+L0) rounds to 1.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import NumericalFailure, ParameterError
@@ -147,12 +148,12 @@ def capacity_tau(peak_rate, background_rate, dead_time) -> CapacityResult:
             mix_prob=p0,
             capacity_nats_per_time=0.0,
         )
-    if d == 0.0:
-        # A tau (or q0 times 1 - exp(-A tau)) underflows, yet C = F / tau
-        # need not vanish.
+    if d < sys.float_info.min:
+        # A tau (or q0 times 1 - exp(-A tau)) is subnormal or underflows:
+        # d keeps too few bits for F / tau, and a ~ 1/q0 overflows.
         raise NumericalFailure(
             f"capacity at A = {peak_rate}, tau = {dead_time} cannot be resolved "
-            "in double precision: p1 - p0 underflows to 0"
+            f"in double precision: p1 - p0 = {d} is below the normal range"
         )
     mu_star, a = optimal_duty_cycle(peak_rate, background_rate, dead_time)
     f = rate_objective(mu_star, peak_rate, background_rate, dead_time)

@@ -21,6 +21,7 @@ from .channel import ChannelParams, detection_prob, detection_probs, symbol_prob
 from .divergences import beta_triple, chernoff_binomial
 from .errors import EstimationError, NumericalFailure, ParameterError
 from .mutual_info import (
+    mi_binomial_curve,
     mi_binomial_mixture,
     mi_discrete_poisson,
     mi_max_bruteforce,
@@ -218,9 +219,10 @@ def mi_sweep_rows(settings):
         "approx",
         "poisson_benchmark",
     ]
+    exact_mi = mi_binomial_curve(probs, trials)
     rows = []
     for mu in parse_grid(settings["mu_grid"]):
-        exact = mi_binomial_mixture(mu, probs, trials)
+        exact = exact_mi(mu)
         try:
             approx = mi_approx_low_background(mu, probs, trials)
         except ParameterError:

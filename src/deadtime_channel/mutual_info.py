@@ -47,28 +47,45 @@ def _entropy_from_pmf(pmf):
     return float(-(pmf[mask] * np.log(pmf[mask])).sum())
 
 
-def _mixture_mi(mu, pmf0, pmf1):
-    """H(mixture) - (1-mu) H(pmf0) - mu H(pmf1) over a shared support."""
-    mix = (1.0 - mu) * pmf0 + mu * pmf1
-    return (
-        _entropy_from_pmf(mix)
-        - (1.0 - mu) * _entropy_from_pmf(pmf0)
-        - mu * _entropy_from_pmf(pmf1)
-    )
+def _mixture_curve(pmf0, pmf1):
+    """mu -> H(mixture) - (1-mu) H(pmf0) - mu H(pmf1) over a shared support;
+    the component entropies are computed once."""
+    h0, h1 = _entropy_from_pmf(pmf0), _entropy_from_pmf(pmf1)
+
+    def mi(mu):
+        mix = (1.0 - mu) * pmf0 + mu * pmf1
+        return _entropy_from_pmf(mix) - (1.0 - mu) * h0 - mu * h1
+
+    return mi
+
+
+def mi_binomial_curve(probs: BinaryDetectionProbs, trials):
+    """mu -> I(X; N_hat) in nats for one channel: the two binomial pmfs are
+    built once, and each mu costs one mixture entropy."""
+    if trials > MAX_TRIALS_EXACT:
+        raise ParameterError(
+            f"trials = {trials} exceeds exact-summation cap {MAX_TRIALS_EXACT}"
+        )
+    mi = None
+    if probs.p_off != probs.p_on:
+        mi = _mixture_curve(
+            np.exp(_binomial_logpmf_support(trials, probs.p_off)),
+            np.exp(_binomial_logpmf_support(trials, probs.p_on)),
+        )
+
+    def curve(mu):
+        check_unit(mu, "mu")
+        if mu == 0.0 or mu == 1.0 or mi is None:
+            return 0.0
+        return mi(mu)
+
+    return curve
 
 
 def mi_binomial_mixture(mu, probs: BinaryDetectionProbs, trials):
     """I(X; N_hat) in nats for prior P(X=1) = mu, by full-support summation."""
     check_unit(mu, "mu")
-    if trials > MAX_TRIALS_EXACT:
-        raise ParameterError(
-            f"trials = {trials} exceeds exact-summation cap {MAX_TRIALS_EXACT}"
-        )
-    if mu == 0.0 or mu == 1.0 or probs.p_off == probs.p_on:
-        return 0.0
-    pmf0 = np.exp(_binomial_logpmf_support(trials, probs.p_off))
-    pmf1 = np.exp(_binomial_logpmf_support(trials, probs.p_on))
-    return _mixture_mi(mu, pmf0, pmf1)
+    return mi_binomial_curve(probs, trials)(mu)
 
 
 def mi_max_bruteforce(probs: BinaryDetectionProbs, trials):
@@ -80,7 +97,7 @@ def mi_max_bruteforce(probs: BinaryDetectionProbs, trials):
     if probs.p_off == probs.p_on:
         return 0.5, 0.0
     return optimize.maximize_scalar(
-        lambda mu: mi_binomial_mixture(mu, probs, trials),
+        mi_binomial_curve(probs, trials),
         0.0,
         1.0,
         coarse_points=65,
@@ -117,8 +134,7 @@ def mi_discrete_poisson(mu, mean_off, mean_on):
     if mu == 0.0 or mu == 1.0 or mean_off == mean_on:
         return 0.0
     n_max = _poisson_support_max(top)
-    return _mixture_mi(
-        mu,
+    return _mixture_curve(
         _poisson_pmf_support(mean_off, n_max),
         _poisson_pmf_support(mean_on, n_max),
-    )
+    )(mu)

@@ -429,6 +429,13 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
         # beta - beta_i within the rounding of beta: the gap / A^2 is noise
         (["gap", "--scenario", "low-A", "--a-grid", "log:3e-7,1e-4,4"],
          3, "low-A gap at x = 3e-07", False),
+        # p1 - p0 subnormal: a ~ 1/q0 overflows, or F / tau keeps no digits
+        (["capacity", "--background", "35500", "--a-grid", "lin:1,1,1"],
+         3, "capacity at A = 1.0, tau = 0.02 cannot be resolved", False),
+        (["capacity", "--background", "37000", "--a-grid", "lin:1,1,1"],
+         3, "capacity at A = 1.0, tau = 0.02 cannot be resolved", False),
+        (["capacity", "--dead-time", "5e-324", "--a-grid", "lin:2000,2000,1"],
+         3, "capacity at A = 2000.0, tau = 5e-324 cannot be resolved", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from deadtime_channel import (
@@ -15,12 +16,14 @@ from deadtime_channel import (
     mi_max_bruteforce,
     upper_envelope,
 )
+from deadtime_channel import experiments, mutual_info
 from deadtime_channel.mutual_info import (
     MAX_TRIALS_EXACT,
     POISSON_TAIL_MASS,
     _binomial_logpmf_support,
     _entropy_from_pmf,
     _poisson_support_max,
+    mi_binomial_curve,
 )
 
 # -0.25 ln 0.25 - 0.75 ln 0.75, 50-digit reference
@@ -127,6 +130,63 @@ def test_mi_concave_in_mu():
 def test_mi_trials_cap():
     with pytest.raises(ParameterError):
         mi_binomial_mixture(0.5, BinaryDetectionProbs(0.1, 0.2), MAX_TRIALS_EXACT + 1)
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit, _unit, st.integers(1, 2000), _unit)
+def test_mi_curve_matches_pointwise_bit_for_bit(pa, pb, trials, mu):
+    probs = BinaryDetectionProbs(min(pa, pb), max(pa, pb))
+    value = mi_binomial_curve(probs, trials)(mu)
+    assert value == mi_binomial_mixture(mu, probs, trials)
+    if 0.0 < mu < 1.0 and pa != pb:
+        # the three-entropy expression, each entropy taken afresh
+        pmf0 = np.exp(_binomial_logpmf_support(trials, probs.p_off))
+        pmf1 = np.exp(_binomial_logpmf_support(trials, probs.p_on))
+        mix = (1.0 - mu) * pmf0 + mu * pmf1
+        assert value == (
+            _entropy_from_pmf(mix)
+            - (1.0 - mu) * _entropy_from_pmf(pmf0)
+            - mu * _entropy_from_pmf(pmf1)
+        )
+
+
+@pytest.fixture
+def pmf_calls(monkeypatch):
+    calls = []
+    original = mutual_info._binomial_logpmf_support
+
+    def counted(trials, p):
+        calls.append((trials, p))
+        return original(trials, p)
+
+    monkeypatch.setattr(mutual_info, "_binomial_logpmf_support", counted)
+    return calls
+
+
+def test_mi_max_builds_each_pmf_once(pmf_calls):
+    mi_max_bruteforce(BinaryDetectionProbs(0.02, 0.2), 30)
+    assert len(pmf_calls) == 2
+
+
+def test_mi_sweep_builds_each_pmf_once(pmf_calls):
+    _, rows = experiments.run("mi-sweep", {"mu_grid": "lin:0,1,41"})
+    assert len(rows) == 41
+    assert len(pmf_calls) == 2
+
+
+def test_mi_curve_refusals(pmf_calls):
+    with pytest.raises(ParameterError, match="exceeds exact-summation cap"):
+        mi_binomial_curve(BinaryDetectionProbs(0.1, 0.2), MAX_TRIALS_EXACT + 1)
+    assert pmf_calls == []
+    probs = BinaryDetectionProbs(0.1, 0.2)
+    message = r"^mu must be in \[0, 1\], got -0.5$"
+    with pytest.raises(ParameterError, match=message):
+        mi_binomial_curve(probs, 30)(-0.5)
+    with pytest.raises(ParameterError, match=message):
+        mi_binomial_mixture(-0.5, probs, 30)
 
 
 def test_mi_max_degenerate_convention():
