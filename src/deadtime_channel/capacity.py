@@ -185,8 +185,6 @@ def capacity_bruteforce(peak_rate, background_rate, dead_time) -> CapacityResult
         return capacity_tau(peak_rate, background_rate, dead_time)
     mu_dag, f_dag = optimize.maximize_scalar(
         lambda mu: rate_objective(mu, peak_rate, background_rate, dead_time),
-        0.0,
-        1.0,
         tol=1e-12,
     )
     _, _, p0, _, p1, _, _ = _levels(peak_rate, background_rate, dead_time)

@@ -20,6 +20,7 @@ import numpy as np
 from .channel import ChannelParams, detection_prob, detection_probs, symbol_probs
 from .divergences import beta_triple, chernoff_binomial
 from .errors import EstimationError, NumericalFailure, ParameterError
+from .guards import check_trials
 from .mutual_info import (
     mi_binomial_curve,
     mi_binomial_mixture,
@@ -194,7 +195,7 @@ def _alpha_tuned_lower(mu, p0, p1, trials):
         b2 = math.exp(-chernoff_binomial(alpha, p0, p1, trials))
         return upper_envelope(mu, b1, b2)
 
-    _, value = optimize.maximize_scalar(objective, 0.0, 1.0, tol=1e-9, coarse_points=65)
+    _, value = optimize.maximize_scalar(objective, tol=1e-9, coarse_points=65)
     return value
 
 
@@ -264,7 +265,7 @@ def duty_imax_rows(settings):
         mu_exact, imax_exact = mi_max_bruteforce(probs, trials)
         try:
             mu_approx, imax_approx = optimize.maximize_scalar(
-                lambda mu: mi_approx_low_background(mu, probs, trials), 0.0, 1.0
+                lambda mu: mi_approx_low_background(mu, probs, trials)
             )
         except ParameterError:
             mu_approx, imax_approx = math.nan, math.nan
@@ -482,14 +483,14 @@ def simulate_rows(settings):
     """
     trials, symbols = settings["samples"], settings["symbols"]
     seed, duty_cycle = settings["seed"], settings["mu"]
+    check_trials(trials, "samples")
     params = ChannelParams(
         settings["peak_rate"], settings["background"], settings["dead_time"],
         1.0 / trials, trials,
     )
-    config = SimConfig(params, symbols, seed, duty_cycle)
-    summary = simulate_summary(config)
     probs = symbol_probs(params)
     mi_exact = mi_binomial_mixture(duty_cycle, probs, trials)
+    summary = simulate_summary(SimConfig(params, symbols, seed, duty_cycle))
     header = [
         "symbols",
         "p0_hat",

@@ -1,4 +1,4 @@
-"""Scalar maximization on an interval and a small regression helper.
+"""Scalar maximization on [0, 1] and a small regression helper.
 
 Every optimum used elsewhere in the library (duty cycles, bound gaps,
 brute-force capacities) is either a closed form checked against this
@@ -17,8 +17,8 @@ DEFAULT_COARSE_POINTS = 1024
 DEFAULT_TOL = 1e-10
 
 
-def maximize_scalar(f, lo, hi, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS):
-    """Maximize ``f`` on [lo, hi]; returns ``(x_star, f_star)``.
+def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS):
+    """Maximize ``f`` on [0, 1]; returns ``(x_star, f_star)``.
 
     A uniform scan over ``coarse_points`` points picks the best bracket
     (ties break toward smaller x, so results are deterministic), then
@@ -26,14 +26,12 @@ def maximize_scalar(f, lo, hi, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POI
     values are treated as -inf; if more than half the scan is non-finite
     the objective is considered broken.
     """
-    if not lo < hi:
-        raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
     if tol <= 0:
         raise ParameterError("tol must be positive")
     if coarse_points < 3:
         raise ParameterError("coarse_points must be >= 3")
 
-    xs = [lo + (hi - lo) * i / (coarse_points - 1) for i in range(coarse_points)]
+    xs = [i / (coarse_points - 1) for i in range(coarse_points)]
     vals = []
     bad = 0
     for x in xs:

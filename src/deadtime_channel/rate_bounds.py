@@ -76,17 +76,13 @@ def optimal_prior_upper(beta1, beta2):
     check_unit(beta2, "beta2")
     if beta1 >= 1.0 or beta2 >= 1.0:
         raise ParameterError("optimal_prior_upper needs beta1, beta2 in [0, 1)")
-    mu_star, _ = optimize.maximize_scalar(
-        lambda mu: upper_envelope(mu, beta1, beta2), 0.0, 1.0
-    )
+    mu_star, _ = optimize.maximize_scalar(lambda mu: upper_envelope(mu, beta1, beta2))
     return mu_star
 
 
 def bound_gap(triple: BetaTriple):
     """Delta = max over mu of the pointwise difference F_u - F_l."""
-    _, gap = optimize.maximize_scalar(
-        lambda mu: envelope_difference(mu, triple), 0.0, 1.0
-    )
+    _, gap = optimize.maximize_scalar(lambda mu: envelope_difference(mu, triple))
     return gap
 
 

@@ -436,6 +436,11 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
          3, "capacity at A = 1.0, tau = 0.02 cannot be resolved", False),
         (["capacity", "--dead-time", "5e-324", "--a-grid", "lin:2000,2000,1"],
          3, "capacity at A = 2000.0, tau = 5e-324 cannot be resolved", False),
+        # simulate refuses its integer settings before dividing or simulating
+        (["simulate", "--samples", "0"], 2, "samples must be a positive integer", False),
+        (["simulate", "--samples", "-3"], 2, "samples must be a positive integer", False),
+        (["simulate", "--samples", "200000", "--dead-time", "1e-6", "--symbols", "20"],
+         2, "exceeds exact-summation cap", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):

@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln, xlogy
 from scipy.stats import poisson
+
+import deadtime_channel
 
 from deadtime_channel import (
     BinaryDetectionProbs,
@@ -22,7 +29,10 @@ from deadtime_channel.mutual_info import (
     POISSON_TAIL_MASS,
     _binomial_logpmf_support,
     _entropy_from_pmf,
+    _log_factorials,
+    _poisson_pmf_support,
     _poisson_support_max,
+    _xlogy,
     mi_binomial_curve,
 )
 
@@ -77,6 +87,69 @@ def test_log_pmf_against_exact_rational():
         * (1 - Fraction(p)) ** (trials - k)
     )
     assert math.exp(_log_pmf(trials, p, k)) == pytest.approx(float(exact), rel=1e-12)
+
+
+# scipy is the oracle here only: the package computes ln k! and k ln y itself
+
+
+def test_log_factorials_match_gammaln_bit_for_bit():
+    table = _log_factorials()
+    n = _poisson_support_max(MAX_TRIALS_EXACT)
+    assert len(table) == n + 1
+    assert np.array_equal(table, gammaln(np.arange(n + 1) + 1.0))
+
+
+@pytest.mark.parametrize("y", [0.0, 5e-324, 1e-300, 0.02, 0.5, 1.0 - 2.0**-53, 1.0])
+def test_xlogy_matches_scipy(y):
+    k = np.arange(1001, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        expected = xlogy(k, y)
+    assert np.array_equal(_xlogy(k, y), expected)
+
+
+def _gammaln_binomial_logpmf(trials, p):
+    k = np.arange(trials + 1, dtype=np.float64)
+    comb = gammaln(trials + 1.0) - gammaln(k + 1.0) - gammaln(trials - k + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return comb + xlogy(k, p) + xlogy(trials - k, 1.0 - p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2000), st.floats(0.0, 1.0))
+def test_binomial_logpmf_matches_gammaln_expression(trials, p):
+    assert np.array_equal(
+        _binomial_logpmf_support(trials, p), _gammaln_binomial_logpmf(trials, p)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1000.0))
+def test_poisson_pmf_matches_gammaln_expression(mean):
+    n_max = _poisson_support_max(mean)
+    k = np.arange(n_max + 1, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        expected = np.exp(xlogy(k, mean) - mean - gammaln(k + 1.0))
+    assert np.array_equal(_poisson_pmf_support(mean, n_max), expected)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(deadtime_channel.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, deadtime_channel.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize("trials", [2.5, 0, -1])
+def test_mi_refuses_non_positive_integer_trials(trials):
+    with pytest.raises(ParameterError, match="trials must be a positive integer"):
+        mi_binomial_mixture(0.5, BinaryDetectionProbs(0.1, 0.5), trials)
+
+
+def test_mi_accepts_integer_valued_float_trials():
+    probs = BinaryDetectionProbs(0.1, 0.5)
+    assert mi_binomial_mixture(0.5, probs, 30.0) == mi_binomial_mixture(0.5, probs, 30)
 
 
 def test_mi_zero_at_deterministic_prior():

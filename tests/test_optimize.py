@@ -15,20 +15,20 @@ from deadtime_channel import (
 
 
 def test_quadratic_maximum():
-    x, fx = maximize_scalar(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, tol=1e-12)
+    x, fx = maximize_scalar(lambda x: -((x - 0.3) ** 2), tol=1e-12)
     assert x == pytest.approx(0.3, abs=1e-10)
     assert fx == pytest.approx(0.0, abs=1e-18)
 
 
 def test_lower_envelope_peaks_at_half():
-    x, _ = maximize_scalar(lambda mu: upper_envelope(mu, 0.1, 0.1), 0.0, 1.0)
+    x, _ = maximize_scalar(lambda mu: upper_envelope(mu, 0.1, 0.1))
     # localization is limited by the objective noise floor ~sqrt(eps)
     assert x == pytest.approx(0.5, abs=1e-7)
 
 
 def test_matches_closed_form_duty_cycle():
     x, _ = maximize_scalar(
-        lambda mu: rate_objective(mu, 2.0, 0.5, 1.0), 0.0, 1.0, tol=1e-12
+        lambda mu: rate_objective(mu, 2.0, 0.5, 1.0), tol=1e-12
     )
     mu_star, _ = optimal_duty_cycle(2.0, 0.5, 1.0)
     assert x == pytest.approx(mu_star, abs=1e-6)
@@ -36,30 +36,31 @@ def test_matches_closed_form_duty_cycle():
 
 def test_deterministic():
     f = lambda x: math.sin(5.0 * x) * math.exp(-x)
-    first = maximize_scalar(f, 0.0, 2.0)
-    second = maximize_scalar(f, 0.0, 2.0)
+    first = maximize_scalar(f)
+    second = maximize_scalar(f)
     assert first == second
 
 
 def test_flat_objective_breaks_ties_left():
-    x, fx = maximize_scalar(lambda x: 1.0, 0.0, 1.0)
+    x, fx = maximize_scalar(lambda x: 1.0)
     assert fx == 1.0
     assert x <= 2.0 / 1023.0  # stays inside the first bracket
 
 
 def test_infinite_endpoints_tolerated():
-    x, _ = maximize_scalar(lambda x: math.log(x * (1.0 - x)) if 0 < x < 1 else -math.inf, 0.0, 1.0)
+    x, _ = maximize_scalar(lambda x: math.log(x * (1.0 - x)) if 0 < x < 1 else -math.inf)
     assert x == pytest.approx(0.5, abs=1e-7)
 
 
 def test_mostly_non_finite_objective_rejected():
     with pytest.raises(NumericalFailure):
-        maximize_scalar(lambda x: math.nan if x > 0.2 else x, 0.0, 1.0)
+        maximize_scalar(lambda x: math.nan if x > 0.2 else x)
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(lo=1.0, hi=0.0), dict(lo=0.0, hi=1.0, tol=0.0), dict(lo=0.0, hi=1.0, coarse_points=2)],
+    [dict(tol=0.0), dict(coarse_points=2)],
+    ids=["tol-zero", "two-coarse-points"],
 )
 def test_maximize_domain_errors(kwargs):
     with pytest.raises(ParameterError):

@@ -90,7 +90,7 @@ def test_lower_bound_max_endpoints():
 def test_lower_bound_max_matches_optimizer():
     rng = np.random.default_rng(43)
     for beta in rng.uniform(0.0, 1.0, 20):
-        _, best = maximize_scalar(lambda mu: lower_envelope(mu, beta), 0.0, 1.0)
+        _, best = maximize_scalar(lambda mu: lower_envelope(mu, beta))
         assert lower_bound_max(beta) == pytest.approx(best, abs=1e-8)
 
 
@@ -111,7 +111,7 @@ def test_upper_bound_max_dominates_optimizer_with_bounded_slack():
     rng = np.random.default_rng(44)
     for _ in range(40):
         b1, b2 = rng.uniform(0.0, 0.999, 2)
-        _, best = maximize_scalar(lambda mu: upper_envelope(mu, b1, b2), 0.0, 1.0)
+        _, best = maximize_scalar(lambda mu: upper_envelope(mu, b1, b2))
         bound = upper_bound_max(b1, b2)
         assert bound >= best - 1e-10
         correction = abs(b1 - b2) * (1.0 - min(b1, b2)) / (1.0 - b1 * b2)
