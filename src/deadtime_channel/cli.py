@@ -9,7 +9,8 @@ gap         bound-gap convergence for one of five asymptotic scenarios
 capacity    capacity sweep versus peak rate (or dead time) with the
             continuous-channel reference and both asymptotic laws
 simulate    Monte Carlo validation of the channel model (z-scores)
-validate    run the acceptance suite; one pass/fail line per check
+validate    run the acceptance suite; one pass/fail line per check, listing
+            its measurements as <label> <value> <op> <limit>
 
 Units use the normalized convention: the symbol duration is 1, rates are
 photons per symbol, and the dead time is a fraction of the symbol.  In
@@ -22,10 +23,11 @@ flags override the --preset, which overrides the subcommand's default
 preset (for gap, the preset of the chosen scenario).
 
 Exit codes: 0 success, 1 validation failure, 2 usage or parameter error
-(including Poisson benchmark means above 100000), 3 numerical failure: a
-gap point or a capacity point (A * tau underflowing) that double
-precision cannot resolve, or any other exception.  Every error prints one
-line on stderr.
+(including Poisson benchmark means above 100000, oversized grids or
+Monte Carlo chunks, and an --out path that cannot be written), 3
+numerical failure: a gap point or a capacity point (A * tau underflowing)
+that double precision cannot resolve, or any other exception.  Every
+error prints one line on stderr.
 """
 
 import argparse
@@ -100,9 +102,12 @@ def _build_parser():
 def _emit(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out_path}: {exc.strerror}") from exc
 
 
 def main(argv=None):
@@ -113,16 +118,11 @@ def main(argv=None):
     try:
         if command == "validate":
             results = validation.run_all()
-            lines = []
-            for res in results:
-                mark = "PASS" if res.passed else "FAIL"
-                lines.append(f"[{mark}] {res.name}: {res.measured}")
-            failed = [r for r in results if not r.passed]
-            lines.append(
-                f"{len(results) - len(failed)}/{len(results)} checks passed"
-            )
+            passed = sum(r.passed for r in results)
+            lines = [r.line() for r in results]
+            lines.append(f"{passed}/{len(results)} checks passed")
             _emit("\n".join(lines) + "\n", out)
-            return 1 if failed else 0
+            return 0 if passed == len(results) else 1
         header, rows = experiments.run(command, settings)
         _emit(experiments.format_csv(header, rows), out)
         return 0

@@ -58,6 +58,10 @@ GAP_SCENARIOS = ("large-L", "large-A", "low-lambda", "zero-lambda", "low-A")
 # The grid setting holding a gap scenario's sweep values (else a_grid).
 GAP_GRID = {"large-L": "l_grid", "low-lambda": "lambda_grid"}
 
+# Largest grid COUNT accepted.  No preset, check or benchmark workload uses
+# more than 10,000 points; a count far beyond that only exhausts memory.
+MAX_GRID_POINTS = 1_000_000
+
 # Named parameter presets per CLI subcommand (the published setups).  The
 # gap presets are also the parameters of the gap acceptance checks, and a
 # gap sweep's defaults are the preset of its scenario.
@@ -174,6 +178,8 @@ def parse_grid(text):
         ) from exc
     if count < 1:
         raise ParameterError(f"grid count must be >= 1 in {text!r}")
+    if count > MAX_GRID_POINTS:
+        raise ParameterError(f"grid count must be <= {MAX_GRID_POINTS} in {text!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ParameterError(f"grid endpoints must be finite in {text!r}")
     if kind == "lin":
@@ -328,6 +334,8 @@ def gap_rows(settings):
         if not x > 0:
             raise ParameterError(f"{scenario} sweep values must be > 0, got {x}")
     if scenario == "large-L":
+        for x in sweep_values:
+            check_trials(x, f"{scenario} sweep values")
         sweep_values = [int(x) for x in sweep_values]
 
     def p(rate):

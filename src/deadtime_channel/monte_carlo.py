@@ -23,6 +23,10 @@ from .guards import check_unit
 
 CHUNK_SYMBOLS = 16384
 
+# Largest chunk of sampling windows drawn at once: 2**25 float64 uniforms
+# are 256 MiB.
+MAX_CHUNK_WINDOWS = 2**25
+
 BOOTSTRAP_REPLICATES = 200
 
 _BOOTSTRAP_STREAM = 0xB0075
@@ -43,6 +47,13 @@ class SimConfig:
         check_unit(self.duty_cycle, "duty_cycle")
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must be a 64-bit unsigned integer")
+        chunk = min(self.symbols, CHUNK_SYMBOLS)
+        L = self.params.samples_per_symbol
+        if chunk * L > MAX_CHUNK_WINDOWS:
+            raise ParameterError(
+                f"a chunk of {chunk} symbols at L = {L} is {chunk * L} sampling "
+                f"windows, above the cap of {MAX_CHUNK_WINDOWS}"
+            )
 
 
 def _chunk_rng(seed, chunk_index, stream=0):

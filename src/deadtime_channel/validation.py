@@ -1,11 +1,14 @@
 """The acceptance suite: every headline claim as a measurable pass/fail check.
 
-Each check pins its parameters and tolerance and returns a CheckResult;
-the CLI ``validate`` command prints one line per check and the test suite
-asserts each one.  Tolerances are fixed here, not tuned per run.  The four
-gap-rate checks, the four capacity-law checks (duty-cycle and capacity
-limits, Poisson convergence, monotonicity), the Monte Carlo check and
-``approx-beats-bounds`` assert on the rows the CLI emits for the same
+Each check pins its parameters and tolerances and returns a CheckResult
+whose rows are its measurements, (label, value, op, limit) with op one of
+<, <=, ==, >=.  The check passes when ``value op limit`` holds in every
+row, so a NaN value fails its row; a law that must hold at every point
+is a row counting the points that break it, with limit 0.  Tolerances are
+fixed here, not tuned per run.
+The four gap-rate checks, the four capacity-law checks (duty-cycle and
+capacity limits, Poisson convergence, monotonicity), the Monte Carlo check
+and ``approx-beats-bounds`` assert on the rows the CLI emits for the same
 settings (experiments.run), not on a second copy of the sweeps.
 
 Known red check: ``approx-beats-bounds`` asks the medium-SNR expansion to
@@ -17,6 +20,7 @@ is expected to fail; see the accuracy window documented in README.
 """
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -36,19 +40,39 @@ from .capacity import (
 from .rate_bounds import upper_envelope
 from . import experiments
 
+_OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge}
+
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's measurements as rows of (label, value, op, limit)."""
+
     name: str
-    passed: bool
-    measured: str
+    rows: tuple
+
+    @property
+    def passed(self):
+        return all(_OPS[op](value, limit) for _, value, op, limit in self.rows)
+
+    def line(self):
+        """``[PASS|FAIL] <name>: <label> <value> <op> <limit>; ...``"""
+        cells = "; ".join(
+            f"{label} {value:.4g} {op} {limit:.4g}" for label, value, op, limit in self.rows
+        )
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {cells}"
+
+
+def _violations(label, holds, pairs):
+    """Row counting the pairs (x, y) for which ``holds(x, y)`` is false; a
+    NaN makes every comparison false, so it counts as a violation."""
+    return (label, sum(not holds(x, y) for x, y in pairs), "==", 0)
 
 
 def check_sandwich():
     """Envelopes bracket the exact rate over 1000 seeded random tuples."""
     t0 = time.time()
     rng = np.random.default_rng(1)
-    worst = math.inf
+    slacks = []
     for _ in range(1000):
         lam_tau = rng.uniform(0.0, 0.1)
         a_tau = rng.uniform(1e-9, 5.0)
@@ -57,37 +81,30 @@ def check_sandwich():
         probs = detection_probs(a_tau, lam_tau, 1.0)
         triple = beta_triple(probs, trials)
         mi = mi_binomial_mixture(mu, probs, trials)
-        worst = min(
-            worst,
-            mi - upper_envelope(mu, triple.beta, triple.beta),
-            upper_envelope(mu, triple.beta1, triple.beta2) - mi,
-        )
-    elapsed = time.time() - t0
-    return CheckResult(
-        "sandwich-1000-tuples",
-        bool(worst >= -1e-9) and elapsed < 10.0,
-        f"worst slack {worst:.3e} nats, {elapsed:.2f}s (limit 10s)",
-    )
+        slacks.append(mi - upper_envelope(mu, triple.beta, triple.beta))
+        slacks.append(upper_envelope(mu, triple.beta1, triple.beta2) - mi)
+    return CheckResult("sandwich-1000-tuples", (
+        ("worst slack nats", float(np.min(slacks)), ">=", -1e-9),
+        ("seconds", time.time() - t0, "<", 10.0),
+    ))
 
 
 def check_half_alpha_optimal():
     """Grid argmax of the min-divergence sits at alpha = 1/2."""
     rng = np.random.default_rng(2)
     grid = 999
-    step = 1.0 / (grid - 1)
-    worst = 0.0
+    offsets = []
     for _ in range(50):
         p0, p1 = np.sort(rng.uniform(0.01, 0.99, 2))
         if p1 - p0 < 1e-3:
             p1 = min(0.99, p0 + 1e-2)
         trials = int(rng.integers(1, 101))
         alpha, _ = optimal_alpha_grid(BinaryDetectionProbs(p0, p1), trials, grid)
-        worst = max(worst, abs(alpha - 0.5))
-    return CheckResult(
-        "half-alpha-optimal",
-        worst <= step + 1e-12,
-        f"worst |alpha*-1/2| = {worst:.3e} (one grid step = {step:.3e})",
-    )
+        offsets.append(abs(alpha - 0.5))
+    # one grid step, plus rounding
+    return CheckResult("half-alpha-optimal", (
+        ("worst |alpha* - 1/2|", float(np.max(offsets)), "<=", 1.0 / (grid - 1) + 1e-12),
+    ))
 
 
 def _columns(command, **settings):
@@ -103,45 +120,35 @@ def _rate_error(cols):
 
 def check_large_L_rate():
     """Gap decays in L at the Bhattacharyya rate (both published peak rates)."""
-    rels = [
-        _rate_error(_columns("gap", scenario="large-L", peak_rate=peak))
+    return CheckResult("large-L-gap-rate", tuple(
+        (f"rate rel error at A={peak:g}",
+         _rate_error(_columns("gap", scenario="large-L", peak_rate=peak)), "<=", 0.02)
         for peak in (5.0, 10.0)
-    ]
-    return CheckResult(
-        "large-L-gap-rate",
-        max(rels) <= 0.02,
-        f"rate rel errors {rels[0]:.4f}, {rels[1]:.4f} (limit 0.02)",
-    )
+    ))
 
 
 def check_zero_background_rate():
     """Zero-background gap: rate L*tau/2 and leading-constant bracket."""
     cols = _columns("gap", scenario="zero-lambda")
-    rel = _rate_error(cols)
     ratios = [
         gap / lead for gap, lead in zip(cols["gap_numeric"], cols["gap_lower_formula"])
     ]
-    in_bracket = all(0.9 <= r <= 2.1 for r in ratios)
-    return CheckResult(
-        "zero-background-gap-rate",
-        rel <= 0.02 and in_bracket,
-        f"rate rel {rel:.2e} (limit 0.02); gap/leading in "
-        f"[{min(ratios):.4f}, {max(ratios):.4f}] (need [0.9, 2.1])",
-    )
+    return CheckResult("zero-background-gap-rate", (
+        ("rate rel error", _rate_error(cols), "<=", 0.02),
+        ("min gap/leading", float(np.min(ratios)), ">=", 0.9),
+        ("max gap/leading", float(np.max(ratios)), "<=", 2.1),
+    ))
 
 
 def check_low_A_quadratic():
     """Gap is quadratic in low peak rate with the stated coefficient."""
-    rels = []
+    rows = []
     for trials in (10, 20):
         cols = _columns("gap", scenario="low-A", samples=trials)
         i = cols["x"].index(1e-3)
-        rels.append(abs(cols["offset_numeric"][i] / cols["offset_formula"][i] - 1.0))
-    return CheckResult(
-        "low-A-quadratic-gap",
-        max(rels) <= 0.01,
-        f"coeff rel errors {rels[0]:.2e}, {rels[1]:.2e} (limit 0.01)",
-    )
+        rel = abs(cols["offset_numeric"][i] / cols["offset_formula"][i] - 1.0)
+        rows.append((f"coeff rel error at L={trials}", rel, "<=", 0.01))
+    return CheckResult("low-A-quadratic-gap", tuple(rows))
 
 
 def check_offset_rates():
@@ -151,39 +158,35 @@ def check_offset_rates():
     rate.  Low background: the offset follows a power law in the
     background rate; the fitted exponent must match min(1/2, p1 L).
     """
-    rel_a = _rate_error(_columns("gap", scenario="large-A"))
-    rel_l = _rate_error(_columns("gap", scenario="low-lambda"))
-    return CheckResult(
-        "gap-offset-rates",
-        rel_a <= 0.05 and rel_l <= 0.05,
-        f"large-peak rate rel {rel_a:.2e}, low-background exponent rel "
-        f"{rel_l:.2e} (limit 0.05)",
-    )
+    return CheckResult("gap-offset-rates", tuple(
+        (label, _rate_error(_columns("gap", scenario=scenario)), "<=", 0.05)
+        for label, scenario in (
+            ("large-peak rate rel error", "large-A"),
+            ("low-background exponent rel error", "low-lambda"),
+        )
+    ))
 
 
 def check_capacity_vs_bruteforce():
     """Closed-form capacity and duty cycle agree with the scalar optimizer."""
     t0 = time.time()
     rng = np.random.default_rng(7)
-    worst_cap, worst_mu = 0.0, 0.0
+    cap_errs, mu_errs = [], []
     for _ in range(200):
         a_tau = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
         lam_tau = rng.uniform(0.0, 2.0)
         closed = capacity_tau(a_tau, lam_tau, 1.0)
         brute = capacity_bruteforce(a_tau, lam_tau, 1.0)
-        worst_cap = max(
-            worst_cap,
+        cap_errs.append(
             abs(closed.capacity_nats_per_time - brute.capacity_nats_per_time)
-            / (1.0 + closed.capacity_nats_per_time),
+            / (1.0 + closed.capacity_nats_per_time)
         )
-        worst_mu = max(worst_mu, abs(closed.duty_cycle - brute.duty_cycle))
-    elapsed = time.time() - t0
-    return CheckResult(
-        "capacity-closed-vs-bruteforce",
-        worst_cap <= 1e-8 and worst_mu <= 1e-6 and elapsed < 5.0,
-        f"worst rel capacity {worst_cap:.2e} (limit 1e-8), worst duty "
-        f"cycle {worst_mu:.2e} (limit 1e-6), {elapsed:.2f}s (limit 5s)",
-    )
+        mu_errs.append(abs(closed.duty_cycle - brute.duty_cycle))
+    return CheckResult("capacity-closed-vs-bruteforce", (
+        ("worst rel capacity error", float(np.max(cap_errs)), "<=", 1e-8),
+        ("worst duty cycle error", float(np.max(mu_errs)), "<=", 1e-6),
+        ("seconds", time.time() - t0, "<", 5.0),
+    ))
 
 
 def _limit_columns(background):
@@ -198,31 +201,30 @@ def check_duty_cycle_limits():
     mu0 = _limit_columns(0.0)["mu_star"]
     mu_bg = _limit_columns(0.5)["mu_star"]
     limits = (
-        1.0 / math.e,
-        0.5,
-        0.5,
-        duty_cycle_limits(0.5, 1.0)["high_peak_with_background"],
+        ("low-A zero-background", 1.0 / math.e),
+        ("high-A zero-background", 0.5),
+        ("low-A background", 0.5),
+        ("high-A background", duty_cycle_limits(0.5, 1.0)["high_peak_with_background"]),
     )
-    errs = [abs(mu - limit) for mu, limit in zip(mu0 + mu_bg, limits)]
-    return CheckResult(
-        "duty-cycle-limits",
-        max(errs) <= 1e-3,
-        "errors " + ", ".join(f"{e:.2e}" for e in errs) + " (limit 1e-3)",
-    )
+    return CheckResult("duty-cycle-limits", tuple(
+        (f"{case} mu* error", abs(mu - limit), "<=", 1e-3)
+        for (case, limit), mu in zip(limits, mu0 + mu_bg)
+    ))
 
 
 def check_capacity_limits():
     """Capacity limits: ln2/tau saturation, A/e low-rate slope, c/tau with bg."""
     zero, bg = _limit_columns(0.0), _limit_columns(0.5)
-    err_hi = abs(zero["capacity_nats"][1] - zero["limit_large_A"][1])
-    err_lo = abs(zero["capacity_nats"][0] / zero["approx_low_A"][0] - 1.0)
-    err_bg = abs(bg["capacity_nats"][1] - bg["limit_large_A"][1])
-    return CheckResult(
-        "capacity-limits",
-        max(err_hi, err_lo, err_bg) <= 1e-3,
-        f"saturation {err_hi:.2e}, low-rate slope {err_lo:.2e}, "
-        f"background saturation {err_bg:.2e} (limit 1e-3)",
+    errors = (
+        ("saturation error", abs(zero["capacity_nats"][1] - zero["limit_large_A"][1])),
+        ("low-rate slope rel error",
+         abs(zero["capacity_nats"][0] / zero["approx_low_A"][0] - 1.0)),
+        ("background saturation error",
+         abs(bg["capacity_nats"][1] - bg["limit_large_A"][1])),
     )
+    return CheckResult("capacity-limits", tuple(
+        (label, err, "<=", 1e-3) for label, err in errors
+    ))
 
 
 def check_poisson_convergence():
@@ -234,43 +236,40 @@ def check_poisson_convergence():
         abs(cap - c_poi) / c_poi
         for cap, c_poi in zip(cols["capacity_nats"], cols["wyner_capacity"])
     ][::-1]
-    return CheckResult(
-        "continuous-poisson-convergence",
-        rels[0] > rels[1] > rels[2] and rels[2] <= 0.01,
-        f"rel gaps {rels[0]:.2e} > {rels[1]:.2e} > {rels[2]:.2e}, final <= 1%",
-    )
+    return CheckResult("continuous-poisson-convergence", (
+        _violations(
+            "steps where the rel gap does not fall with tau", operator.gt,
+            zip(rels, rels[1:]),
+        ),
+        ("rel gap at the smallest tau", rels[-1], "<=", 0.01),
+    ))
 
 
 def check_quadratic_coefficients():
     """Low-peak-rate quadratic coefficients of both channels."""
     _, c_poi = wyner_poisson_capacity(1e-3, 1.0)
-    err_poi = abs(c_poi / 1e-6 / 0.125 - 1.0)
-    ordering = all(
-        quadratic_coeffs_low_A(1.0, tau)[1] < quadratic_coeffs_low_A(1.0, tau)[0]
-        for tau in (1.0, 0.1, 0.01)
-    )
     d_poi, d_tau = quadratic_coeffs_low_A(1.0, 1e-3)
-    err_ratio = abs(d_tau / d_poi - 1.0)
-    return CheckResult(
-        "low-A-capacity-coefficients",
-        err_poi <= 0.01 and ordering and err_ratio <= 1e-3,
-        f"poisson coeff rel {err_poi:.2e} (limit 0.01), d_tau < d_poi "
-        f"{ordering}, ratio err {err_ratio:.2e} (limit 1e-3)",
-    )
+    return CheckResult("low-A-capacity-coefficients", (
+        ("poisson coeff rel error", abs(c_poi / 1e-6 / 0.125 - 1.0), "<=", 0.01),
+        _violations(
+            "taus with d_tau >= d_poi", operator.gt,
+            (quadratic_coeffs_low_A(1.0, tau) for tau in (1.0, 0.1, 0.01)),
+        ),
+        ("d_tau/d_poi rel error", abs(d_tau / d_poi - 1.0), "<=", 1e-3),
+    ))
 
 
 def check_saturation_coefficient():
     """Saturation coefficient: exact ln2 at zero background, decreasing, small."""
-    exact = asymptotic_capacity_coeff_large_A(0.0, 1.0) == math.log(2.0)
     grid = [asymptotic_capacity_coeff_large_A(x, 1.0) for x in np.arange(0, 5.01, 0.1)]
-    decreasing = all(a > b for a, b in zip(grid, grid[1:]))
-    tail = asymptotic_capacity_coeff_large_A(20.0, 1.0)
-    return CheckResult(
-        "saturation-coefficient",
-        exact and decreasing and tail < 1e-2,
-        f"c(0)==ln2 {exact}, strictly decreasing {decreasing}, "
-        f"c(20) = {tail:.2e} (< 1e-2)",
-    )
+    return CheckResult("saturation-coefficient", (
+        _violations(
+            "c(0) != ln2", operator.eq,
+            [(asymptotic_capacity_coeff_large_A(0.0, 1.0), math.log(2.0))],
+        ),
+        _violations("steps where c does not fall", operator.gt, zip(grid, grid[1:])),
+        ("c(20)", asymptotic_capacity_coeff_large_A(20.0, 1.0), "<", 1e-2),
+    ))
 
 
 def check_monotonicity():
@@ -279,41 +278,36 @@ def check_monotonicity():
     caps = _columns(
         "capacity", a_grid="log:0.05,1250,100", **at_background
     )["capacity_nats"]
-    inc_a = all(x < y for x, y in zip(caps, caps[1:]))
     high = _columns("capacity", a_grid="log:500,50000,50", **at_background)
     per_power = [c / a for c, a in zip(high["capacity_nats"], high["A"])]
-    dec_per_power = all(x > y for x, y in zip(per_power, per_power[1:]))
     fixed_ts = _columns(
         "capacity", peak_rate=1.0, background=1.0, sampling_interval=1.0,
         tau_grid="lin:0.6931471805599453,1,30",
     )["capacity_nats"]
-    inc_tau = all(x < y for x, y in zip(fixed_ts, fixed_ts[1:]))
     zero_bg = _columns(
         "capacity", peak_rate=100.0, background=0.0, tau_grid="lin:0.1,1,30"
     )["capacity_nats"]
-    dec_tau = all(x > y for x, y in zip(zero_bg, zero_bg[1:]))
-    return CheckResult(
-        "capacity-monotonicity",
-        inc_a and dec_per_power and inc_tau and dec_tau,
-        f"increasing in A {inc_a}; C/A decreasing {dec_per_power}; "
-        f"increasing in tau at fixed T_s {inc_tau}; decreasing in tau at "
-        f"zero background {dec_tau}",
+    laws = (
+        ("steps where C does not rise in A", operator.lt, caps),
+        ("steps where C/A does not fall", operator.gt, per_power),
+        ("steps where C does not rise in tau at fixed T_s", operator.lt, fixed_ts),
+        ("steps where C does not fall in tau at zero background", operator.gt, zero_bg),
     )
+    return CheckResult("capacity-monotonicity", tuple(
+        _violations(label, holds, zip(values, values[1:])) for label, holds, values in laws
+    ))
 
 
 def check_monte_carlo():
     """The CLI's simulate row for its preset: |z| < 3, and reruns identically."""
     t0 = time.time()
     cols = _columns("simulate")
-    reproducible = cols == _columns("simulate")
-    z0, z1, z_mi = (cols[z][0] for z in ("z_p0", "z_p1", "z_mi"))
-    elapsed = time.time() - t0
-    return CheckResult(
-        "monte-carlo-validation",
-        bool(max(abs(z0), abs(z1), abs(z_mi)) < 3.0) and reproducible and elapsed < 30.0,
-        f"z-scores p0 {z0:+.2f}, p1 {z1:+.2f}, MI {z_mi:+.2f} (|z| < 3); "
-        f"rerun identical {reproducible}; {elapsed:.1f}s (limit 30s)",
-    )
+    rerun = _columns("simulate")
+    z_rows = tuple((f"|{z}|", abs(cols[z][0]), "<", 3.0) for z in ("z_p0", "z_p1", "z_mi"))
+    return CheckResult("monte-carlo-validation", z_rows + (
+        _violations("reruns that differ", operator.eq, [(cols, rerun)]),
+        ("seconds", time.time() - t0, "<", 30.0),
+    ))
 
 
 def check_approximation_accuracy():
@@ -332,12 +326,9 @@ def check_approximation_accuracy():
             total += 1
             if abs(approx - exact) < min(abs(lo - exact), abs(hi - exact)):
                 wins += 1
-    share = wins / total
-    return CheckResult(
-        "approx-beats-bounds",
-        share >= 0.9,
-        f"approximation wins at {wins}/{total} = {share:.0%} (target 90%)",
-    )
+    return CheckResult("approx-beats-bounds", (
+        (f"share of {total} points won", wins / total, ">=", 0.9),
+    ))
 
 
 ALL_CHECKS = [

@@ -441,6 +441,16 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
         (["simulate", "--samples", "-3"], 2, "samples must be a positive integer", False),
         (["simulate", "--samples", "200000", "--dead-time", "1e-6", "--symbols", "20"],
          2, "exceeds exact-summation cap", False),
+        # refused before allocating: a 7.45 GiB grid, a 12.2 GiB Monte Carlo chunk
+        (["mi-sweep", "--mu-grid", "lin:0,1,1000000000"], 2, "grid count must be <=", True),
+        (["simulate", "--samples", "100000", "--dead-time", "1e-5", "--symbols", "1000000"],
+         2, "above the cap of 33554432", True),
+        # a large-L sweep value is a count of samples, not truncated to one
+        (["gap", "--scenario", "large-L", "--l-grid", "lin:1.5,3.5,3"],
+         2, "large-L sweep values must be a positive integer, got 1.5", False),
+        (["mi-sweep", "--mu-grid", "lin:0,1,3", "--out", "/nonexistent/dir/x.csv"],
+         2, "cannot write /nonexistent/dir/x.csv: No such file or directory", False),
+        (["capacity", "--out", "."], 2, "cannot write .: Is a directory", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):
