@@ -24,7 +24,8 @@ preset (for gap, the preset of the chosen scenario).
 
 Exit codes: 0 success, 1 validation failure, 2 usage or parameter error
 (including Poisson benchmark means above 100000, oversized grids or
-Monte Carlo chunks, and an --out path that cannot be written), 3
+Monte Carlo chunks, and an --out path that cannot be written, which is
+refused before any work), 3
 numerical failure: a gap point or a capacity point (A * tau underflowing)
 that double precision cannot resolve, or any other exception.  Every
 error prints one line on stderr.
@@ -99,15 +100,19 @@ def _build_parser():
     return parser
 
 
-def _emit(text, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-        return
+def _write_out(out_path, mode, text=""):
     try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(out_path, mode, encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
         raise ParameterError(f"cannot write {out_path}: {exc.strerror}") from exc
+
+
+def _emit(text, out_path):
+    if out_path is None:
+        sys.stdout.write(text)
+    else:
+        _write_out(out_path, "w", text)
 
 
 def main(argv=None):
@@ -116,6 +121,10 @@ def main(argv=None):
     settings = {dest: value for dest, value in args.items() if value is not None}
     out = settings.pop("out", None)
     try:
+        if out is not None:
+            # refuse an unwritable path before the work; append mode leaves
+            # an existing file as it is if the command then fails
+            _write_out(out, "a")
         if command == "validate":
             results = validation.run_all()
             passed = sum(r.passed for r in results)

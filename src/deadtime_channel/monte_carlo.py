@@ -1,18 +1,21 @@
-"""Event-level simulation of the sampled photon-counting receive chain.
+"""Monte Carlo simulation of the sampled photon-counting receive chain.
 
-Randomness comes from numpy's counter-based Philox4x64 generator, keyed by
-(seed, chunk_index): every 16384-symbol chunk owns an independent,
-reproducible stream, so runs are bit-stable for a fixed seed and chunks
-may be evaluated in any order or in parallel and merged by summation.
-
-Two realizations of a symbol are implemented and must agree statistically:
-drawing each window's indicator directly as Bernoulli(1 - exp(-rate*tau)),
-and generating Poisson arrival times over the union of sampling windows
-(arrivals outside the trailing dead-time windows never affect a sample
-when T_s >= tau, so the union is all that needs to be populated).
+Each window's indicator is drawn as Bernoulli(1 - exp(-rate*tau)), the
+probability that at least one photon arrives in the window's trailing dead
+time.  Randomness comes from numpy's counter-based Philox4x64 generator,
+keyed by (seed, chunk_index): every 16384-symbol chunk owns an independent,
+reproducible stream (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11).  The chunks run on up to one thread per CPU and their
+int64 histograms are summed, which is exact, so the result does not
+depend on the order in which chunks finish.  Inside a chunk the window uniforms are
+drawn in blocks of about 2**16 windows; the generator is consumed
+sequentially, so the blocks see the same bits as one chunk-sized draw and
+a run is bit-stable for a fixed seed.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +26,14 @@ from .guards import check_unit
 
 CHUNK_SYMBOLS = 16384
 
-# Largest chunk of sampling windows drawn at once: 2**25 float64 uniforms
-# are 256 MiB.
+# Largest chunk of sampling windows.  A chunk runs on one thread, so this
+# bounds the work that one thread does without a break (2**25 uniforms).
+# Memory is bounded by the blocks, not by this cap.
 MAX_CHUNK_WINDOWS = 2**25
+
+# Windows per block of uniforms (512 KiB of float64, so a block stays in
+# cache); a block is one symbol's row when L is larger.
+BLOCK_WINDOWS = 2**16
 
 BOOTSTRAP_REPLICATES = 200
 
@@ -59,62 +67,77 @@ class SimConfig:
 def _chunk_rng(seed, chunk_index, stream=0):
     # Philox4x64 takes a 128-bit key: (seed, stream | chunk) gives every
     # chunk of every logical stream its own independent counter sequence.
-    return np.random.Generator(
-        np.random.Philox(key=[seed, (stream << 32) + chunk_index])
-    )
+    # The key is built as uint64: numpy reads a list holding a seed of 2**63
+    # or more as float64, which would round it (2**64 - 1 to seed 0's key).
+    key = np.array([seed, (stream << 32) + chunk_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunk_window_hits(rng, bits, probs, L):
+def _chunk_counts(config, probs, chunk):
+    """(2, L + 1) histogram of one keyed chunk of the run."""
+    L = config.params.samples_per_symbol
+    n = min(CHUNK_SYMBOLS, config.symbols - chunk * CHUNK_SYMBOLS)
+    rng = _chunk_rng(config.seed, chunk)
+    bits = rng.random(n) < config.duty_cycle
     p = np.where(bits, probs.p_on, probs.p_off)[:, None]
-    return rng.random((bits.size, L)) < p
-
-
-def _chunk_window_hits_arrivals(rng, bits, params: ChannelParams):
-    L = params.samples_per_symbol
-    tau = params.dead_time
-    rates = np.where(
-        bits,
-        params.peak_rate + params.background_rate,
-        params.background_rate,
+    nhat = np.empty(n, dtype=np.int64)
+    rows = max(1, BLOCK_WINDOWS // L)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        nhat[lo:hi] = np.count_nonzero(rng.random((hi - lo, L)) < p[lo:hi], axis=1)
+    return np.stack(
+        [
+            np.bincount(nhat[~bits], minlength=L + 1),
+            np.bincount(nhat[bits], minlength=L + 1),
+        ]
     )
-    counts = rng.poisson(rates * L * tau)
-    total = int(counts.sum())
-    z = np.zeros((bits.size, L), dtype=bool)
-    if total:
-        pos = rng.random(total) * (L * tau)
-        window = np.minimum((pos / tau).astype(np.int64), L - 1)
-        symbol_idx = np.repeat(np.arange(bits.size), counts)
-        z[symbol_idx, window] = True
-    return z
 
 
-def joint_counts(config: SimConfig, method="bernoulli"):
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def joint_counts(config: SimConfig):
     """Histogram of (symbol, number of nonzero samples) over the whole run.
 
-    Returns an int64 array of shape (2, L + 1); partitioned into keyed
-    chunks so the result is independent of evaluation order.
+    Returns an int64 array of shape (2, L + 1), the sum of the keyed
+    chunks' histograms.  The calling thread and one more thread per further
+    usable CPU, up to one thread per chunk, each sum every workers-th
+    chunk, so memory stays flat however many chunks a run has.
     """
     probs = symbol_probs(config.params)
-    L = config.params.samples_per_symbol
-    counts = np.zeros((2, L + 1), dtype=np.int64)
-    done = 0
-    chunk = 0
-    while done < config.symbols:
-        n = min(CHUNK_SYMBOLS, config.symbols - done)
-        rng = _chunk_rng(config.seed, chunk)
-        bits = rng.random(n) < config.duty_cycle
-        if method == "bernoulli":
-            z = _chunk_window_hits(rng, bits, probs, L)
-        elif method == "arrivals":
-            z = _chunk_window_hits_arrivals(rng, bits, config.params)
-        else:
-            raise ParameterError(f"unknown method {method!r}")
-        nhat = z.sum(axis=1)
-        counts[0] += np.bincount(nhat[~bits], minlength=L + 1)
-        counts[1] += np.bincount(nhat[bits], minlength=L + 1)
-        done += n
-        chunk += 1
-    return counts
+    chunks = -(-config.symbols // CHUNK_SYMBOLS)
+    workers = min(_cpus(), chunks)
+
+    def counts(first):
+        share = range(first, chunks, workers)
+        return sum(_chunk_counts(config, probs, chunk) for chunk in share)
+
+    if workers == 1:
+        return counts(0)
+    # Plain threads, not concurrent.futures: importing that loads logging,
+    # which raises the peak resident memory of a short run by about 0.4 MiB.
+    parts = [None] * workers
+
+    def run(first):
+        try:
+            parts[first] = counts(first)
+        except BaseException as exc:  # raised again on the calling thread
+            parts[first] = exc
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)  # the calling thread's allocator already holds free memory
+    for thread in threads:
+        thread.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    return sum(parts)
 
 
 def _detection_from_counts(counts, L):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import re
@@ -7,9 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import deadtime_channel
 from deadtime_channel import cli
+from deadtime_channel.monte_carlo import CHUNK_SYMBOLS, MAX_CHUNK_WINDOWS
+from deadtime_channel.mutual_info import MAX_TRIALS_EXACT
 
 
 def _run(capsys, argv):
@@ -507,3 +512,72 @@ def test_special_float_flags_end_cleanly(capsys):
                 if not ok:
                     failures.append((" ".join(argv), code, err.strip()))
     assert failures == []
+
+
+@pytest.mark.parametrize("command", [["validate"], ["simulate", "--symbols", "5000000"]])
+@pytest.mark.parametrize(
+    "out, reason",
+    [("/nonexistent/dir/x.txt", "No such file or directory"), (".", "Is a directory")],
+)
+def test_unwritable_out_refused_before_the_work(monkeypatch, capsys, command, out, reason):
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before --out was checked")
+
+    monkeypatch.setattr(cli.validation, "run_all", work)
+    monkeypatch.setattr(cli.experiments, "run", work)
+    code, stdout, err = _run(capsys, command + ["--out", out])
+    _assert_one_line_error(code, err, 2, f"cannot write {out}: {reason}")
+    assert stdout == ""
+
+
+def test_failed_command_leaves_existing_out_file(tmp_path, capsys):
+    path = tmp_path / "kept.csv"
+    path.write_text("earlier output\n")
+    code, _, err = _run(capsys, ["simulate", "--symbols", "0", "--out", str(path)])
+    _assert_one_line_error(code, err, 2, "symbols must be >= 1")
+    assert path.read_text() == "earlier output\n"
+
+
+def _near(*centres):
+    return st.sampled_from(sorted({c + d for c in centres for d in (-1, 0, 1)}))
+
+
+_HUGE = (-(2**64), -(2**63), 2**63, 2**64)
+# samples below 1e6 pass the sampling check, so the caps decide
+_INT_FUZZ_BASE = ["simulate", "--dead-time", "1e-6", "--background", "1e4", "--peak-rate", "1e5"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    symbols=st.one_of(
+        _near(0, CHUNK_SYMBOLS, MAX_CHUNK_WINDOWS // MAX_TRIALS_EXACT, *_HUGE),
+        st.integers(-3, 20_000),
+    ),
+    samples=st.one_of(
+        _near(0, MAX_TRIALS_EXACT, MAX_CHUNK_WINDOWS // CHUNK_SYMBOLS, MAX_CHUNK_WINDOWS, *_HUGE),
+        st.integers(-3, 100),
+    ),
+    seed=st.one_of(_near(0, *_HUGE), st.integers(0, 2**64 - 1)),
+)
+def test_simulate_integer_flags_end_cleanly(symbols, samples, seed):
+    refused = (
+        symbols < 1
+        or not 1 <= samples <= MAX_TRIALS_EXACT
+        or not 0 <= seed < 2**64
+        or min(symbols, CHUNK_SYMBOLS) * samples > MAX_CHUNK_WINDOWS
+    )
+    # an accepted run simulates at most 2e4 symbols; the product bounds both
+    # the windows drawn and the 2 (L + 1) cells each bootstrap resamples
+    assume(refused or (symbols <= 20_000 and (symbols + 400) * samples <= 2**21))
+    argv = _INT_FUZZ_BASE + [f"--symbols={symbols}", f"--samples={samples}", f"--seed={seed}"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    if code == 0:
+        assert not refused and err == ""
+        assert len(out.splitlines()) == 2 and "nan" not in out
+    else:
+        assert code == (2 if refused else 3), (argv, code, err)
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert not re.match(r"numerical failure: \w+: ", err)
