@@ -11,6 +11,7 @@ from .channel import BinaryDetectionProbs, ChannelParams, detection_prob, symbol
 from .divergences import (
     BetaTriple,
     beta_triple,
+    bhattacharyya_distance,
     chernoff_binomial,
     kl_binomial,
     optimal_alpha_grid,
@@ -35,7 +36,6 @@ from .rate_bounds import (
 from .approximation import mi_approx_low_background
 from .asymptotics import (
     estimate_exponential_rate,
-    exp_rate_large_L,
     exp_rate_zero_background,
     gap_offsets_large_A,
     gap_offsets_low_background,
@@ -54,7 +54,7 @@ from .capacity import (
     wyner_poisson_capacity,
 )
 from .monte_carlo import SimConfig
-from .optimize import least_squares_slope, maximize_scalar
+from .optimize import maximize_scalar
 
 __version__ = "0.1.0"
 
@@ -69,6 +69,7 @@ __all__ = [
     "SimConfig",
     "asymptotic_capacity_coeff_large_A",
     "beta_triple",
+    "bhattacharyya_distance",
     "binary_entropy",
     "bound_gap",
     "capacity_bruteforce",
@@ -79,14 +80,12 @@ __all__ = [
     "duty_cycle_limits",
     "envelope_difference",
     "estimate_exponential_rate",
-    "exp_rate_large_L",
     "exp_rate_zero_background",
     "gap_bounds",
     "gap_offsets_large_A",
     "gap_offsets_low_background",
     "gap_quadratic_coeff_low_A",
     "kl_binomial",
-    "least_squares_slope",
     "lower_bound_max",
     "maximize_scalar",
     "mi_approx_low_background",

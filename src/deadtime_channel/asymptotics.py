@@ -3,43 +3,33 @@
 Five regimes are covered, matching the gap-convergence table driving the
 sweep experiments: many samples per symbol, large peak rate at fixed
 background, low background at fixed peak rate, large peak rate with zero
-background, and low peak rate.  Offsets and expansion terms are evaluated
-exactly as displayed; empirical rates are extracted with a log-linear
-least squares fit.
+background, and low peak rate (the large-L rate is the Bhattacharyya
+distance, ``divergences.bhattacharyya_distance``).  Offsets and expansion
+terms are evaluated exactly as displayed; empirical rates are extracted
+with a log-linear least squares fit.
 """
 
 import math
 
 from .errors import ParameterError
 from .guards import check_open_unit, check_positive
-from .optimize import least_squares_slope
-
-
-def exp_rate_large_L(p0, p1):
-    """Exponential decay rate of the gap in L: -ln(sqrt(p0 p1) + sqrt(q0 q1))."""
-    if p0 == p1:
-        return 0.0
-    root = math.sqrt(p0 * p1) + math.sqrt((1.0 - p0) * (1.0 - p1))
-    if root == 0.0:
-        return math.inf
-    return -math.log(root)
 
 
 def _gap_offsets(b, c, other, L):
     """(eps_u, eps_l) of both offset scenarios, with c = 1 - b: piecewise in
     c * L versus 1/2, and the sub-threshold branch is negative."""
     key = c * L
-    if key > 0.5:
-        common = L * math.exp(0.5 * (L - 1) * math.log(b)) * math.sqrt(c) * math.sqrt(other)
-        eps_u = 2.0 * common
-        eps_l = common / (1.0 + math.exp(0.5 * L * math.log(b)))
-    elif key == 0.5:
+    if key >= 0.5:
         lead = L * math.exp(0.5 * (L - 1) * math.log(b)) * math.sqrt(c)
-        spike = math.exp((-L + 0.5) * math.log(b)) / math.sqrt(c)
-        eps_u = (2.0 * lead - spike) * math.sqrt(other)
-        eps_l = (
-            lead / (1.0 + math.exp(0.5 * L * math.log(b))) - 0.5 * spike
-        ) * math.sqrt(other)
+        denom = 1.0 + math.exp(0.5 * L * math.log(b))
+        if key > 0.5:
+            common = lead * math.sqrt(other)
+            eps_u = 2.0 * common
+            eps_l = common / denom
+        else:
+            spike = math.exp((-L + 0.5) * math.log(b)) / math.sqrt(c)
+            eps_u = (2.0 * lead - spike) * math.sqrt(other)
+            eps_l = (lead / denom - 0.5 * spike) * math.sqrt(other)
     else:
         if other == 0.0:
             mag = 0.0
@@ -99,4 +89,11 @@ def estimate_exponential_rate(points):
         if v <= 0.0:
             raise ParameterError(f"values must be positive, got {v} at x = {x}")
         logged.append((x, math.log(v)))
-    return least_squares_slope(logged)
+    n = len(logged)
+    mean_x = sum(x for x, _ in logged) / n
+    mean_y = sum(y for _, y in logged) / n
+    sxx = sum((x - mean_x) ** 2 for x, _ in logged)
+    if sxx == 0.0:
+        raise ParameterError("all x values are identical")
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in logged)
+    return sxy / sxx

@@ -37,12 +37,9 @@ from . import optimize
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Optimal duty cycle, its intermediate coefficient, mixture probability,
-    and capacity in nats per unit time."""
+    """Optimal duty cycle and capacity in nats per unit time."""
 
     duty_cycle: float
-    coeff_a: float
-    mix_prob: float
     capacity_nats_per_time: float
 
 
@@ -60,13 +57,14 @@ def _levels(peak_rate, background_rate, dead_time):
     return x0, x1, -math.expm1(-x0), q0, -math.expm1(-x1), math.exp(-x1), d
 
 
-def _entropy_quotient(peak_rate, background_rate, dead_time):
-    """(h_b(p1) - h_b(p0)) / (p1 - p0) without cancellation.
+def _entropy_quotient(levels, peak_rate, dead_time):
+    """(h_b(p1) - h_b(p0)) / (p1 - p0) without cancellation, for the
+    ``_levels`` of the channel and d > 0.
 
     Uses the exact identities -q ln q = q x tau for q = exp(-x tau) and
     p1 - p0 = q0 * (1 - exp(-A tau)).
     """
-    x0, x1, p0, q0, p1, q1, d = _levels(peak_rate, background_rate, dead_time)
+    x0, x1, p0, _, p1, q1, d = levels
     if p0 == 0.0:
         dh = _neg_xlogx(p1) + q1 * x1
     else:
@@ -76,7 +74,7 @@ def _entropy_quotient(peak_rate, background_rate, dead_time):
             + q1 * peak_rate * dead_time
             - x0 * d
         )
-    return dh / d, p0, q0, d
+    return dh / d
 
 
 def optimal_duty_cycle(peak_rate, background_rate, dead_time):
@@ -86,13 +84,18 @@ def optimal_duty_cycle(peak_rate, background_rate, dead_time):
     cancels, so mu_star comes from its expansion in d instead,
     1/2 - (q0 - p0) d / (24 p0 q0), whose next term is O(d^2).  The switch
     sits where the two errors cross (about 3e-15 p0 q0 / d for the closed
-    form, 2e-2 (d / (p0 q0))^2 for the expansion).
+    form, 2e-2 (d / (p0 q0))^2 for the expansion).  When both levels
+    saturate (q0 = 0) any duty cycle is optimal: (1/2, inf), as in
+    ``capacity_tau``.
     """
     check_rates(peak_rate, background_rate, dead_time)
     if peak_rate == 0:
         raise ParameterError("optimal_duty_cycle is degenerate at peak_rate = 0")
-    quotient, p0, q0, d = _entropy_quotient(peak_rate, background_rate, dead_time)
-    a = math.exp(-quotient)
+    levels = _levels(peak_rate, background_rate, dead_time)
+    _, _, p0, q0, _, _, d = levels
+    if q0 == 0.0:
+        return 0.5, math.inf
+    a = math.exp(-_entropy_quotient(levels, peak_rate, dead_time))
     if p0 > 0.0 and d < 4e-5 * p0 * q0:
         return 0.5 - (q0 - p0) * d / (24.0 * p0 * q0), a
     return (a * q0 - p0) / ((1.0 + a) * d), a
@@ -138,16 +141,11 @@ def rate_objective(mu, peak_rate, background_rate, dead_time):
 def capacity_tau(peak_rate, background_rate, dead_time) -> CapacityResult:
     """Capacity at critical sampling T_s = tau, via the closed-form duty cycle."""
     check_rates(peak_rate, background_rate, dead_time)
-    _, _, p0, q0, p1, _, d = _levels(peak_rate, background_rate, dead_time)
+    _, _, _, q0, _, _, d = _levels(peak_rate, background_rate, dead_time)
     if peak_rate == 0 or q0 == 0.0:
         # No signal, or both levels saturate (p0 = p1 = 1): any duty cycle
-        # is optimal; fix mu = 1/2 and the A -> 0 limit of a.
-        return CapacityResult(
-            duty_cycle=0.5,
-            coeff_a=p0 / q0 if q0 > 0.0 else math.inf,
-            mix_prob=p0,
-            capacity_nats_per_time=0.0,
-        )
+        # is optimal; fix mu = 1/2.
+        return CapacityResult(duty_cycle=0.5, capacity_nats_per_time=0.0)
     if d < sys.float_info.min:
         # A tau (or q0 times 1 - exp(-A tau)) is subnormal or underflows:
         # d keeps too few bits for F / tau, and a ~ 1/q0 overflows.
@@ -155,14 +153,9 @@ def capacity_tau(peak_rate, background_rate, dead_time) -> CapacityResult:
             f"capacity at A = {peak_rate}, tau = {dead_time} cannot be resolved "
             f"in double precision: p1 - p0 = {d} is below the normal range"
         )
-    mu_star, a = optimal_duty_cycle(peak_rate, background_rate, dead_time)
+    mu_star, _ = optimal_duty_cycle(peak_rate, background_rate, dead_time)
     f = rate_objective(mu_star, peak_rate, background_rate, dead_time)
-    return CapacityResult(
-        duty_cycle=mu_star,
-        coeff_a=a,
-        mix_prob=p0 + mu_star * (p1 - p0),
-        capacity_nats_per_time=f / dead_time,
-    )
+    return CapacityResult(duty_cycle=mu_star, capacity_nats_per_time=f / dead_time)
 
 
 def capacity_sampled(
@@ -187,14 +180,7 @@ def capacity_bruteforce(peak_rate, background_rate, dead_time) -> CapacityResult
         lambda mu: rate_objective(mu, peak_rate, background_rate, dead_time),
         tol=1e-12,
     )
-    _, _, p0, _, p1, _, _ = _levels(peak_rate, background_rate, dead_time)
-    p_hat = p0 + mu_dag * (p1 - p0)
-    return CapacityResult(
-        duty_cycle=mu_dag,
-        coeff_a=p_hat / (1.0 - p_hat) if p_hat < 1.0 else math.inf,
-        mix_prob=p_hat,
-        capacity_nats_per_time=f_dag / dead_time,
-    )
+    return CapacityResult(duty_cycle=mu_dag, capacity_nats_per_time=f_dag / dead_time)
 
 
 def wyner_poisson_capacity(peak_rate, background_rate):

@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .guards import (
-    check_nonnegative,
-    check_positive,
-    check_rates,
-    check_sampling,
-    check_trials,
-)
+from .guards import check_nonnegative, check_positive, check_rates, check_trials
 
 
 @dataclass(frozen=True)
@@ -29,19 +23,16 @@ class ChannelParams:
     peak_rate          photons per unit time while the "on" symbol is sent
     background_rate    dark-current photon rate, always present
     dead_time          pulse-merge window of the detector
-    sampling_interval  ADC sample spacing (>= dead_time)
     samples_per_symbol samples falling inside one OOK symbol
     """
 
     peak_rate: float
     background_rate: float
     dead_time: float
-    sampling_interval: float
     samples_per_symbol: int
 
     def __post_init__(self):
         check_rates(self.peak_rate, self.background_rate, self.dead_time)
-        check_sampling(self.sampling_interval, self.dead_time)
         check_trials(self.samples_per_symbol, "samples_per_symbol")
 
 
@@ -71,6 +62,8 @@ def detection_prob(rate, dead_time):
 
 def detection_probs(peak_rate, background_rate, dead_time) -> BinaryDetectionProbs:
     """Detection probabilities (p_off, p_on) for OOK symbols 0 and 1."""
+    # checked before the sum, so that a bad rate is named as the user set it
+    check_rates(peak_rate, background_rate, dead_time)
     return BinaryDetectionProbs(
         p_off=detection_prob(background_rate, dead_time),
         p_on=detection_prob(peak_rate + background_rate, dead_time),

@@ -18,17 +18,19 @@ simulate the samples tile one symbol (sampling interval 1/samples).
 --sampling-interval belongs to capacity and defaults to the dead time.
 
 Grids are written lin:START,STOP,COUNT or log:START,STOP,COUNT with finite
-endpoints.  The flags given go to experiments.run, which resolves them:
-flags override the --preset, which overrides the subcommand's default
-preset (for gap, the preset of the chosen scenario).
+endpoints.  A subcommand's flags are the keys of its presets
+(experiments.PRESETS).  experiments.run resolves them: flags override the
+--preset, which overrides the preset of the sweep run (gap: the
+scenario's; capacity with --tau-grid: dead-time-sweep), and a flag that
+this preset lacks, which the sweep would not read, is refused.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or parameter error
-(including Poisson benchmark means above 100000, oversized grids or
-Monte Carlo chunks, and an --out path that cannot be written, which is
-refused before any work), 3
-numerical failure: a gap point or a capacity point (A * tau underflowing)
-that double precision cannot resolve, or any other exception.  Every
-error prints one line on stderr.
+(including a flag the sweep does not read, Poisson benchmark means above
+100000, oversized grids or Monte Carlo chunks, and an --out path that
+cannot be written, which is refused before any work), 3 numerical
+failure: a gap point or a capacity point (A * tau underflowing) that
+double precision cannot resolve, or any other exception.  Every error
+prints one line on stderr.
 """
 
 import argparse
@@ -39,47 +41,24 @@ from .experiments import PRESETS
 from .errors import EstimationError, NumericalFailure, ParameterError
 
 
-# dest -> (flag, converter, help); shared across subcommands
+# dest -> (converter, help), in --help order; the flag is experiments.flag(dest)
 _OPTIONS = {
-    "peak_rate": ("--peak-rate", float, "peak photon rate A"),
-    "background": ("--background", float, "background photon rate"),
-    "dead_time": ("--dead-time", float, "detector dead time"),
-    "sampling_interval": ("--sampling-interval", float, "receiver sample spacing"),
-    "samples": ("--samples", int, "samples per symbol L"),
-    "mu_grid": ("--mu-grid", str, "duty-cycle grid (lin:a,b,n | log:a,b,n)"),
-    "a_grid": ("--a-grid", str, "peak-rate grid"),
-    "l_grid": ("--l-grid", str, "samples-per-symbol grid (gap large-L)"),
-    "lambda_grid": ("--lambda-grid", str, "background grid (gap low-lambda)"),
-    "tau_grid": ("--tau-grid", str, "dead-time grid (capacity sweep)"),
-    "scenario": ("--scenario", str, "gap scenario: " + "|".join(experiments.GAP_SCENARIOS)),
-    "seed": ("--seed", int, "simulation seed (64-bit unsigned)"),
-    "symbols": ("--symbols", int, "number of simulated symbols"),
-    "mu": ("--mu", float, "duty cycle for the simulation"),
-    "preset": ("--preset", str, "named parameter preset"),
-    "out": ("--out", str, "output path (default: stdout)"),
-}
-
-_COMMAND_OPTIONS = {
-    "mi-sweep": [
-        "peak_rate", "background", "dead_time", "samples", "mu_grid",
-        "preset", "out",
-    ],
-    "duty-imax": [
-        "background", "dead_time", "samples", "a_grid", "preset", "out",
-    ],
-    "gap": [
-        "scenario", "peak_rate", "background", "dead_time", "samples",
-        "a_grid", "l_grid", "lambda_grid", "preset", "out",
-    ],
-    "capacity": [
-        "peak_rate", "background", "dead_time", "sampling_interval",
-        "a_grid", "tau_grid", "preset", "out",
-    ],
-    "simulate": [
-        "peak_rate", "background", "dead_time", "samples", "symbols", "seed",
-        "mu", "preset", "out",
-    ],
-    "validate": ["out"],
+    "scenario": (str, "gap scenario: " + "|".join(experiments.GAP_SCENARIOS)),
+    "peak_rate": (float, "peak photon rate A"),
+    "background": (float, "background photon rate"),
+    "dead_time": (float, "detector dead time"),
+    "sampling_interval": (float, "receiver sample spacing"),
+    "samples": (int, "samples per symbol L"),
+    "mu_grid": (str, "duty-cycle grid (lin:a,b,n | log:a,b,n)"),
+    "a_grid": (str, "peak-rate grid"),
+    "l_grid": (str, "samples-per-symbol grid (gap large-L)"),
+    "lambda_grid": (str, "background grid (gap low-lambda)"),
+    "tau_grid": (str, "dead-time grid (capacity sweep)"),
+    "symbols": (int, "number of simulated symbols"),
+    "seed": (int, "simulation seed (64-bit unsigned)"),
+    "mu": (float, "duty cycle for the simulation"),
+    "preset": (str, "named parameter preset"),
+    "out": (str, "output path (default: stdout)"),
 }
 
 
@@ -90,13 +69,17 @@ def _build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, dests in _COMMAND_OPTIONS.items():
-        presets = sorted(PRESETS.get(command, {}))
-        epilog = f"presets: {', '.join(presets)}" if presets else None
+    for command, table in [*PRESETS.items(), ("validate", {})]:
+        keys = {key for preset in table.values() for key in preset}
+        dests = [dest for dest in _OPTIONS if dest in keys]
+        dests += ["preset", "out"] if table else ["out"]
+        epilog = f"presets: {', '.join(sorted(table))}" if table else None
         sub = subs.add_parser(command, epilog=epilog)
         for dest in dests:
-            flag, conv, help_text = _OPTIONS[dest]
-            sub.add_argument(flag, dest=dest, type=conv, default=None, help=help_text)
+            conv, help_text = _OPTIONS[dest]
+            sub.add_argument(
+                experiments.flag(dest), dest=dest, type=conv, default=None, help=help_text
+            )
     return parser
 
 

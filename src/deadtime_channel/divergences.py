@@ -69,14 +69,25 @@ def chernoff_binomial(alpha, p_a, p_b, trials):
     return -trials * math.log(s)
 
 
+def bhattacharyya_distance(p0, p1):
+    """-ln(sqrt(p0 p1) + sqrt(q0 q1)): the single-trial C_{1/2}, which is
+    also the large-L decay rate of the bound gap; 0 at p0 = p1 and +inf
+    when the laws are disjoint."""
+    if p0 == p1:
+        return 0.0
+    root = math.sqrt(p0 * p1) + math.sqrt((1.0 - p0) * (1.0 - p1))
+    if root == 0.0:
+        return math.inf
+    return -math.log(root)
+
+
 def beta_triple(probs: BinaryDetectionProbs, trials) -> BetaTriple:
     """The (beta, beta1, beta2) triple for Bin(L, p_off) vs Bin(L, p_on)."""
     check_trials(trials)
     p0, p1 = probs.p_off, probs.p_on
     if p0 == p1:
         return BetaTriple(1.0, 1.0, 1.0)
-    root = math.sqrt(p0 * p1) + math.sqrt((1.0 - p0) * (1.0 - p1))
-    beta = 0.0 if root == 0.0 else math.exp(trials * math.log(root))
+    beta = math.exp(-trials * bhattacharyya_distance(p0, p1))
     kl10 = kl_binomial(p1, p0, trials)
     kl01 = kl_binomial(p0, p1, trials)
     beta1 = 0.0 if math.isinf(kl10) else math.exp(-kl10)

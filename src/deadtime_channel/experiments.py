@@ -1,10 +1,12 @@
 """Parameter sweeps behind the CLI: ``run(command, settings)`` returns
 (header, rows) for CSV.
 
-``run`` is the one settings resolver: it lays the settings over the named
-preset they may hold, then over the command's default preset, and hands
-the merged dict to the command's ``*_rows`` function, which reads its own
-keys and grids.  The CLI and the acceptance checks both call it.
+``PRESETS`` declares the settings each sweep reads; the CLI's flags are
+their keys.  ``run`` is the one settings resolver: it lays the settings
+over the named preset they may hold, then over the preset of the sweep
+run, and hands the merged dict to the command's ``*_rows`` function.  It
+refuses a setting that preset lacks, which the sweep would not read.  The
+CLI and the acceptance checks both call it.
 
 Sweeps work in the normalized convention: the symbol duration is 1, so a
 dead time of 0.02 with 30 samples per symbol means the sampling interval
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from .channel import ChannelParams, detection_prob, detection_probs, symbol_probs
-from .divergences import beta_triple, chernoff_binomial
+from .divergences import bhattacharyya_distance, beta_triple, chernoff_binomial
 from .errors import EstimationError, NumericalFailure, ParameterError
 from .guards import check_trials
 from .mutual_info import (
@@ -30,7 +32,6 @@ from .mutual_info import (
 from .approximation import mi_approx_low_background
 from .asymptotics import (
     estimate_exponential_rate,
-    exp_rate_large_L,
     exp_rate_zero_background,
     gap_offsets_large_A,
     gap_offsets_low_background,
@@ -104,15 +105,19 @@ PRESETS = {
             "samples": 20, "a_grid": "log:1e-4,1e-2,9",
         },
     },
+    # sampling_interval None is critical sampling, T_s = tau
     "capacity": {
         "zero-background": {
-            "background": 0.0, "dead_time": 0.02, "a_grid": "log:0.01,2000,60",
+            "background": 0.0, "dead_time": 0.02, "sampling_interval": None,
+            "a_grid": "log:0.01,2000,60",
         },
         "small-background": {
-            "background": 0.001, "dead_time": 0.02, "a_grid": "log:0.01,2000,60",
+            "background": 0.001, "dead_time": 0.02, "sampling_interval": None,
+            "a_grid": "log:0.01,2000,60",
         },
         "dead-time-sweep": {
-            "peak_rate": 1.0, "background": 0.1, "tau_grid": "log:1e-4,1e-1,25",
+            "peak_rate": 1.0, "background": 0.1, "sampling_interval": None,
+            "tau_grid": "log:1e-4,1e-1,25",
         },
     },
     "simulate": {
@@ -124,7 +129,8 @@ PRESETS = {
 }
 
 
-# The preset a command's settings are laid over (gap: its scenario's).
+# The preset a command's settings are laid over; gap takes its scenario's,
+# and capacity over a tau_grid takes dead-time-sweep.
 DEFAULT_PRESET = {
     "mi-sweep": "published",
     "duty-imax": "samples30",
@@ -133,15 +139,21 @@ DEFAULT_PRESET = {
 }
 
 
+def flag(key):
+    """The CLI flag of a settings key."""
+    return "--" + key.replace("_", "-")
+
+
 def run(command, settings):
     """(header, rows) of ``command`` for ``settings``.
 
     The settings are laid over the named preset in ``settings["preset"]``,
-    if any, and the result over the command's default preset (for gap, the
-    preset of the resolved scenario).
+    if any, and the result over the preset of the sweep run.  A setting
+    given here, not by the named preset, that this preset lacks is refused.
     """
     settings = dict(settings)
     name = settings.pop("preset", None)
+    given = list(settings)
     if name is not None:
         table = PRESETS[command]
         if name not in table:
@@ -150,20 +162,29 @@ def run(command, settings):
             )
         settings = {**table[name], **settings}
     if command == "gap":
-        scenario = settings.get("scenario")
-        if scenario is None:
+        default = settings.get("scenario")
+        if default is None:
             raise ParameterError("gap requires --scenario")
-        if scenario not in GAP_SCENARIOS:
+        if default not in GAP_SCENARIOS:
             raise ParameterError(
-                f"unknown scenario {scenario!r}; choose from {'|'.join(GAP_SCENARIOS)}"
+                f"unknown scenario {default!r}; choose from {'|'.join(GAP_SCENARIOS)}"
             )
-        default = scenario
+    elif command == "capacity" and settings.get("tau_grid"):
+        default = "dead-time-sweep"
     else:
         default = DEFAULT_PRESET[command]
+    base = PRESETS[command][default]
+    for key in given:
+        if key not in base:
+            grids = [flag(k) for k in base if k.endswith("_grid")]
+            sweeps = f", which sweeps {grids[0]}" if grids else ""
+            raise ParameterError(
+                f"{flag(key)} does not apply to {command} {default}{sweeps}"
+            )
     # Looked up at call time, so that a wrapper installed on this module's
     # attribute (the benchmark's tracer) sees the call.
     rows = globals()[command.replace("-", "_") + "_rows"]
-    return rows({**PRESETS[command][default], **settings})
+    return rows({**base, **settings})
 
 
 def parse_grid(text):
@@ -388,7 +409,7 @@ def gap_rows(settings):
         "large-L": (
             lambda x: (detection_probs(peak_rate, background, dead_time), x),
             lambda x, p0, p1, gap, t: bound_cells(t, gap),
-            lambda: exp_rate_large_L(p(background), p(peak_rate + background)),
+            lambda: bhattacharyya_distance(p(background), p(peak_rate + background)),
         ),
         "large-A": (
             by_peak,
@@ -416,7 +437,6 @@ def gap_rows(settings):
         ),
     }
     point, cells, predicted = table[scenario]
-    predicted = predicted()
     rows, pts = [], []
     for x in sweep_values:
         probs, L = point(x)
@@ -428,6 +448,8 @@ def gap_rows(settings):
         rows.append([x, gap] + formula_cells)
         pts.append((math.log(x) if power_law else x, y))
     slope = estimate_exponential_rate(pts)
+    # after the sweep, so that a bad setting is named by the first point
+    predicted = predicted()
     for row in rows:
         row.extend([slope if power_law else -slope, predicted])
     return GAP_HEADER, rows
@@ -435,10 +457,10 @@ def gap_rows(settings):
 
 def capacity_rows(settings):
     """Capacity sweep over the peak rate (a_grid), or over the dead time at
-    one peak rate when settings hold a tau_grid.  The sampling interval
-    defaults to the dead time (critical sampling)."""
+    one peak rate when settings hold a tau_grid.  A sampling interval of
+    None is the dead time (critical sampling)."""
     background = settings["background"]
-    sampling_interval = settings.get("sampling_interval")
+    sampling_interval = settings["sampling_interval"]
     header = [
         "A",
         "tau",
@@ -450,9 +472,7 @@ def capacity_rows(settings):
         "limit_large_A",
     ]
     if settings.get("tau_grid"):
-        peak = settings.get("peak_rate")
-        if peak is None:
-            raise ParameterError("capacity requires --peak-rate")
+        peak = settings["peak_rate"]
         points = [(peak, tau) for tau in parse_grid(settings["tau_grid"])]
     else:
         tau = settings["dead_time"]
@@ -487,15 +507,19 @@ def simulate_rows(settings):
     """Monte Carlo validation row: empirical vs closed-form, with z-scores.
 
     The sampling interval is 1/samples, so the samples tile one symbol
-    exactly (and ChannelParams rejects samples * dead_time > 1).
+    exactly, and samples * dead_time > 1 is refused.
     """
     trials, symbols = settings["samples"], settings["symbols"]
     seed, duty_cycle = settings["seed"], settings["mu"]
     check_trials(trials, "samples")
     params = ChannelParams(
-        settings["peak_rate"], settings["background"], settings["dead_time"],
-        1.0 / trials, trials,
+        settings["peak_rate"], settings["background"], settings["dead_time"], trials
     )
+    if 1.0 / trials < params.dead_time:
+        raise ParameterError(
+            f"the sampling interval 1/--samples = {1.0 / trials} must be >= "
+            f"--dead-time = {params.dead_time}"
+        )
     probs = symbol_probs(params)
     mi_exact = mi_binomial_mixture(duty_cycle, probs, trials)
     summary = simulate_summary(SimConfig(params, symbols, seed, duty_cycle))

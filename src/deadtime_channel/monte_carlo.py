@@ -153,7 +153,7 @@ def _detection_from_counts(counts, L):
         windows = n_sym * L
         ones = int((k * row).sum())
         p_hat = ones / windows
-        stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / windows)
+        stderr = math.sqrt(p_hat * (1.0 - p_hat) / windows)
         out.append((p_hat, stderr))
     return out[0], out[1]
 

@@ -1,4 +1,4 @@
-"""Scalar maximization on [0, 1] and a small regression helper.
+"""Scalar maximization on [0, 1].
 
 Every optimum used elsewhere in the library (duty cycles, bound gaps,
 brute-force capacities) is either a closed form checked against this
@@ -77,17 +77,3 @@ def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS):
 
     return best_x, best_f
 
-
-def least_squares_slope(points):
-    """Ordinary least-squares slope of ``points`` = [(x, y), ...]."""
-    pts = list(points)
-    if len(pts) < 2:
-        raise ParameterError("need at least two points")
-    n = len(pts)
-    mean_x = sum(x for x, _ in pts) / n
-    mean_y = sum(y for _, y in pts) / n
-    sxx = sum((x - mean_x) ** 2 for x, _ in pts)
-    if sxx == 0.0:
-        raise ParameterError("all x values are identical")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in pts)
-    return sxy / sxx

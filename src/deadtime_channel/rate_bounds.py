@@ -27,7 +27,8 @@ def upper_envelope(mu, beta1, beta2):
     check_unit(beta2, "beta2")
     if mu == 0.0 or mu == 1.0:
         return 0.0
-    return -(
+    # 0.0 - x, not -x: where the envelope is 0 it prints 0, not -0
+    return 0.0 - (
         mu * math.log((1.0 - mu) * beta1 + mu)
         + (1.0 - mu) * math.log(mu * beta2 + (1.0 - mu))
     )

@@ -108,8 +108,9 @@ def check_half_alpha_optimal():
 
 
 def _columns(command, **settings):
-    """The CLI's rows of ``command`` for ``settings`` over its default
-    preset, as a dict column name -> list of cells."""
+    """The CLI's rows of ``command`` for ``settings`` as a dict column name
+    -> list of cells.  experiments.run lays the settings over the preset of
+    the sweep they run and refuses a setting that sweep does not read."""
     header, rows = experiments.run(command, settings)
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
@@ -200,15 +201,16 @@ def check_duty_cycle_limits():
     """Extreme-peak-rate duty cycles hit their four closed-form limits."""
     mu0 = _limit_columns(0.0)["mu_star"]
     mu_bg = _limit_columns(0.5)["mu_star"]
-    limits = (
-        ("low-A zero-background", 1.0 / math.e),
-        ("high-A zero-background", 0.5),
-        ("low-A background", 0.5),
-        ("high-A background", duty_cycle_limits(0.5, 1.0)["high_peak_with_background"]),
+    limits = duty_cycle_limits(0.5, 1.0)
+    cases = (
+        ("low-A zero-background", "low_peak_zero_background"),
+        ("high-A zero-background", "high_peak_zero_background"),
+        ("low-A background", "low_peak_with_background"),
+        ("high-A background", "high_peak_with_background"),
     )
     return CheckResult("duty-cycle-limits", tuple(
-        (f"{case} mu* error", abs(mu - limit), "<=", 1e-3)
-        for (case, limit), mu in zip(limits, mu0 + mu_bg)
+        (f"{case} mu* error", abs(mu - limits[key]), "<=", 1e-3)
+        for (case, key), mu in zip(cases, mu0 + mu_bg)
     ))
 
 
@@ -228,10 +230,12 @@ def check_capacity_limits():
 
 
 def check_poisson_convergence():
-    """Capacity converges to the continuous Poisson value as tau -> 0."""
+    """Capacity and optimal duty cycle converge to the continuous Poisson
+    channel's (Wyner's C and q*) as tau -> 0."""
     cols = _columns(
         "capacity", peak_rate=1.0, background=0.1, tau_grid="log:1e-4,1e-2,3"
     )
+    q_star, _ = wyner_poisson_capacity(1.0, 0.1)
     rels = [
         abs(cap - c_poi) / c_poi
         for cap, c_poi in zip(cols["capacity_nats"], cols["wyner_capacity"])
@@ -242,6 +246,7 @@ def check_poisson_convergence():
             zip(rels, rels[1:]),
         ),
         ("rel gap at the smallest tau", rels[-1], "<=", 0.01),
+        ("|mu* - q*| at the smallest tau", abs(cols["mu_star"][0] - q_star), "<=", 1e-3),
     ))
 
 
@@ -250,7 +255,7 @@ def check_quadratic_coefficients():
     _, c_poi = wyner_poisson_capacity(1e-3, 1.0)
     d_poi, d_tau = quadratic_coeffs_low_A(1.0, 1e-3)
     return CheckResult("low-A-capacity-coefficients", (
-        ("poisson coeff rel error", abs(c_poi / 1e-6 / 0.125 - 1.0), "<=", 0.01),
+        ("poisson coeff rel error", abs(c_poi / 1e-6 / d_poi - 1.0), "<=", 0.01),
         _violations(
             "taus with d_tau >= d_poi", operator.gt,
             (quadratic_coeffs_low_A(1.0, tau) for tau in (1.0, 0.1, 0.01)),

@@ -56,6 +56,7 @@ LIMITS = {
     "continuous-poisson-convergence": [
         ("steps where the rel gap does not fall with tau", "==", 0),
         ("rel gap at the smallest tau", "<=", 0.01),
+        ("|mu* - q*| at the smallest tau", "<=", 1e-3),
     ],
     "low-A-capacity-coefficients": [
         ("poisson coeff rel error", "<=", 0.01),

@@ -10,17 +10,11 @@ from deadtime_channel import (
     bound_gap,
     detection_prob,
     estimate_exponential_rate,
-    exp_rate_large_L,
     exp_rate_zero_background,
     gap_offsets_large_A,
     gap_offsets_low_background,
     gap_quadratic_coeff_low_A,
 )
-
-
-def test_exp_rate_large_L_extremes():
-    assert exp_rate_large_L(0.3, 0.3) == 0.0
-    assert exp_rate_large_L(0.0, 1.0) == math.inf
 
 
 def test_gap_offsets_large_A_main_branch():

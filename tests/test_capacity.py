@@ -97,12 +97,10 @@ def test_capacity_low_rate_linear_in_A_over_e():
     assert cap / (1e-6 / math.e) == pytest.approx(1.0, abs=1e-4)
 
 
-def test_mix_prob_equals_a_over_one_plus_a():
-    # the stationarity condition pins p_hat(mu*) = a / (1 + a)
-    result = capacity_tau(3.0, 0.4, 0.7)
-    assert result.mix_prob == pytest.approx(
-        result.coeff_a / (1.0 + result.coeff_a), rel=1e-10
-    )
+def test_optimal_duty_cycle_when_both_levels_saturate():
+    # background * tau = 800: q0 = 0, so p0 = p1 = 1 and every mu is optimal
+    assert optimal_duty_cycle(1.0, 800.0, 1.0) == (0.5, math.inf)
+    assert capacity_tau(1.0, 800.0, 1.0).duty_cycle == 0.5
 
 
 def test_capacity_sampled_scalings():

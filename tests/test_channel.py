@@ -64,8 +64,8 @@ def test_rate_composition_identity():
         assert lhs == pytest.approx(p2 + (1.0 - p2) * p1, rel=1e-12)
 
 
-def _params(peak=10.0, background=0.02, tau=0.02, ts=1.0 / 30.0, samples=30):
-    return ChannelParams(peak, background, tau, ts, samples)
+def _params(peak=10.0, background=0.02, tau=0.02, samples=30):
+    return ChannelParams(peak, background, tau, samples)
 
 
 def test_symbol_probs_off_equals_on_without_signal():
@@ -104,7 +104,7 @@ def test_symbol_probs_ordering():
         dict(background=-0.1),
         dict(tau=0.0),
         dict(tau=-0.5),
-        dict(ts=0.01),        # below the dead time
+        dict(samples=-3),
         dict(samples=0),
         dict(samples=2.5),
     ],
@@ -121,7 +121,7 @@ def test_channel_params_validation(kwargs):
         dict(peak=math.inf),
         dict(background=math.nan),
         dict(tau=math.inf),
-        dict(ts=math.nan),
+        dict(tau=math.nan),
         dict(samples=math.nan),
     ],
 )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import deadtime_channel
-from deadtime_channel import cli
+from deadtime_channel import cli, experiments
 from deadtime_channel.monte_carlo import CHUNK_SYMBOLS, MAX_CHUNK_WINDOWS
 from deadtime_channel.mutual_info import MAX_TRIALS_EXACT
 
@@ -192,9 +192,75 @@ def test_gap_requires_scenario(capsys):
     _assert_one_line_error(code, err, 2, "requires --scenario")
 
 
-def test_capacity_tau_grid_requires_peak_rate(capsys):
-    code, _, err = _run(capsys, ["capacity", "--tau-grid", "log:1e-4,1e-1,3"])
-    _assert_one_line_error(code, err, 2, "requires --peak-rate")
+def test_capacity_tau_grid_takes_dead_time_sweep_defaults(capsys):
+    grid = ["--tau-grid", "log:1e-4,1e-1,3"]
+    defaults = [[], ["--preset", "dead-time-sweep"], ["--peak-rate", "1", "--background", "0.1"]]
+    bare, preset, explicit = (_run(capsys, ["capacity", *flags, *grid]) for flags in defaults)
+    assert bare[0] == 0
+    assert bare == preset == explicit
+
+
+# Each subcommand's flags in --help order; the CLI builds them from the
+# keys of the subcommand's presets.
+_FLAGS = {
+    "mi-sweep": ["--peak-rate", "--background", "--dead-time", "--samples", "--mu-grid"],
+    "duty-imax": ["--background", "--dead-time", "--samples", "--a-grid"],
+    "gap": [
+        "--scenario", "--peak-rate", "--background", "--dead-time", "--samples",
+        "--a-grid", "--l-grid", "--lambda-grid",
+    ],
+    "capacity": [
+        "--peak-rate", "--background", "--dead-time", "--sampling-interval",
+        "--a-grid", "--tau-grid",
+    ],
+    "simulate": [
+        "--peak-rate", "--background", "--dead-time", "--samples", "--symbols",
+        "--seed", "--mu",
+    ],
+}
+
+
+def test_subcommand_flags_come_from_presets():
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions if a.dest == "command").choices
+    expected = {c: flags + ["--preset", "--out"] for c, flags in _FLAGS.items()}
+    expected["validate"] = ["--out"]
+    found = {
+        command: [a.option_strings[0] for a in sub._actions if a.dest != "help"]
+        for command, sub in subs.items()
+    }
+    assert found == expected
+
+
+_RATE_NAMES = {"--peak-rate": "peak_rate", "--background": "background_rate"}
+
+
+@pytest.mark.parametrize(
+    "base, flags",
+    [
+        (["mi-sweep", "--mu-grid", "lin:0,1,3"], ["--peak-rate", "--background"]),
+        (["duty-imax", "--a-grid", "lin:1,2,2"], ["--background"]),
+        (["gap", "--scenario", "large-L", "--l-grid", "lin:50,60,3"],
+         ["--peak-rate", "--background"]),
+        (["gap", "--scenario", "low-lambda", "--lambda-grid", "log:5.8e-6,5.8e-4,3"],
+         ["--peak-rate"]),
+    ],
+    ids=["mi-sweep", "duty-imax", "gap-large-L", "gap-low-lambda"],
+)
+@pytest.mark.parametrize("value", ["-0.01", "nan"])
+def test_bad_rate_named_as_set(capsys, base, flags, value):
+    # the refusal names the rate the user set, not the sum p_on is built from
+    for flag in flags:
+        code, _, err = _run(capsys, base + [f"{flag}={value}"])
+        _assert_one_line_error(code, err, 2, _RATE_NAMES[flag])
+
+
+def test_zero_peak_rate_prints_no_negative_zero(capsys):
+    code, out, _ = _run(capsys, ["mi-sweep", "--peak-rate", "0", "--mu-grid", "lin:0,1,5"])
+    assert code == 0
+    cells = [cell for line in out.strip().split("\n")[1:] for cell in line.split(",")]
+    assert "-0" not in cells
+    assert cells.count("0") > 0
 
 
 @pytest.mark.parametrize(
@@ -456,6 +522,25 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
         (["mi-sweep", "--mu-grid", "lin:0,1,3", "--out", "/nonexistent/dir/x.csv"],
          2, "cannot write /nonexistent/dir/x.csv: No such file or directory", False),
         (["capacity", "--out", "."], 2, "cannot write .: Is a directory", False),
+        # a flag that the chosen sweep does not read is refused, not dropped
+        (["gap", "--scenario", "large-A", "--peak-rate", "nan"],
+         2, "--peak-rate does not apply to gap large-A, which sweeps --a-grid", False),
+        (["capacity", "--peak-rate", "-5"],
+         2, "--peak-rate does not apply to capacity small-background", False),
+        (["gap", "--scenario", "large-L", "--samples", "7"],
+         2, "--samples does not apply to gap large-L, which sweeps --l-grid", False),
+        (["gap", "--scenario", "large-A", "--l-grid", "lin:1,2,3"],
+         2, "--l-grid does not apply to gap large-A", False),
+        (["capacity", "--tau-grid", "log:1e-3,1e-2,2", "--peak-rate", "1", "--dead-time", "5"],
+         2, "--dead-time does not apply to capacity dead-time-sweep", False),
+        (["gap", "--scenario", "low-lambda", "--background", "1"],
+         2, "--background does not apply to gap low-lambda", False),
+        (["capacity", "--preset", "dead-time-sweep", "--a-grid", "lin:1,2,2"],
+         2, "--a-grid does not apply to capacity dead-time-sweep, which sweeps --tau-grid",
+         False),
+        # the samples tile the symbol, so they may not be shorter than the dead time
+        (["simulate", "--samples", "100"],
+         2, "1/--samples = 0.01 must be >= --dead-time = 0.02", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):
@@ -471,29 +556,44 @@ def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_
 
 
 # Small grids per command; every float flag of each gets each value.
+# Between them the bases run a sweep that reads each float flag of each
+# subcommand; a base's other flags are refused with exit 2.
 _FUZZ_COMMANDS = [
     ["mi-sweep", "--mu-grid", "lin:0,1,3"],
     ["duty-imax", "--a-grid", "log:0.5,200,3"],
+    ["gap", "--scenario", "large-L", "--l-grid", "lin:50,400,3"],
     ["gap", "--scenario", "large-A", "--a-grid", "lin:100,180,3"],
+    ["gap", "--scenario", "low-lambda", "--lambda-grid", "log:5.8e-6,5.8e-4,3"],
     ["gap", "--scenario", "low-A", "--a-grid", "log:1e-4,1e-2,3"],
     ["capacity", "--a-grid", "log:0.5,2000,3"],
+    ["capacity", "--preset", "dead-time-sweep", "--tau-grid", "log:1e-4,1e-1,3"],
     ["simulate", "--symbols", "2000"],
 ]
 _SPECIAL_FLOATS = ["0", "-0", "5e-324", "1e-300", "1e308", "-1e308", "nan", "inf", "-inf"]
-# columns documented as not applicable (nan) for some rows
-_NAN_COLUMNS = {"mi-sweep": {"approx"}, "duty-imax": {"mu_approx", "imax_approx"}}
+# columns documented as not applicable (nan) for some rows, per subcommand
+# or gap scenario
+_NAN_COLUMNS = {
+    "mi-sweep": {"approx"},
+    "duty-imax": {"mu_approx", "imax_approx"},
+    "large-L": {"offset_numeric", "offset_formula"},
+}
 
 
 def test_special_float_flags_end_cleanly(capsys):
-    failures = []
+    failures, offered, read = [], set(), set()
     for base in _FUZZ_COMMANDS:
-        for dest in cli._COMMAND_OPTIONS[base[0]]:
-            flag, conv, _ = cli._OPTIONS[dest]
+        keys = {key for preset in experiments.PRESETS[base[0]].values() for key in preset}
+        for dest in keys:
+            conv, _ = cli._OPTIONS[dest]
             if conv is not float:
                 continue
+            flag = experiments.flag(dest)
+            offered.add((base[0], flag))
             for value in _SPECIAL_FLOATS:
                 argv = base + [f"{flag}={value}"]
                 code, out, err = _run(capsys, argv)
+                if "does not apply" not in err:
+                    read.add((base[0], flag))
                 if code == 0:
                     header = out.split("\n", 1)[0].split(",")
                     nan_columns = {
@@ -501,7 +601,7 @@ def test_special_float_flags_end_cleanly(capsys):
                         for line in out.strip().split("\n")[1:]
                         for i, cell in enumerate(line.split(","))
                         if cell == "nan"
-                    } - _NAN_COLUMNS.get(base[0], set())
+                    } - _NAN_COLUMNS.get(base[2] if base[0] == "gap" else base[0], set())
                     ok = err == "" and not nan_columns
                 else:
                     ok = (
@@ -512,6 +612,7 @@ def test_special_float_flags_end_cleanly(capsys):
                 if not ok:
                     failures.append((" ".join(argv), code, err.strip()))
     assert failures == []
+    assert read == offered  # every float flag reached a sweep that reads it
 
 
 @pytest.mark.parametrize("command", [["validate"], ["simulate", "--symbols", "5000000"]])

@@ -7,6 +7,7 @@ from deadtime_channel import (
     BinaryDetectionProbs,
     ParameterError,
     beta_triple,
+    bhattacharyya_distance,
     chernoff_binomial,
     kl_binomial,
     optimal_alpha_grid,
@@ -18,6 +19,22 @@ def _random_probs(rng, low=0.01, high=0.99, min_gap=1e-3):
     if p1 - p0 < min_gap:
         p1 = min(high, p0 + 10 * min_gap)
     return float(p0), float(p1)
+
+
+def test_bhattacharyya_distance_extremes():
+    assert bhattacharyya_distance(0.3, 0.3) == 0.0
+    assert bhattacharyya_distance(0.0, 1.0) == math.inf
+
+
+def test_beta_is_the_root_power_bit_for_bit():
+    # exp(-L * distance) rounds exactly as exp(L * ln(root)) did
+    rng = np.random.default_rng(14)
+    for _ in range(500):
+        p0, p1 = _random_probs(rng, low=1e-6, high=1.0 - 1e-6, min_gap=0.0)
+        trials = int(rng.integers(1, 10**5))
+        root = math.sqrt(p0 * p1) + math.sqrt((1.0 - p0) * (1.0 - p1))
+        beta = beta_triple(BinaryDetectionProbs(p0, p1), trials).beta
+        assert beta == math.exp(trials * math.log(root))
 
 
 def test_kl_identical_laws():

@@ -21,7 +21,7 @@ from deadtime_channel.monte_carlo import (
     simulate_summary,
 )
 
-PUBLISHED = ChannelParams(10.0, 0.02, 0.02, 1.0 / 30.0, 30)
+PUBLISHED = ChannelParams(10.0, 0.02, 0.02, 30)
 
 
 def _bernoulli_hits(rng, bits, params):
@@ -103,7 +103,7 @@ def _plugin_mi(config):
 
 def test_simulate_symbol_dark():
     # no background: an off-symbol never fires a window
-    config = SimConfig(ChannelParams(5.0, 0.0, 0.02, 1.0 / 30.0, 30), 2000, 1, 0.5)
+    config = SimConfig(ChannelParams(5.0, 0.0, 0.02, 30), 2000, 1, 0.5)
     for counts in (joint_counts(config), _serial_joint_counts(config, _arrival_hits)):
         assert counts[0, 1:].sum() == 0
         assert counts[0, 0] > 0
@@ -111,7 +111,7 @@ def test_simulate_symbol_dark():
 
 def test_simulate_symbol_saturated():
     # peak * tau = 50: p_on rounds to 1 and about 25 arrivals hit each window
-    config = SimConfig(ChannelParams(100.0, 0.0, 0.5, 0.5, 8), 200, 2, 0.5)
+    config = SimConfig(ChannelParams(100.0, 0.0, 0.5, 8), 200, 2, 0.5)
     for counts in (joint_counts(config), _serial_joint_counts(config, _arrival_hits)):
         assert counts[1, :8].sum() == 0  # every on-symbol fires all 8 windows
         assert counts[1, 8] > 0
@@ -122,9 +122,9 @@ _BIT_IDENTITY_CONFIGS = [
     SimConfig(PUBLISHED, 1, 3, 0.5),
     SimConfig(PUBLISHED, CHUNK_SYMBOLS, 4, 0.5),
     SimConfig(PUBLISHED, 3 * CHUNK_SYMBOLS + 123, 5, 0.3),
-    SimConfig(ChannelParams(10.0, 0.02, 0.002, 1.0 / 300, 300), 2 * CHUNK_SYMBOLS + 7, 6, 0.5),
+    SimConfig(ChannelParams(10.0, 0.02, 0.002, 300), 2 * CHUNK_SYMBOLS + 7, 6, 0.5),
     # one symbol's row is larger than a block of uniforms
-    SimConfig(ChannelParams(1e5, 1e4, 2.0**-17, 2.0**-17, 2**17), 5, 8, 0.5),
+    SimConfig(ChannelParams(1e5, 1e4, 2.0**-17, 2**17), 5, 8, 0.5),
 ]
 
 
@@ -167,7 +167,7 @@ def test_detection_estimates_within_three_sigma():
 
 
 def test_detection_estimates_equal_without_signal():
-    params = ChannelParams(0.0, 1.0, 0.02, 1.0 / 30.0, 30)
+    params = ChannelParams(0.0, 1.0, 0.02, 30)
     summary = simulate_summary(SimConfig(params, 100000, 5, 0.5))
     assert abs(summary["p0_hat"] - summary["p1_hat"]) < 3.0 * math.hypot(
         summary["p0_stderr"], summary["p1_stderr"]
@@ -191,7 +191,7 @@ def test_plugin_mi_within_three_bootstrap_sigma():
 
 
 def test_plugin_mi_degenerate_channel_shrinks_with_samples():
-    params = ChannelParams(0.0, 1.0, 0.02, 1.0 / 30.0, 30)
+    params = ChannelParams(0.0, 1.0, 0.02, 30)
     estimates = [
         _plugin_mi(SimConfig(params, n, 13, 0.5)) for n in (1000, 10000, 100000)
     ]
@@ -217,7 +217,7 @@ def test_plugin_bias_upward_and_shrinking():
 
 def test_two_simulation_paths_agree():
     # same window-hit law from the Bernoulli and the arrival-time realizations
-    params = ChannelParams(4.0, 0.5, 0.05, 0.05, 20)
+    params = ChannelParams(4.0, 0.5, 0.05, 20)
     n = 50000  # 1e6 windows per method
     bits = np.ones(n, dtype=bool)
     ones = []
@@ -231,7 +231,7 @@ def test_two_simulation_paths_agree():
 
 
 def test_adjacent_windows_uncorrelated():
-    params = ChannelParams(4.0, 0.5, 0.05, 0.05, 20)
+    params = ChannelParams(4.0, 0.5, 0.05, 20)
     rng = _chunk_rng(17, 0)
     bits = np.ones(40000, dtype=bool)
     z = _arrival_hits(rng, bits, params).astype(float)

@@ -6,7 +6,7 @@ import pytest
 from deadtime_channel import (
     NumericalFailure,
     ParameterError,
-    least_squares_slope,
+    estimate_exponential_rate,
     maximize_scalar,
     optimal_duty_cycle,
     rate_objective,
@@ -67,13 +67,13 @@ def test_maximize_domain_errors(kwargs):
         maximize_scalar(lambda x: x, **kwargs)
 
 
+# The least-squares slope lives in estimate_exponential_rate, which fits
+# ln(value) against x; these tests feed it exp of a line.
+
+
 def test_slope_exact_on_collinear_points():
-    pts = [(x, 3.0 * x - 1.0) for x in (0.0, 1.0, 2.0, 4.0)]
-    assert least_squares_slope(pts) == 3.0
-
-
-def test_slope_two_points_is_secant():
-    assert least_squares_slope([(1.0, 2.0), (3.0, 8.0)]) == pytest.approx(3.0, rel=1e-15)
+    pts = [(x, math.exp(3.0 * x - 1.0)) for x in (0.0, 1.0, 2.0, 4.0)]
+    assert estimate_exponential_rate(pts) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_slope_noisy_line_within_ci():
@@ -81,13 +81,13 @@ def test_slope_noisy_line_within_ci():
     xs = np.linspace(0.0, 10.0, 60)
     sigma = 0.3
     ys = 2.5 * xs + 1.0 + sigma * rng.standard_normal(xs.size)
-    slope = least_squares_slope(list(zip(xs, ys)))
+    slope = estimate_exponential_rate(list(zip(xs, np.exp(ys))))
     sxx = float(((xs - xs.mean()) ** 2).sum())
     assert abs(slope - 2.5) < 4.0 * sigma / math.sqrt(sxx)
 
 
 def test_slope_degenerate_x_rejected():
-    with pytest.raises(ParameterError):
-        least_squares_slope([(1.0, 2.0), (1.0, 3.0)])
-    with pytest.raises(ParameterError):
-        least_squares_slope([(1.0, 2.0)])
+    with pytest.raises(ParameterError, match="identical"):
+        estimate_exponential_rate([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
+    with pytest.raises(ParameterError, match="three points"):
+        estimate_exponential_rate([(1.0, 2.0), (3.0, 8.0)])

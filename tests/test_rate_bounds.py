@@ -30,6 +30,20 @@ def lower_envelope(mu, beta):
     return upper_envelope(mu, beta, beta)
 
 
+def test_envelope_zero_is_positive_zero():
+    # beta = 1 (identical laws): each log is ln 1 = 0, and the envelope is
+    # +0.0, which the CSV prints as 0 rather than -0
+    for mu in (0.25, 0.5, 0.75):
+        value = upper_envelope(mu, 1.0, 1.0)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    # nonzero values keep every bit of the plain negation
+    mu, beta1, beta2 = 0.3, 0.2, 0.6
+    assert upper_envelope(mu, beta1, beta2) == -(
+        mu * math.log((1.0 - mu) * beta1 + mu)
+        + (1.0 - mu) * math.log(mu * beta2 + (1.0 - mu))
+    )
+
+
 def _channel_triple(rng, trials_hi=150):
     p0, p1 = np.sort(rng.uniform(0.01, 0.99, 2))
     if p1 - p0 < 1e-3:
@@ -238,7 +252,7 @@ def _bound_set(params, mu):
 
 
 def test_rate_bound_set_published_point():
-    params = ChannelParams(10.0, 0.02, 0.02, 1.0 / 30.0, 30)
+    params = ChannelParams(10.0, 0.02, 0.02, 30)
     exact, lower, upper, approx, gap = _bound_set(params, 0.5)
     assert lower <= exact <= upper
     assert gap >= 0.0
@@ -246,7 +260,7 @@ def test_rate_bound_set_published_point():
 
 
 def test_rate_bound_set_zero_signal():
-    params = ChannelParams(0.0, 0.02, 0.02, 1.0 / 30.0, 30)
+    params = ChannelParams(0.0, 0.02, 0.02, 30)
     assert _bound_set(params, 0.5) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
