@@ -19,13 +19,15 @@ simulate the samples tile one symbol (sampling interval 1/samples).
 
 Grids are written lin:START,STOP,COUNT or log:START,STOP,COUNT with finite
 endpoints.  A subcommand's flags are the keys of its presets
-(experiments.PRESETS).  experiments.run resolves them: flags override the
---preset, which overrides the preset of the sweep run (gap: the
-scenario's; capacity with --tau-grid: dead-time-sweep), and a flag that
-this preset lacks, which the sweep would not read, is refused.
+(experiments.PRESETS), and a run reads exactly one preset: the --preset
+given, or else the one the flags pick (gap: the --scenario's; capacity
+with --tau-grid: dead-time-sweep; otherwise the subcommand's default).
+experiments.run refuses a flag that this preset lacks, which the sweep
+would not read, and a gap --scenario other than the preset's; the other
+flags override the preset's values.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or parameter error
-(including a flag the sweep does not read, Poisson benchmark means above
+(including a flag the preset does not hold, Poisson benchmark means above
 100000, oversized grids or Monte Carlo chunks, and an --out path that
 cannot be written, which is refused before any work), 3 numerical
 failure: a gap point or a capacity point (A * tau underflowing) that
@@ -43,7 +45,7 @@ from .errors import EstimationError, NumericalFailure, ParameterError
 
 # dest -> (converter, help), in --help order; the flag is experiments.flag(dest)
 _OPTIONS = {
-    "scenario": (str, "gap scenario: " + "|".join(experiments.GAP_SCENARIOS)),
+    "scenario": (str, "gap scenario: " + "|".join(PRESETS["gap"])),
     "peak_rate": (float, "peak photon rate A"),
     "background": (float, "background photon rate"),
     "dead_time": (float, "detector dead time"),

@@ -2,11 +2,11 @@
 (header, rows) for CSV.
 
 ``PRESETS`` declares the settings each sweep reads; the CLI's flags are
-their keys.  ``run`` is the one settings resolver: it lays the settings
-over the named preset they may hold, then over the preset of the sweep
-run, and hands the merged dict to the command's ``*_rows`` function.  It
-refuses a setting that preset lacks, which the sweep would not read.  The
-CLI and the acceptance checks both call it.
+their keys.  ``run`` is the one settings resolver: a run reads exactly one
+preset, the named one or the one the settings pick, refuses a setting that
+preset lacks, which the sweep would not read, and hands the preset
+overlaid by the settings to the command's ``*_rows`` function.  The CLI
+and the acceptance checks both call it.
 
 Sweeps work in the normalized convention: the symbol duration is 1, so a
 dead time of 0.02 with 30 samples per symbol means the sampling interval
@@ -22,7 +22,7 @@ import numpy as np
 from .channel import ChannelParams, detection_prob, detection_probs, symbol_probs
 from .divergences import bhattacharyya_distance, beta_triple, chernoff_binomial
 from .errors import EstimationError, NumericalFailure, ParameterError
-from .guards import check_trials
+from .guards import check_open_unit, check_trials
 from .mutual_info import (
     mi_binomial_curve,
     mi_binomial_mixture,
@@ -54,18 +54,13 @@ from .rate_bounds import (
 )
 from . import optimize
 
-GAP_SCENARIOS = ("large-L", "large-A", "low-lambda", "zero-lambda", "low-A")
-
-# The grid setting holding a gap scenario's sweep values (else a_grid).
-GAP_GRID = {"large-L": "l_grid", "low-lambda": "lambda_grid"}
-
 # Largest grid COUNT accepted.  No preset, check or benchmark workload uses
 # more than 10,000 points; a count far beyond that only exhausts memory.
 MAX_GRID_POINTS = 1_000_000
 
-# Named parameter presets per CLI subcommand (the published setups).  The
-# gap presets are also the parameters of the gap acceptance checks, and a
-# gap sweep's defaults are the preset of its scenario.
+# Named parameter presets per CLI subcommand (the published setups).  Each
+# gap preset is named after its scenario and holds one *_grid, its sweep;
+# the gap presets are also the parameters of the gap acceptance checks.
 PRESETS = {
     "mi-sweep": {
         "published": {
@@ -129,8 +124,8 @@ PRESETS = {
 }
 
 
-# The preset a command's settings are laid over; gap takes its scenario's,
-# and capacity over a tau_grid takes dead-time-sweep.
+# The preset a run reads when none is named and the settings pick none:
+# gap picks its scenario's, and capacity over a tau_grid dead-time-sweep.
 DEFAULT_PRESET = {
     "mi-sweep": "published",
     "duty-imax": "samples30",
@@ -147,44 +142,49 @@ def flag(key):
 def run(command, settings):
     """(header, rows) of ``command`` for ``settings``.
 
-    The settings are laid over the named preset in ``settings["preset"]``,
-    if any, and the result over the preset of the sweep run.  A setting
-    given here, not by the named preset, that this preset lacks is refused.
+    A run reads exactly one preset: ``settings["preset"]`` if given, else
+    the one the settings pick (gap: the scenario's; capacity with a
+    tau_grid: dead-time-sweep; otherwise ``DEFAULT_PRESET``).  A setting
+    that preset lacks, or a scenario other than its own, is refused; the
+    rows get the preset overlaid by the settings.
     """
     settings = dict(settings)
+    table = PRESETS[command]
     name = settings.pop("preset", None)
-    given = list(settings)
-    if name is not None:
-        table = PRESETS[command]
-        if name not in table:
-            raise ParameterError(
-                f"unknown preset {name!r} for {command}; choose from {sorted(table)}"
-            )
-        settings = {**table[name], **settings}
-    if command == "gap":
-        default = settings.get("scenario")
-        if default is None:
-            raise ParameterError("gap requires --scenario")
-        if default not in GAP_SCENARIOS:
-            raise ParameterError(
-                f"unknown scenario {default!r}; choose from {'|'.join(GAP_SCENARIOS)}"
-            )
-    elif command == "capacity" and settings.get("tau_grid"):
-        default = "dead-time-sweep"
-    else:
-        default = DEFAULT_PRESET[command]
-    base = PRESETS[command][default]
-    for key in given:
-        if key not in base:
-            grids = [flag(k) for k in base if k.endswith("_grid")]
+    if name is None:
+        if command == "gap":
+            name = settings.get("scenario")
+            if name is None:
+                raise ParameterError("gap requires --scenario")
+            if name not in table:
+                raise ParameterError(
+                    f"unknown scenario {name!r}; choose from {'|'.join(table)}"
+                )
+        elif command == "capacity" and "tau_grid" in settings:
+            name = "dead-time-sweep"
+        else:
+            name = DEFAULT_PRESET[command]
+    elif name not in table:
+        raise ParameterError(
+            f"unknown preset {name!r} for {command}; choose from {sorted(table)}"
+        )
+    preset = table[name]
+    for key in settings:
+        if key not in preset:
+            grids = [flag(k) for k in preset if k.endswith("_grid")]
             sweeps = f", which sweeps {grids[0]}" if grids else ""
             raise ParameterError(
-                f"{flag(key)} does not apply to {command} {default}{sweeps}"
+                f"{flag(key)} does not apply to {command} {name}{sweeps}"
             )
+    if "scenario" in settings and settings["scenario"] != preset["scenario"]:
+        raise ParameterError(
+            f"--scenario {settings['scenario']} differs from gap preset "
+            f"{name}'s scenario {preset['scenario']}"
+        )
     # Looked up at call time, so that a wrapper installed on this module's
     # attribute (the benchmark's tracer) sees the call.
     rows = globals()[command.replace("-", "_") + "_rows"]
-    return rows({**base, **settings})
+    return rows({**preset, **settings})
 
 
 def parse_grid(text):
@@ -336,9 +336,10 @@ def _pow_log(base, exponent):
 def gap_rows(settings):
     """Bound-gap sweep for the scenario in settings["scenario"].
 
-    The sweep variable depends on the scenario: samples per symbol for
-    large-L (l_grid), the peak rate for large-A / zero-lambda / low-A
-    (a_grid), and the background rate for low-lambda (lambda_grid).
+    The settings hold one grid, the sweep of the scenario's preset:
+    samples per symbol for large-L (l_grid), the peak rate for large-A /
+    zero-lambda / low-A (a_grid), and the background rate for low-lambda
+    (lambda_grid).
     fitted_rate / predicted_rate hold the extracted and theoretical
     convergence constants (an exponential rate in the sweep variable,
     except low-lambda where it is the power-law exponent in the background
@@ -347,7 +348,8 @@ def gap_rows(settings):
     scenario = settings["scenario"]
     peak_rate, background = settings.get("peak_rate"), settings.get("background")
     dead_time, trials = settings["dead_time"], settings.get("samples")
-    sweep_values = parse_grid(settings[GAP_GRID.get(scenario, "a_grid")])
+    (grid,) = [key for key in settings if key.endswith("_grid")]
+    sweep_values = parse_grid(settings[grid])
     if scenario == "zero-lambda" and background != 0.0:
         raise ParameterError("zero-lambda scenario requires background = 0")
     power_law = scenario in ("low-lambda", "low-A")
@@ -471,7 +473,7 @@ def capacity_rows(settings):
         "approx_low_A",
         "limit_large_A",
     ]
-    if settings.get("tau_grid"):
+    if "tau_grid" in settings:
         peak = settings["peak_rate"]
         points = [(peak, tau) for tau in parse_grid(settings["tau_grid"])]
     else:
@@ -512,6 +514,7 @@ def simulate_rows(settings):
     trials, symbols = settings["samples"], settings["symbols"]
     seed, duty_cycle = settings["seed"], settings["mu"]
     check_trials(trials, "samples")
+    check_open_unit(duty_cycle, "mu")
     params = ChannelParams(
         settings["peak_rate"], settings["background"], settings["dead_time"], trials
     )

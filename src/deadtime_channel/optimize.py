@@ -32,26 +32,16 @@ def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS):
         raise ParameterError("coarse_points must be >= 3")
 
     xs = [i / (coarse_points - 1) for i in range(coarse_points)]
-    vals = []
-    bad = 0
-    for x in xs:
-        v = f(x)
-        if not math.isfinite(v):
-            bad += 1
-            v = -math.inf
-        vals.append(v)
+    vals = [v if math.isfinite(v := f(x)) else -math.inf for x in xs]
+    bad = vals.count(-math.inf)
     if bad > coarse_points // 2:
         raise NumericalFailure(
             f"objective non-finite at {bad}/{coarse_points} scan points"
         )
 
-    best = 0
-    for i in range(1, coarse_points):
-        if vals[i] > vals[best]:
-            best = i
-    best_x, best_f = xs[best], vals[best]
-    if not math.isfinite(best_f):
-        raise NumericalFailure("objective non-finite on the entire scan")
+    best_f = max(vals)
+    best = vals.index(best_f)
+    best_x = xs[best]
 
     a = xs[best - 1] if best > 0 else xs[0]
     b = xs[best + 1] if best < coarse_points - 1 else xs[-1]

@@ -200,6 +200,33 @@ def test_capacity_tau_grid_takes_dead_time_sweep_defaults(capsys):
     assert bare == preset == explicit
 
 
+@pytest.mark.parametrize("scenario", list(experiments.PRESETS["gap"]))
+def test_gap_scenario_reads_its_preset(capsys, scenario):
+    by_preset = _run(capsys, ["gap", "--preset", scenario])
+    assert by_preset[0] == 0
+    assert _run(capsys, ["gap", "--scenario", scenario]) == by_preset
+    # a named preset accepts its own scenario
+    assert _run(capsys, ["gap", "--preset", scenario, "--scenario", scenario]) == by_preset
+
+
+def _readme_cli_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        line.split()[1:] for line in block.splitlines()
+        if line.startswith("deadtime-channel ")
+    ]
+
+
+# validate is covered by test_validate_reports_every_check
+@pytest.mark.parametrize(
+    "argv", [a for a in _readme_cli_examples() if a[0] != "validate"], ids=" ".join
+)
+def test_readme_cli_examples_run(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+
+
 # Each subcommand's flags in --help order; the CLI builds them from the
 # keys of the subcommand's presets.
 _FLAGS = {
@@ -541,6 +568,16 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
         # the samples tile the symbol, so they may not be shorter than the dead time
         (["simulate", "--samples", "100"],
          2, "1/--samples = 0.01 must be >= --dead-time = 0.02", False),
+        # a run reads one preset, so the named preset's settings are never dropped
+        (["capacity", "--preset", "zero-background", "--tau-grid", "log:1e-3,1e-2,2"],
+         2, "--tau-grid does not apply to capacity zero-background", False),
+        (["gap", "--preset", "large-A", "--scenario", "large-L", "--l-grid", "lin:50,60,3"],
+         2, "does not apply to gap large-A", False),
+        (["gap", "--preset", "large-A", "--scenario", "large-L"],
+         2, "--scenario large-L differs from gap preset large-A", False),
+        # a duty cycle of 0 or 1 sends no symbols of one class
+        (["simulate", "--mu", "0"], 2, "mu must be in (0, 1), got 0.0", False),
+        (["simulate", "--mu", "1"], 2, "mu must be in (0, 1), got 1.0", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):
