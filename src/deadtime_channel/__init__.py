@@ -16,7 +16,7 @@ from .divergences import (
     kl_binomial,
     optimal_alpha_grid,
 )
-from .errors import EstimationError, NumericalFailure, ParameterError
+from .errors import NumericalFailure, ParameterError
 from .mutual_info import (
     binary_entropy,
     mi_binomial_curve,
@@ -42,7 +42,6 @@ from .asymptotics import (
     gap_quadratic_coeff_low_A,
 )
 from .capacity import (
-    CapacityResult,
     asymptotic_capacity_coeff_large_A,
     capacity_bruteforce,
     capacity_sampled,
@@ -61,9 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryDetectionProbs",
     "BetaTriple",
-    "CapacityResult",
     "ChannelParams",
-    "EstimationError",
     "NumericalFailure",
     "ParameterError",
     "SimConfig",

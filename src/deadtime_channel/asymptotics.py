@@ -76,7 +76,7 @@ def gap_quadratic_coeff_low_A(p0, trials, dead_time):
         raise ParameterError(f"p0 must be in [0, 1), got {p0}")
     if p0 == 0.0:
         return math.inf
-    return 3.0 * trials * (1.0 - p0) * dead_time**2 / (16.0 * p0)
+    return 3.0 * trials * (1.0 - p0) * (dead_time * dead_time) / (16.0 * p0)
 
 
 def estimate_exponential_rate(points):

@@ -11,8 +11,9 @@ maximized in closed form by
     mu* = (a/(1+a) - p(L0)) / (p(A+L0) - p(L0)),
     a   = exp(-(h_b(p(A+L0)) - h_b(p(L0))) / (p(A+L0) - p(L0))).
 
-Slower sampling only attenuates: C = (tau/T_s) * C_tau.  All outputs are
-in nats; CSV emitters convert to bits where useful.
+Slower sampling only attenuates: C = (tau/T_s) * C_tau.  The capacity
+functions return (mu_star, capacity) pairs, as the optimizer does.  All
+outputs are in nats; CSV emitters convert to bits where useful.
 
 The entropy difference quotient is evaluated in a compensated form (log1p
 of increments plus exact -q ln q = q x tau terms) so that mu* stays
@@ -22,7 +23,6 @@ p(A+L0) rounds to 1.
 
 import math
 import sys
-from dataclasses import dataclass, replace
 
 from .errors import NumericalFailure, ParameterError
 from .guards import (
@@ -33,14 +33,6 @@ from .guards import (
     check_unit,
 )
 from . import optimize
-
-
-@dataclass(frozen=True)
-class CapacityResult:
-    """Optimal duty cycle and capacity in nats per unit time."""
-
-    duty_cycle: float
-    capacity_nats_per_time: float
 
 
 def _neg_xlogx(x):
@@ -138,14 +130,14 @@ def rate_objective(mu, peak_rate, background_rate, dead_time):
     )
 
 
-def capacity_tau(peak_rate, background_rate, dead_time) -> CapacityResult:
-    """Capacity at critical sampling T_s = tau, via the closed-form duty cycle."""
+def capacity_tau(peak_rate, background_rate, dead_time):
+    """(mu_star, capacity) at critical sampling T_s = tau, via the closed form."""
     check_rates(peak_rate, background_rate, dead_time)
     _, _, _, q0, _, _, d = _levels(peak_rate, background_rate, dead_time)
     if peak_rate == 0 or q0 == 0.0:
         # No signal, or both levels saturate (p0 = p1 = 1): any duty cycle
         # is optimal; fix mu = 1/2.
-        return CapacityResult(duty_cycle=0.5, capacity_nats_per_time=0.0)
+        return 0.5, 0.0
     if d < sys.float_info.min:
         # A tau (or q0 times 1 - exp(-A tau)) is subnormal or underflows:
         # d keeps too few bits for F / tau, and a ~ 1/q0 overflows.
@@ -155,24 +147,18 @@ def capacity_tau(peak_rate, background_rate, dead_time) -> CapacityResult:
         )
     mu_star, _ = optimal_duty_cycle(peak_rate, background_rate, dead_time)
     f = rate_objective(mu_star, peak_rate, background_rate, dead_time)
-    return CapacityResult(duty_cycle=mu_star, capacity_nats_per_time=f / dead_time)
+    return mu_star, f / dead_time
 
 
-def capacity_sampled(
-    peak_rate, background_rate, dead_time, sampling_interval
-) -> CapacityResult:
-    """Capacity for T_s >= tau: duty cycle unchanged, rate scaled by tau/T_s."""
+def capacity_sampled(peak_rate, background_rate, dead_time, sampling_interval):
+    """(mu_star, capacity) for T_s >= tau: the capacity scales by tau/T_s."""
     check_sampling(sampling_interval, dead_time)
-    base = capacity_tau(peak_rate, background_rate, dead_time)
-    return replace(
-        base,
-        capacity_nats_per_time=base.capacity_nats_per_time
-        * (dead_time / sampling_interval),
-    )
+    mu_star, cap = capacity_tau(peak_rate, background_rate, dead_time)
+    return mu_star, cap * (dead_time / sampling_interval)
 
 
-def capacity_bruteforce(peak_rate, background_rate, dead_time) -> CapacityResult:
-    """Oracle capacity: scalar maximization of F(mu); F is strictly concave."""
+def capacity_bruteforce(peak_rate, background_rate, dead_time):
+    """Oracle (mu, capacity): maximizes F(mu), which is strictly concave."""
     check_rates(peak_rate, background_rate, dead_time)
     if peak_rate == 0:
         return capacity_tau(peak_rate, background_rate, dead_time)
@@ -180,7 +166,7 @@ def capacity_bruteforce(peak_rate, background_rate, dead_time) -> CapacityResult
         lambda mu: rate_objective(mu, peak_rate, background_rate, dead_time),
         tol=1e-12,
     )
-    return CapacityResult(duty_cycle=mu_dag, capacity_nats_per_time=f_dag / dead_time)
+    return mu_dag, f_dag / dead_time
 
 
 def wyner_poisson_capacity(peak_rate, background_rate):

@@ -28,11 +28,11 @@ flags override the preset's values.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or parameter error
 (including a flag the preset does not hold, Poisson benchmark means above
-100000, oversized grids or Monte Carlo chunks, and an --out path that
-cannot be written, which is refused before any work), 3 numerical
-failure: a gap point or a capacity point (A * tau underflowing) that
-double precision cannot resolve, or any other exception.  Every error
-prints one line on stderr.
+100000, oversized grids or Monte Carlo chunks, grids whose values overflow
+to a non-finite value, and an --out path that cannot be written, which is
+refused before any work), 3 numerical failure: a gap point or a capacity
+point (A * tau underflowing) that double precision cannot resolve, or any
+other exception.  Every error prints one line on stderr.
 """
 
 import argparse
@@ -40,7 +40,7 @@ import sys
 
 from . import experiments, validation
 from .experiments import PRESETS
-from .errors import EstimationError, NumericalFailure, ParameterError
+from .errors import NumericalFailure, ParameterError
 
 
 # dest -> (converter, help), in --help order; the flag is experiments.flag(dest)
@@ -123,7 +123,7 @@ def main(argv=None):
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, EstimationError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

@@ -6,8 +6,5 @@ class ParameterError(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """An iterative numerical routine failed to produce a usable result."""
-
-
-class EstimationError(RuntimeError):
-    """A Monte Carlo estimate cannot be formed from the available samples."""
+    """A result cannot be formed in double precision or from the available
+    samples: an unresolvable point, or a Monte Carlo estimate without data."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ChannelParams, detection_prob, detection_probs, symbol_probs
 from .divergences import bhattacharyya_distance, beta_triple, chernoff_binomial
-from .errors import EstimationError, NumericalFailure, ParameterError
+from .errors import NumericalFailure, ParameterError
 from .guards import check_open_unit, check_trials
 from .mutual_info import (
     mi_binomial_curve,
@@ -43,7 +43,6 @@ from .capacity import (
     quadratic_coeffs_low_A,
     wyner_poisson_capacity,
 )
-from .monte_carlo import SimConfig, simulate_summary
 from .rate_bounds import (
     bound_gap,
     gap_bounds,
@@ -52,7 +51,7 @@ from .rate_bounds import (
     upper_bound_max,
     upper_envelope,
 )
-from . import optimize
+from . import monte_carlo, optimize
 
 # Largest grid COUNT accepted.  No preset, check or benchmark workload uses
 # more than 10,000 points; a count far beyond that only exhausts memory.
@@ -188,7 +187,7 @@ def run(command, settings):
 
 
 def parse_grid(text):
-    """lin:a,b,n or log:a,b,n with finite endpoints -> list of floats."""
+    """lin:a,b,n or log:a,b,n with finite endpoints and values -> floats."""
     try:
         kind, rest = text.split(":", 1)
         start, stop, count = rest.split(",")
@@ -203,13 +202,17 @@ def parse_grid(text):
         raise ParameterError(f"grid count must be <= {MAX_GRID_POINTS} in {text!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ParameterError(f"grid endpoints must be finite in {text!r}")
-    if kind == "lin":
-        return np.linspace(start, stop, count).tolist()
-    if kind == "log":
-        if start <= 0 or stop <= 0:
-            raise ParameterError(f"log grid endpoints must be positive in {text!r}")
-        return np.geomspace(start, stop, count).tolist()
-    raise ParameterError(f"unknown grid kind {kind!r} in {text!r}")
+    spacing = {"lin": np.linspace, "log": np.geomspace}.get(kind)
+    if spacing is None:
+        raise ParameterError(f"unknown grid kind {kind!r} in {text!r}")
+    if kind == "log" and (start <= 0 or stop <= 0):
+        raise ParameterError(f"log grid endpoints must be positive in {text!r}")
+    # endpoints near the double range can overflow the spacing arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = spacing(start, stop, count)
+    if not np.isfinite(grid).all():
+        raise ParameterError(f"grid values must be finite in {text!r}")
+    return grid.tolist()
 
 
 def _alpha_tuned_lower(mu, p0, p1, trials):
@@ -398,7 +401,10 @@ def gap_rows(settings):
             )
         coeff = gap_quadratic_coeff_low_A(p0, trials, dead_time)
         quad = coeff * x * x
-        return [quad, quad, gap / x**2, coeff], gap
+        # at p0 = 0 the coefficient is infinite by the formula, not by overflow
+        if p0 > 0.0 and not math.isfinite(quad):
+            raise unresolved(x, f"the quadratic gap {coeff} * x^2 overflows")
+        return [quad, quad, gap / (x * x), coeff], gap
 
     def by_peak(x):
         return detection_probs(x, background, dead_time), trials
@@ -482,7 +488,7 @@ def capacity_rows(settings):
     rows = []
     for peak, tau in points:
         t_s = sampling_interval if sampling_interval is not None else tau
-        result = capacity_sampled(peak, background, tau, t_s)
+        mu_star, cap = capacity_sampled(peak, background, tau, t_s)
         _, wyner = wyner_poisson_capacity(peak, background)
         if background == 0.0:
             approx_low = (tau / t_s) * peak / math.e
@@ -494,9 +500,9 @@ def capacity_rows(settings):
             [
                 peak,
                 tau,
-                result.duty_cycle,
-                result.capacity_nats_per_time,
-                result.capacity_nats_per_time / math.log(2.0),
+                mu_star,
+                cap,
+                cap / math.log(2.0),
                 wyner,
                 approx_low,
                 limit,
@@ -525,7 +531,11 @@ def simulate_rows(settings):
         )
     probs = symbol_probs(params)
     mi_exact = mi_binomial_mixture(duty_cycle, probs, trials)
-    summary = simulate_summary(SimConfig(params, symbols, seed, duty_cycle))
+    config = monte_carlo.SimConfig(params, symbols, seed, duty_cycle)
+    counts = monte_carlo.joint_counts(config)
+    (p0_hat, se0), (p1_hat, se1) = monte_carlo.detection_from_counts(counts, trials)
+    mi_plugin = monte_carlo.plugin_mi_from_counts(counts)
+    mi_sigma = monte_carlo.bootstrap_mi_sigma(config, counts)
     header = [
         "symbols",
         "p0_hat",
@@ -540,15 +550,15 @@ def simulate_rows(settings):
     ]
     row = [
         symbols,
-        summary["p0_hat"],
+        p0_hat,
         probs.p_off,
-        summary["p1_hat"],
+        p1_hat,
         probs.p_on,
-        summary["mi_plugin"],
+        mi_plugin,
         mi_exact,
-        _z_score("p0", summary["p0_hat"], probs.p_off, summary["p0_stderr"]),
-        _z_score("p1", summary["p1_hat"], probs.p_on, summary["p1_stderr"]),
-        _z_score("MI", summary["mi_plugin"], mi_exact, summary["mi_sigma"]),
+        _z_score("p0", p0_hat, probs.p_off, se0),
+        _z_score("p1", p1_hat, probs.p_on, se1),
+        _z_score("MI", mi_plugin, mi_exact, mi_sigma),
     ]
     return header, [row]
 
@@ -560,7 +570,7 @@ def _z_score(name, estimate, closed, stderr):
         return (estimate - closed) / stderr
     if estimate == closed:
         return 0.0
-    raise EstimationError(
+    raise NumericalFailure(
         f"{name} estimate {estimate} has zero standard error against the "
         f"closed form {closed}; increase symbols"
     )

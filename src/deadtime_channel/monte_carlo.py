@@ -11,6 +11,10 @@ depend on the order in which chunks finish.  Inside a chunk the window uniforms 
 drawn in blocks of about 2**16 windows; the generator is consumed
 sequentially, so the blocks see the same bits as one chunk-sized draw and
 a run is bit-stable for a fixed seed.
+
+``detection_from_counts``, ``plugin_mi_from_counts`` and
+``bootstrap_mi_sigma`` score the histogram of ``joint_counts``; an estimate
+it cannot support raises ``NumericalFailure``.
 """
 
 import math
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, symbol_probs
-from .errors import EstimationError, ParameterError
+from .errors import NumericalFailure, ParameterError
 from .guards import check_unit
 
 CHUNK_SYMBOLS = 16384
@@ -116,8 +120,6 @@ def joint_counts(config: SimConfig):
         share = range(first, chunks, workers)
         return sum(_chunk_counts(config, probs, chunk) for chunk in share)
 
-    if workers == 1:
-        return counts(0)
     # Plain threads, not concurrent.futures: importing that loads logging,
     # which raises the peak resident memory of a short run by about 0.4 MiB.
     parts = [None] * workers
@@ -140,13 +142,15 @@ def joint_counts(config: SimConfig):
     return sum(parts)
 
 
-def _detection_from_counts(counts, L):
+def detection_from_counts(counts, L):
+    """((p0_hat, stderr), (p1_hat, stderr)): each symbol class's per-window
+    firing frequency in a joint histogram, with its binomial standard error."""
     k = np.arange(L + 1)
     out = []
     for row in counts:
         n_sym = int(row.sum())
         if n_sym == 0:
-            raise EstimationError(
+            raise NumericalFailure(
                 "no symbols of one class were observed; "
                 "increase symbols or move duty_cycle away from {0, 1}"
             )
@@ -162,42 +166,39 @@ def plugin_mi_from_counts(counts):
     """Plug-in mutual information (nats) of an empirical joint histogram."""
     n = counts.sum()
     if n == 0:
-        raise EstimationError("empty histogram")
-    q = counts / n
-    marg = np.outer(q.sum(axis=1), q.sum(axis=0))
-    mask = q > 0
-    return float((q[mask] * np.log(q[mask] / marg[mask])).sum())
+        raise NumericalFailure("empty histogram")
+    return _plugin_mi(counts / n, np.flatnonzero(counts))
+
+
+def _plugin_mi(q, cells):
+    """Plug-in MI of the (2, L + 1) frequencies q, positive exactly at the
+    ascending flat indices ``cells``; only the row sums read all of q."""
+    row, col = np.divmod(cells, q.shape[1])
+    occupied = q.ravel()[cells]
+    marg = q.sum(axis=1)[row] * (q[0, col] + q[1, col])
+    return float((occupied * np.log(occupied / marg)).sum())
 
 
 def bootstrap_mi_sigma(config: SimConfig, counts):
-    """Multinomial-bootstrap standard error of the plug-in MI estimate."""
+    """Multinomial-bootstrap standard error of the plug-in MI estimate.
+
+    numpy's multinomial draws one binomial per cell in order, none for a
+    cell of probability 0, and gives the final cell the remainder, so a draw
+    over the occupied cells and the final one has the bits of a draw over
+    every cell.  Only the replicates' row sums then cost O(L).
+    """
     n = int(counts.sum())
     flat = (counts / n).ravel()
+    keep = flat > 0.0
+    keep[-1] = True
+    cells = np.flatnonzero(keep)
+    probs = flat[cells]
+    q = np.zeros(counts.shape)
     rng = _chunk_rng(config.seed, 0, stream=_BOOTSTRAP_STREAM)
     values = np.empty(BOOTSTRAP_REPLICATES)
     for r in range(BOOTSTRAP_REPLICATES):
-        resampled = rng.multinomial(n, flat).reshape(counts.shape)
-        values[r] = plugin_mi_from_counts(resampled)
+        draw = rng.multinomial(n, probs)
+        q.ravel()[cells] = draw / n
+        values[r] = _plugin_mi(q, cells[draw > 0])
     return float(values.std(ddof=1))
 
-
-def simulate_summary(config: SimConfig):
-    """One simulation pass feeding the CSV emitter and the validation suite.
-
-    Returns a dict with empirical detection probabilities (and standard
-    errors), the plug-in MI, and its bootstrap standard error.
-    """
-    counts = joint_counts(config)
-    (p0_hat, se0), (p1_hat, se1) = _detection_from_counts(
-        counts, config.params.samples_per_symbol
-    )
-    mi = plugin_mi_from_counts(counts)
-    sigma = bootstrap_mi_sigma(config, counts)
-    return {
-        "p0_hat": p0_hat,
-        "p0_stderr": se0,
-        "p1_hat": p1_hat,
-        "p1_stderr": se1,
-        "mi_plugin": mi,
-        "mi_sigma": sigma,
-    }

@@ -36,8 +36,8 @@ def test_optimal_duty_cycle_high_rate_limit():
 
 def test_optimal_duty_cycle_matches_bruteforce():
     mu, _ = optimal_duty_cycle(2.0, 0.5, 1.0)
-    brute = capacity_bruteforce(2.0, 0.5, 1.0)
-    assert mu == pytest.approx(brute.duty_cycle, abs=1e-6)
+    mu_brute, _ = capacity_bruteforce(2.0, 0.5, 1.0)
+    assert mu == pytest.approx(mu_brute, abs=1e-6)
 
 
 def _mu_star_mpmath(peak_rate, background_rate, digits=700):
@@ -82,40 +82,36 @@ def test_optimal_duty_cycle_zero_rate_rejected():
 
 
 def test_capacity_zero_rate_conventions():
-    result = capacity_tau(0.0, 0.3, 1.0)
-    assert result.capacity_nats_per_time == 0.0
-    assert result.duty_cycle == 0.5
+    mu, cap = capacity_tau(0.0, 0.3, 1.0)
+    assert cap == 0.0
+    assert mu == 0.5
 
 
 def test_capacity_saturates_at_ln2_over_tau():
-    result = capacity_tau(1e4, 0.0, 1.0)
-    assert result.capacity_nats_per_time == pytest.approx(math.log(2.0), abs=1e-6)
+    _, cap = capacity_tau(1e4, 0.0, 1.0)
+    assert cap == pytest.approx(math.log(2.0), abs=1e-6)
 
 
 def test_capacity_low_rate_linear_in_A_over_e():
-    cap = capacity_tau(1e-6, 0.0, 1.0).capacity_nats_per_time
+    _, cap = capacity_tau(1e-6, 0.0, 1.0)
     assert cap / (1e-6 / math.e) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_optimal_duty_cycle_when_both_levels_saturate():
     # background * tau = 800: q0 = 0, so p0 = p1 = 1 and every mu is optimal
     assert optimal_duty_cycle(1.0, 800.0, 1.0) == (0.5, math.inf)
-    assert capacity_tau(1.0, 800.0, 1.0).duty_cycle == 0.5
+    assert capacity_tau(1.0, 800.0, 1.0)[0] == 0.5
 
 
 def test_capacity_sampled_scalings():
-    base = capacity_tau(5.0, 0.2, 0.1)
-    same = capacity_sampled(5.0, 0.2, 0.1, 0.1)
-    assert same.capacity_nats_per_time == base.capacity_nats_per_time
-    assert same.duty_cycle == base.duty_cycle
-    half = capacity_sampled(5.0, 0.2, 0.1, 0.2)
-    assert half.capacity_nats_per_time == pytest.approx(
-        0.5 * base.capacity_nats_per_time, rel=1e-15
-    )
-    tenth = capacity_sampled(5.0, 0.2, 0.1, 1.0)
-    assert tenth.capacity_nats_per_time == pytest.approx(
-        0.1 * base.capacity_nats_per_time, rel=1e-14
-    )
+    mu_base, base = capacity_tau(5.0, 0.2, 0.1)
+    assert capacity_sampled(5.0, 0.2, 0.1, 0.1) == (mu_base, base)
+    mu_half, half = capacity_sampled(5.0, 0.2, 0.1, 0.2)
+    assert mu_half == mu_base
+    assert half == pytest.approx(0.5 * base, rel=1e-15)
+    mu_tenth, tenth = capacity_sampled(5.0, 0.2, 0.1, 1.0)
+    assert mu_tenth == mu_base
+    assert tenth == pytest.approx(0.1 * base, rel=1e-14)
 
 
 def test_capacity_sampled_rejects_fast_sampling():
@@ -128,16 +124,14 @@ def test_bruteforce_agreement_random():
     for _ in range(30):
         a_tau = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
         lam_tau = float(rng.uniform(0.0, 2.0))
-        closed = capacity_tau(a_tau, lam_tau, 1.0)
-        brute = capacity_bruteforce(a_tau, lam_tau, 1.0)
-        assert abs(
-            closed.capacity_nats_per_time - brute.capacity_nats_per_time
-        ) <= 1e-8 * (1.0 + closed.capacity_nats_per_time)
-        assert abs(closed.duty_cycle - brute.duty_cycle) <= 1e-6
+        mu_closed, cap_closed = capacity_tau(a_tau, lam_tau, 1.0)
+        mu_brute, cap_brute = capacity_bruteforce(a_tau, lam_tau, 1.0)
+        assert abs(cap_closed - cap_brute) <= 1e-8 * (1.0 + cap_closed)
+        assert abs(mu_closed - mu_brute) <= 1e-6
 
 
 def test_bruteforce_zero_rate():
-    assert capacity_bruteforce(0.0, 0.1, 1.0).capacity_nats_per_time == 0.0
+    assert capacity_bruteforce(0.0, 0.1, 1.0)[1] == 0.0
 
 
 def test_wyner_zero_background():
@@ -238,7 +232,7 @@ def test_duty_cycle_limits_strong_background():
 
 def test_capacity_below_continuous_reference():
     for tau in (0.5, 0.1, 0.01):
-        sampled = capacity_tau(2.0, 0.3, tau).capacity_nats_per_time
+        _, sampled = capacity_tau(2.0, 0.3, tau)
         _, continuous = wyner_poisson_capacity(2.0, 0.3)
         assert sampled <= continuous
 
@@ -246,8 +240,7 @@ def test_capacity_below_continuous_reference():
 def test_capacity_converges_to_continuous():
     _, continuous = wyner_poisson_capacity(1.0, 0.1)
     rels = [
-        abs(capacity_tau(1.0, 0.1, tau).capacity_nats_per_time - continuous)
-        / continuous
+        abs(capacity_tau(1.0, 0.1, tau)[1] - continuous) / continuous
         for tau in (1e-2, 1e-3, 1e-4)
     ]
     assert rels[0] > rels[1] > rels[2]
@@ -259,8 +252,7 @@ def test_scaling_symmetry_exact_for_dyadic_factor():
     a, lam, tau, t_s, factor = 3.0, 0.75, 0.125, 1.0, 2.0
     left = capacity_sampled(a, lam, factor * tau, t_s)
     right = capacity_sampled(factor * a, factor * lam, tau, t_s)
-    assert left.capacity_nats_per_time == right.capacity_nats_per_time
-    assert left.duty_cycle == right.duty_cycle
+    assert left == right
 
 
 def test_rate_objective_corner_values():
@@ -283,7 +275,7 @@ def test_duty_cycle_limit_not_uniform_in_dead_time():
 def test_capacity_strictly_increasing_in_peak_rate():
     tau = 0.02
     caps = [
-        capacity_tau(a / tau, 1.0, tau).capacity_nats_per_time
+        capacity_tau(a / tau, 1.0, tau)[1]
         for a in np.geomspace(1e-3, 25.0, 40)
     ]
     assert all(x < y for x, y in zip(caps, caps[1:]))

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import deadtime_channel
 from deadtime_channel import cli, experiments
@@ -578,6 +578,19 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
         # a duty cycle of 0 or 1 sends no symbols of one class
         (["simulate", "--mu", "0"], 2, "mu must be in (0, 1), got 0.0", False),
         (["simulate", "--mu", "1"], 2, "mu must be in (0, 1), got 1.0", False),
+        # grid values that overflow the spacing arithmetic; finite ones are run
+        (["capacity", "--a-grid", "log:1,1.7976931348623157e308,2"], 0, None, True),
+        (["capacity", "--a-grid", "log:1.7976931348623157e308,1.7976931348623157e308,3"],
+         2, "grid values must be finite", True),
+        (["capacity", "--preset", "dead-time-sweep",
+          "--tau-grid", "lin:-1.7976931348623157e308,1.7976931348623157e308,3"],
+         2, "grid values must be finite", True),
+        # a low-A gap coefficient, or its product with x^2, that overflows
+        (["gap", "--scenario", "low-A", "--a-grid", "lin:2000,1e300,3"],
+         3, "low-A gap at x = 5e+299 cannot be resolved", False),
+        (["gap", "--scenario", "low-A", "--background", "3.62562697079435e-309",
+          "--dead-time", "5.373723437353621e+278"],
+         3, "low-A gap at x = 0.0001 cannot be resolved", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):
@@ -613,7 +626,29 @@ _NAN_COLUMNS = {
     "mi-sweep": {"approx"},
     "duty-imax": {"mu_approx", "imax_approx"},
     "large-L": {"offset_numeric", "offset_formula"},
+    "zero-lambda": {"offset_numeric", "offset_formula"},
 }
+
+
+def _ends_cleanly(code, out, err, sweep):
+    """The CLI contract: exit 0 with an empty stderr and no nan cell outside
+    the columns ``sweep`` (a subcommand or gap scenario) documents as not
+    applicable, or exit 2 or 3 with one stderr line that is not the
+    catch-all ``numerical failure: <Type>: ...``."""
+    if code == 0:
+        header = out.split("\n", 1)[0].split(",")
+        nan_columns = {
+            header[i]
+            for line in out.strip().split("\n")[1:]
+            for i, cell in enumerate(line.split(","))
+            if cell == "nan"
+        } - _NAN_COLUMNS.get(sweep, set())
+        return err == "" and not nan_columns
+    return (
+        code in (2, 3)
+        and len(err.strip().splitlines()) == 1
+        and not re.match(r"numerical failure: \w+: ", err)
+    )
 
 
 def test_special_float_flags_end_cleanly(capsys):
@@ -631,25 +666,51 @@ def test_special_float_flags_end_cleanly(capsys):
                 code, out, err = _run(capsys, argv)
                 if "does not apply" not in err:
                     read.add((base[0], flag))
-                if code == 0:
-                    header = out.split("\n", 1)[0].split(",")
-                    nan_columns = {
-                        header[i]
-                        for line in out.strip().split("\n")[1:]
-                        for i, cell in enumerate(line.split(","))
-                        if cell == "nan"
-                    } - _NAN_COLUMNS.get(base[2] if base[0] == "gap" else base[0], set())
-                    ok = err == "" and not nan_columns
-                else:
-                    ok = (
-                        code in (2, 3)
-                        and len(err.strip().splitlines()) == 1
-                        and not re.match(r"numerical failure: \w+: ", err)
-                    )
-                if not ok:
+                sweep = base[2] if base[0] == "gap" else base[0]
+                if not _ends_cleanly(code, out, err, sweep):
                     failures.append((" ".join(argv), code, err.strip()))
     assert failures == []
     assert read == offered  # every float flag reached a sweep that reads it
+
+
+# (subcommand, preset, grid key) for every *_grid key of every preset; a
+# gap preset is named after its scenario
+_GRID_SWEEPS = [
+    (command, name, key)
+    for command, table in experiments.PRESETS.items()
+    for name, preset in table.items()
+    for key in preset
+    if key.endswith("_grid")
+]
+_MAX_FLOAT = repr(sys.float_info.max)
+_GRID_ENDPOINTS = st.one_of(
+    st.sampled_from(_SPECIAL_FLOATS + [_MAX_FLOAT, "-" + _MAX_FLOAT]),
+    st.builds(
+        lambda sign, exponent: repr(sign * min(math.exp(exponent), sys.float_info.max)),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(math.log(5e-324), math.log(sys.float_info.max)),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sweep=st.sampled_from(_GRID_SWEEPS),
+    kind=st.sampled_from(["lin", "log", "geom"]),
+    start=_GRID_ENDPOINTS,
+    stop=_GRID_ENDPOINTS,
+    count=st.sampled_from([0, 1, 2, 3, experiments.MAX_GRID_POINTS + 1]),
+)
+@example(("capacity", "dead-time-sweep", "tau_grid"), "lin", "-" + _MAX_FLOAT, _MAX_FLOAT, 3)
+def test_grid_flags_end_cleanly(sweep, kind, start, stop, count):
+    command, name, key = sweep
+    argv = [command, "--preset", name, f"{experiments.flag(key)}={kind}:{start},{stop},{count}"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    nan_sweep = experiments.PRESETS[command][name].get("scenario", command)
+    assert _ends_cleanly(code, out, err, nan_sweep), (argv, code, err)
 
 
 @pytest.mark.parametrize("command", [["validate"], ["simulate", "--symbols", "5000000"]])

@@ -6,7 +6,7 @@ from scipy import stats
 
 from deadtime_channel import (
     ChannelParams,
-    EstimationError,
+    NumericalFailure,
     SimConfig,
     mi_binomial_mixture,
     symbol_probs,
@@ -16,9 +16,9 @@ from deadtime_channel.monte_carlo import (
     CHUNK_SYMBOLS,
     _chunk_rng,
     bootstrap_mi_sigma,
+    detection_from_counts,
     joint_counts,
     plugin_mi_from_counts,
-    simulate_summary,
 )
 
 PUBLISHED = ChannelParams(10.0, 0.02, 0.02, 30)
@@ -154,29 +154,33 @@ def test_window_frequency_matches_closed_form():
     assert abs(p_hat - probs.p_on) < 3.0 * se
 
 
+def _detection(config):
+    return detection_from_counts(joint_counts(config), config.params.samples_per_symbol)
+
+
 def test_detection_estimates_reproducible():
     config = SimConfig(PUBLISHED, 30000, 4242, 0.5)
-    assert simulate_summary(config) == simulate_summary(config)
+    first, second = joint_counts(config), joint_counts(config)
+    assert np.array_equal(first, second)
+    assert bootstrap_mi_sigma(config, first) == bootstrap_mi_sigma(config, second)
 
 
 def test_detection_estimates_within_three_sigma():
     probs = symbol_probs(PUBLISHED)
-    summary = simulate_summary(SimConfig(PUBLISHED, 200000, 7, 0.5))
-    assert abs(summary["p0_hat"] - probs.p_off) < 3.0 * summary["p0_stderr"]
-    assert abs(summary["p1_hat"] - probs.p_on) < 3.0 * summary["p1_stderr"]
+    (p0_hat, se0), (p1_hat, se1) = _detection(SimConfig(PUBLISHED, 200000, 7, 0.5))
+    assert abs(p0_hat - probs.p_off) < 3.0 * se0
+    assert abs(p1_hat - probs.p_on) < 3.0 * se1
 
 
 def test_detection_estimates_equal_without_signal():
     params = ChannelParams(0.0, 1.0, 0.02, 30)
-    summary = simulate_summary(SimConfig(params, 100000, 5, 0.5))
-    assert abs(summary["p0_hat"] - summary["p1_hat"]) < 3.0 * math.hypot(
-        summary["p0_stderr"], summary["p1_stderr"]
-    )
+    (p0_hat, se0), (p1_hat, se1) = _detection(SimConfig(params, 100000, 5, 0.5))
+    assert abs(p0_hat - p1_hat) < 3.0 * math.hypot(se0, se1)
 
 
 def test_detection_estimates_need_both_classes():
-    with pytest.raises(EstimationError):
-        simulate_summary(SimConfig(PUBLISHED, 1000, 5, 0.0))
+    with pytest.raises(NumericalFailure):
+        _detection(SimConfig(PUBLISHED, 1000, 5, 0.0))
 
 
 def test_plugin_mi_zero_prior_is_zero():
@@ -185,9 +189,10 @@ def test_plugin_mi_zero_prior_is_zero():
 
 def test_plugin_mi_within_three_bootstrap_sigma():
     config = SimConfig(PUBLISHED, 120000, 11, 0.5)
-    summary = simulate_summary(config)
+    counts = joint_counts(config)
     exact = mi_binomial_mixture(0.5, symbol_probs(PUBLISHED), 30)
-    assert abs(summary["mi_plugin"] - exact) < 3.0 * summary["mi_sigma"]
+    sigma = bootstrap_mi_sigma(config, counts)
+    assert abs(plugin_mi_from_counts(counts) - exact) < 3.0 * sigma
 
 
 def test_plugin_mi_degenerate_channel_shrinks_with_samples():
@@ -247,6 +252,49 @@ def test_bootstrap_sigma_positive_and_stable():
     sigma = bootstrap_mi_sigma(config, counts)
     assert 0.0 < sigma < 0.05
     assert sigma == bootstrap_mi_sigma(config, counts)
+
+
+def _full_plugin_mi(counts):
+    # the reference: frequencies, margins and mask over the whole histogram
+    q = counts / counts.sum()
+    marg = np.outer(q.sum(axis=1), q.sum(axis=0))
+    mask = q > 0
+    return float((q[mask] * np.log(q[mask] / marg[mask])).sum())
+
+
+def _full_vector_sigma(config, counts):
+    # the reference: every replicate draws over all 2 (L + 1) cells
+    n = int(counts.sum())
+    flat = (counts / n).ravel()
+    rng = _chunk_rng(config.seed, 0, stream=monte_carlo._BOOTSTRAP_STREAM)
+    values = [
+        _full_plugin_mi(rng.multinomial(n, flat).reshape(counts.shape))
+        for _ in range(monte_carlo.BOOTSTRAP_REPLICATES)
+    ]
+    return float(np.std(values, ddof=1))
+
+
+def _sparse_histograms():
+    rng = np.random.default_rng(2024)
+    for L in (1, 2, 30, 300):
+        for occupied in (1, 3, L + 1):
+            counts = np.zeros((2, L + 1), dtype=np.int64)
+            for row in counts:
+                cells = rng.choice(L + 1, size=min(occupied, L + 1), replace=False)
+                row[cells] = rng.integers(1, 50, size=cells.size)
+            yield counts.copy()
+            counts[1, L] = 0  # the final cell, which takes the remainder, empty
+            yield counts
+    yield joint_counts(SimConfig(PUBLISHED, 5000, 9, 0.5))
+
+
+def test_bootstrap_sigma_matches_full_vector_draw():
+    # skipping the empty cells draws the same binomials as the full vector
+    # and sums the same MI terms in the same order
+    config = SimConfig(PUBLISHED, 1000, 31, 0.5)
+    for counts in _sparse_histograms():
+        assert plugin_mi_from_counts(counts) == _full_plugin_mi(counts)
+        assert bootstrap_mi_sigma(config, counts) == _full_vector_sigma(config, counts)
 
 
 def test_sim_config_validation():
