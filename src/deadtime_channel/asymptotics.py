@@ -12,7 +12,12 @@ with a log-linear least squares fit.
 import math
 
 from .errors import ParameterError
-from .guards import check_open_unit, check_positive
+from .guards import check_finite, check_open_unit, check_positive, check_unit
+
+
+def _pow_log(base, exponent):
+    """base ** exponent, evaluated as exp(exponent * ln base) in every b^k."""
+    return math.exp(exponent * math.log(base))
 
 
 def _gap_offsets(b, c, other, L):
@@ -20,14 +25,14 @@ def _gap_offsets(b, c, other, L):
     c * L versus 1/2, and the sub-threshold branch is negative."""
     key = c * L
     if key >= 0.5:
-        lead = L * math.exp(0.5 * (L - 1) * math.log(b)) * math.sqrt(c)
-        denom = 1.0 + math.exp(0.5 * L * math.log(b))
+        lead = L * _pow_log(b, 0.5 * (L - 1)) * math.sqrt(c)
+        denom = 1.0 + _pow_log(b, 0.5 * L)
         if key > 0.5:
             common = lead * math.sqrt(other)
             eps_u = 2.0 * common
             eps_l = common / denom
         else:
-            spike = math.exp((-L + 0.5) * math.log(b)) / math.sqrt(c)
+            spike = _pow_log(b, -L + 0.5) / math.sqrt(c)
             eps_u = (2.0 * lead - spike) * math.sqrt(other)
             eps_l = (lead / denom - 0.5 * spike) * math.sqrt(other)
     else:
@@ -49,6 +54,7 @@ def gap_offsets_large_A(p0, p1, trials):
     negative.  Lead terms carry the same factor L as the beta expansion.
     """
     check_open_unit(p0, "p0")
+    check_unit(p1, "p1")
     return _gap_offsets(p0, 1.0 - p0, 1.0 - p1, trials)
 
 
@@ -59,6 +65,7 @@ def gap_offsets_low_background(p0, p1, trials):
     reciprocity p0 <-> 1-p1, p1 <-> 1-p0.
     """
     check_open_unit(p1, "p1")
+    check_unit(p0, "p0")
     return _gap_offsets(1.0 - p1, p1, p0, trials)
 
 
@@ -66,6 +73,7 @@ def exp_rate_zero_background(trials, dead_time):
     """Gap decay rate in the peak rate when the background is zero: L tau / 2."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    check_finite(trials, "trials")
     check_positive(dead_time, "dead_time")
     return 0.5 * trials * dead_time
 
@@ -88,6 +96,8 @@ def estimate_exponential_rate(points):
     for x, v in pts:
         if v <= 0.0:
             raise ParameterError(f"values must be positive, got {v} at x = {x}")
+        check_finite(x, "x")
+        check_finite(v, f"value at x = {x}")
         logged.append((x, math.log(v)))
     n = len(logged)
     mean_x = sum(x for x, _ in logged) / n

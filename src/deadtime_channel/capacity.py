@@ -26,6 +26,7 @@ import sys
 
 from .errors import NumericalFailure, ParameterError
 from .guards import (
+    check_finite,
     check_nonnegative,
     check_positive,
     check_rates,
@@ -237,6 +238,7 @@ def quadratic_coeffs_low_A(background_rate, dead_time):
             "quadratic coefficients need background_rate > 0 "
             f"(got {background_rate}); the zero-background regime is linear"
         )
+    check_finite(background_rate, "background_rate")
     check_positive(dead_time, "dead_time")
     d_poi = 1.0 / (8.0 * background_rate)
     p0 = -math.expm1(-background_rate * dead_time)

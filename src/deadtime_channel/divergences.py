@@ -73,6 +73,8 @@ def bhattacharyya_distance(p0, p1):
     """-ln(sqrt(p0 p1) + sqrt(q0 q1)): the single-trial C_{1/2}, which is
     also the large-L decay rate of the bound gap; 0 at p0 = p1 and +inf
     when the laws are disjoint."""
+    check_unit(p0, "p0")
+    check_unit(p1, "p1")
     if p0 == p1:
         return 0.0
     root = math.sqrt(p0 * p1) + math.sqrt((1.0 - p0) * (1.0 - p1))

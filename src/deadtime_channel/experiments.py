@@ -31,6 +31,7 @@ from .mutual_info import (
 )
 from .approximation import mi_approx_low_background
 from .asymptotics import (
+    _pow_log,
     estimate_exponential_rate,
     exp_rate_zero_background,
     gap_offsets_large_A,
@@ -332,21 +333,21 @@ GAP_HEADER = [
 ]
 
 
-def _pow_log(base, exponent):
-    return math.exp(exponent * math.log(base))
-
-
 def gap_rows(settings):
     """Bound-gap sweep for the scenario in settings["scenario"].
 
     The settings hold one grid, the sweep of the scenario's preset:
     samples per symbol for large-L (l_grid), the peak rate for large-A /
     zero-lambda / low-A (a_grid), and the background rate for low-lambda
-    (lambda_grid).
+    (lambda_grid).  Each point's four formula cells are the scenario's
+    closed forms: the general lower and high-SNR bounds (large-L), the
+    offset expansions of both bounds (large-A, low-lambda), the leading
+    constants (zero-lambda) or the quadratic law (low-A).
     fitted_rate / predicted_rate hold the extracted and theoretical
     convergence constants (an exponential rate in the sweep variable,
     except low-lambda where it is the power-law exponent in the background
     rate and low-A where it is the power-law order in the peak rate).
+    Zero-lambda needs a zero background and low-A a positive one.
     """
     scenario = settings["scenario"]
     peak_rate, background = settings.get("peak_rate"), settings.get("background")
@@ -355,6 +356,8 @@ def gap_rows(settings):
     sweep_values = parse_grid(settings[grid])
     if scenario == "zero-lambda" and background != 0.0:
         raise ParameterError("zero-lambda scenario requires background = 0")
+    if scenario == "low-A" and background == 0.0:
+        raise ParameterError("low-A scenario requires background > 0")
     power_law = scenario in ("low-lambda", "low-A")
     for x in sweep_values if power_law else ():
         if not x > 0:
@@ -364,100 +367,76 @@ def gap_rows(settings):
             check_trials(x, f"{scenario} sweep values")
         sweep_values = [int(x) for x in sweep_values]
 
-    def p(rate):
-        return detection_prob(rate, dead_time)
-
     def unresolved(x, what):
         return NumericalFailure(
             f"{scenario} gap at x = {x} cannot be resolved in double precision: {what}"
         )
 
-    def offset_cells(x, b, eps_u, eps_l, high_u):
-        # each bound = a constant in b (p0; 1 - p1 at low background) + offset
-        half, full = _pow_log(b, 0.5 * trials), _pow_log(b, trials)
-        const_u = 2.0 * half - full
-        const_l = math.log1p(half) - 0.5 * math.log1p(full)
-        offset = high_u - const_u
-        # A difference within 2^20 ulp of const_u is rounding, not the offset:
-        # rounded points sit at 1-29 ulp, the presets above 4e12 ulp.
-        if abs(offset) < 2.0**20 * math.ulp(const_u):
-            raise unresolved(x, f"offset {offset} is within 2^20 ulp of {const_u}")
-        return [const_l + eps_l, const_u + eps_u, offset, eps_u], abs(offset)
-
-    def bound_cells(triple, gap):
-        _, high_snr, general_lower = gap_bounds(triple)
-        return [general_lower, high_snr, math.nan, math.nan], gap
-
-    def lead_cells(p1, gap):
-        lead = _pow_log(1.0 - p1, 0.5 * trials)
-        return [lead, 2.0 * lead, math.nan, math.nan], gap
-
-    def quadratic_cells(x, p0, gap, triple):
-        # beta - beta_i within 2^20 ulp of beta is rounding, as in offset_cells
-        margin = min(triple.beta - triple.beta1, triple.beta - triple.beta2)
-        if margin < 2.0**20 * math.ulp(triple.beta):
-            raise unresolved(
-                x, f"beta - max(beta1, beta2) = {margin} is within 2^20 ulp of {triple.beta}"
-            )
-        coeff = gap_quadratic_coeff_low_A(p0, trials, dead_time)
-        quad = coeff * x * x
-        # at p0 = 0 the coefficient is infinite by the formula, not by overflow
-        if p0 > 0.0 and not math.isfinite(quad):
-            raise unresolved(x, f"the quadratic gap {coeff} * x^2 overflows")
-        return [quad, quad, gap / (x * x), coeff], gap
-
-    def by_peak(x):
-        return detection_probs(x, background, dead_time), trials
-
-    # scenario -> (sweep value x -> (probs, L);
-    #              (x, p0, p1, gap, beta triple) -> (four formula cells, fitted y);
-    #              predicted rate).  Power laws fit ln y against ln x, the
-    # exponential decays ln y against x.
-    table = {
-        "large-L": (
-            lambda x: (detection_probs(peak_rate, background, dead_time), x),
-            lambda x, p0, p1, gap, t: bound_cells(t, gap),
-            lambda: bhattacharyya_distance(p(background), p(peak_rate + background)),
-        ),
-        "large-A": (
-            by_peak,
-            lambda x, p0, p1, gap, t: offset_cells(
-                x, p0, *gap_offsets_large_A(p0, p1, trials), gap_bounds(t)[1]
-            ),
-            lambda: min(0.5, (1.0 - p(background)) * trials) * dead_time,
-        ),
-        "low-lambda": (
-            lambda x: (detection_probs(peak_rate, x, dead_time), trials),
-            lambda x, p0, p1, gap, t: offset_cells(
-                x, 1.0 - p1, *gap_offsets_low_background(p0, p1, trials), gap_bounds(t)[1]
-            ),
-            lambda: min(0.5, p(peak_rate) * trials),
-        ),
-        "zero-lambda": (
-            by_peak,
-            lambda x, p0, p1, gap, t: lead_cells(p1, gap),
-            lambda: exp_rate_zero_background(trials, dead_time),
-        ),
-        "low-A": (
-            by_peak,
-            lambda x, p0, p1, gap, t: quadratic_cells(x, p0, gap, t),
-            lambda: 2.0,
-        ),
-    }
-    point, cells, predicted = table[scenario]
+    # Power laws fit ln y against ln x, the exponential decays ln y against x.
     rows, pts = [], []
     for x in sweep_values:
-        probs, L = point(x)
+        if scenario == "large-L":
+            probs, L = detection_probs(peak_rate, background, dead_time), x
+        elif scenario == "low-lambda":
+            probs, L = detection_probs(peak_rate, x, dead_time), trials
+        else:
+            probs, L = detection_probs(x, background, dead_time), trials
+        p0, p1 = probs.p_off, probs.p_on
         triple = beta_triple(probs, L)
-        gap = bound_gap(triple)
+        gap = y = bound_gap(triple)
         if not (math.isfinite(gap) and gap > 0.0):
             raise unresolved(x, f"gap_numeric is {gap}")
-        formula_cells, y = cells(x, probs.p_off, probs.p_on, gap, triple)
-        rows.append([x, gap] + formula_cells)
+        if scenario == "large-L":
+            _, high_snr, general_lower = gap_bounds(triple)
+            cells = [general_lower, high_snr, math.nan, math.nan]
+        elif scenario == "zero-lambda":
+            lead = _pow_log(1.0 - p1, 0.5 * trials)
+            cells = [lead, 2.0 * lead, math.nan, math.nan]
+        elif scenario == "low-A":
+            # beta - beta_i within 2^20 ulp of beta is rounding, as the offset below
+            margin = min(triple.beta - triple.beta1, triple.beta - triple.beta2)
+            if margin < 2.0**20 * math.ulp(triple.beta):
+                raise unresolved(
+                    x, f"beta - max(beta1, beta2) = {margin} is within 2^20 ulp of {triple.beta}"
+                )
+            coeff = gap_quadratic_coeff_low_A(p0, trials, dead_time)
+            quad = coeff * x * x
+            if not math.isfinite(quad):
+                raise unresolved(x, f"the quadratic gap {coeff} * x^2 overflows")
+            cells = [quad, quad, gap / (x * x), coeff]
+        else:
+            # each bound = a constant in b (p0; 1 - p1 at low background) + offset
+            if scenario == "large-A":
+                b, (eps_u, eps_l) = p0, gap_offsets_large_A(p0, p1, trials)
+            else:
+                b, (eps_u, eps_l) = 1.0 - p1, gap_offsets_low_background(p0, p1, trials)
+            high_u = gap_bounds(triple)[1]
+            half, full = _pow_log(b, 0.5 * trials), _pow_log(b, trials)
+            const_u = 2.0 * half - full
+            const_l = math.log1p(half) - 0.5 * math.log1p(full)
+            offset = high_u - const_u
+            # A difference within 2^20 ulp of const_u is rounding, not the offset:
+            # rounded points sit at 1-29 ulp, the presets above 4e12 ulp.
+            if abs(offset) < 2.0**20 * math.ulp(const_u):
+                raise unresolved(x, f"offset {offset} is within 2^20 ulp of {const_u}")
+            cells = [const_l + eps_l, const_u + eps_u, offset, eps_u]
+            y = abs(offset)
+        rows.append([x, gap] + cells)
         pts.append((math.log(x) if power_law else x, y))
     slope = estimate_exponential_rate(pts)
-    # after the sweep, so that a bad setting is named by the first point
-    predicted = predicted()
+    # after the sweep, so that a bad setting is named by the first point;
+    # large-L fixes both rates and large-A the background, so the last
+    # point's p0 (and at large-L p1) is every point's
+    if scenario == "large-L":
+        predicted = bhattacharyya_distance(p0, p1)
+    elif scenario == "large-A":
+        predicted = min(0.5, (1.0 - p0) * trials) * dead_time
+    elif scenario == "low-lambda":
+        predicted = min(0.5, detection_prob(peak_rate, dead_time) * trials)
+    elif scenario == "zero-lambda":
+        predicted = exp_rate_zero_background(trials, dead_time)
+    else:
+        predicted = 2.0
     for row in rows:
         row.extend([slope if power_law else -slope, predicted])
     return GAP_HEADER, rows

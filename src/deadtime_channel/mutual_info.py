@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import BinaryDetectionProbs
 from .errors import ParameterError
-from .guards import check_trials, check_unit
+from .guards import check_finite, check_trials, check_unit
 from . import optimize
 
 # Full-support summation beyond this trial count (or Poisson mean) is
@@ -161,6 +161,9 @@ def mi_discrete_poisson(mu, mean_off, mean_on):
         raise ParameterError(
             f"Poisson mean {top} exceeds exact-summation cap {MAX_TRIALS_EXACT}"
         )
+    # after the cap, so that an infinite mean keeps the cap's message
+    check_finite(mean_off, "mean_off")
+    check_finite(mean_on, "mean_on")
     if mu == 0.0 or mu == 1.0 or mean_off == mean_on:
         return 0.0
     n_max = _poisson_support_max(top)

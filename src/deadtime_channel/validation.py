@@ -96,8 +96,6 @@ def check_half_alpha_optimal():
     offsets = []
     for _ in range(50):
         p0, p1 = np.sort(rng.uniform(0.01, 0.99, 2))
-        if p1 - p0 < 1e-3:
-            p1 = min(0.99, p0 + 1e-2)
         trials = int(rng.integers(1, 101))
         alpha, _ = optimal_alpha_grid(BinaryDetectionProbs(p0, p1), trials, grid)
         offsets.append(abs(alpha - 0.5))

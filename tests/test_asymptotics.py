@@ -7,6 +7,7 @@ from deadtime_channel import (
     BinaryDetectionProbs,
     ParameterError,
     beta_triple,
+    bhattacharyya_distance,
     bound_gap,
     detection_prob,
     estimate_exponential_rate,
@@ -14,6 +15,8 @@ from deadtime_channel import (
     gap_offsets_large_A,
     gap_offsets_low_background,
     gap_quadratic_coeff_low_A,
+    mi_discrete_poisson,
+    quadratic_coeffs_low_A,
 )
 
 
@@ -92,6 +95,11 @@ def test_quadratic_coeff_diverges_at_zero_background():
     assert gap_quadratic_coeff_low_A(0.0, 10, 1.0) == math.inf
 
 
+def test_quadratic_coeff_refuses_saturated_background():
+    with pytest.raises(ParameterError, match=r"^p0 must be in \[0, 1\), got 1.0$"):
+        gap_quadratic_coeff_low_A(1.0, 10, 0.1)
+
+
 def test_estimate_rate_exact_exponential():
     pts = [(x, math.exp(-2.0 * x)) for x in (0.0, 0.5, 1.0, 2.0, 3.0)]
     assert estimate_exponential_rate(pts) == pytest.approx(-2.0, abs=1e-12)
@@ -117,6 +125,33 @@ def test_estimate_rate_domain():
         estimate_exponential_rate([(0.0, 1.0), (1.0, 0.5)])
     with pytest.raises(ParameterError):
         estimate_exponential_rate([(0.0, 1.0), (1.0, -0.5), (2.0, 0.2)])
+
+
+# NaN passes a sign test, so without a finiteness guard each of these
+# returns nan, a negative MI or a bare ValueError
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (mi_discrete_poisson, (0.5, 1.0, math.nan), "mean_on must be finite"),
+        (mi_discrete_poisson, (0.5, math.nan, 1.0), "mean_off must be finite"),
+        (quadratic_coeffs_low_A, (math.nan, 0.1), "background_rate must be finite"),
+        (bhattacharyya_distance, (math.nan, 0.5), r"p0 must be in \[0, 1\]"),
+        (bhattacharyya_distance, (2.0, 0.5), r"p0 must be in \[0, 1\]"),
+        (estimate_exponential_rate, ([(0.0, 1.0), (1.0, math.nan), (2.0, 0.2)],),
+         "value at x = 1.0 must be finite"),
+        (exp_rate_zero_background, (math.nan, 0.1), "trials must be finite"),
+        (gap_offsets_large_A, (0.5, math.nan, 10), r"p1 must be in \[0, 1\]"),
+        (gap_offsets_low_background, (math.nan, 0.5, 10), r"p0 must be in \[0, 1\]"),
+    ],
+    ids=[
+        "poisson-nan-mean-on", "poisson-nan-mean-off", "quadratic-coeffs-nan",
+        "bhattacharyya-nan", "bhattacharyya-above-1", "rate-nan-value",
+        "zero-background-nan-trials", "offsets-large-A-nan", "offsets-low-background-nan",
+    ],
+)
+def test_nan_and_out_of_domain_arguments_refused(fn, args, message):
+    with pytest.raises(ParameterError, match=message):
+        fn(*args)
 
 
 def test_gap_tracks_quadratic_coefficient():

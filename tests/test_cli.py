@@ -591,6 +591,12 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
         (["gap", "--scenario", "low-A", "--background", "3.62562697079435e-309",
           "--dead-time", "5.373723437353621e+278"],
          3, "low-A gap at x = 0.0001 cannot be resolved", False),
+        # the quadratic law needs p0 > 0: refused at zero background, and
+        # unresolvable where background * tau underflows p0 to 0
+        (["gap", "--scenario", "low-A", "--background", "0"],
+         2, "low-A scenario requires background > 0", False),
+        (["gap", "--scenario", "low-A", "--background", "5e-324"],
+         3, "low-A gap at x = 0.0001 cannot be resolved", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):

@@ -156,6 +156,11 @@ def test_alpha_grid_hits_half():
         assert abs(alpha - 0.5) <= 1.0 / 998.0 + 1e-12
 
 
+def test_alpha_grid_refuses_fewer_than_three_points():
+    with pytest.raises(ParameterError, match="grid_size must be >= 3, got 2"):
+        optimal_alpha_grid(BinaryDetectionProbs(0.1, 0.7), 10, grid_size=2)
+
+
 def test_alpha_grid_degenerate_convention():
     assert optimal_alpha_grid(BinaryDetectionProbs(0.2, 0.2), 5, 101) == (0.5, 0.0)
 

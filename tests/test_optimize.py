@@ -57,6 +57,18 @@ def test_mostly_non_finite_objective_rejected():
         maximize_scalar(lambda x: math.nan if x > 0.2 else x)
 
 
+def test_nan_during_refinement_rejected():
+    calls = []
+
+    def objective(x):
+        # finite on the 3-point scan, NaN at every golden-section point
+        calls.append(x)
+        return x if len(calls) <= 3 else math.nan
+
+    with pytest.raises(NumericalFailure, match="objective returned NaN during refinement"):
+        maximize_scalar(objective, coarse_points=3)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [dict(tol=0.0), dict(coarse_points=2)],
