@@ -10,6 +10,8 @@ is a channel without signal (p_off == p_on) inside the validity region.
 
 import math
 
+import numpy as np
+
 from .channel import BinaryDetectionProbs
 from .errors import ParameterError
 from .guards import check_unit
@@ -19,8 +21,27 @@ from .mutual_info import binary_entropy
 def mi_approx_low_background(mu, probs: BinaryDetectionProbs, trials):
     """Expansion of I(X; N_hat) in nats, dropping o(L p0) and O(1/L) terms."""
     check_unit(mu, "mu")
-    if mu == 0.0 or mu == 1.0:
+    if mu == 0.0 or mu == 1.0 or _without_signal(mu, probs, trials):
         return 0.0
+    return _expansion(mu, probs, trials, math.log)
+
+
+def mi_approx_scan(probs: BinaryDetectionProbs, trials):
+    """The expansion over ascending duty cycles in (0, 1), as a scan for
+    ``optimize.maximize_scalar``: refused if any one of them is, and only
+    the signal's underflow depends on mu, first at the smallest."""
+
+    def scan(mu):
+        if _without_signal(mu[0], probs, trials):
+            return np.zeros_like(mu)
+        return _expansion(mu, probs, trials, np.log)
+
+    return scan
+
+
+def _without_signal(mu, probs, trials):
+    """Refuse the expansion at 0 < mu < 1 outside its region; True where
+    the channel has no signal (p_off == p_on), so that it is 0."""
     p0, p1 = probs.p_off, probs.p_on
     if not 0.0 < p1 < 1.0:
         raise ParameterError(f"approximation needs 0 < p_on < 1, got {p1}")
@@ -30,21 +51,30 @@ def mi_approx_low_background(mu, probs: BinaryDetectionProbs, trials):
             f"approximation outside validity region: trials * p_off = {lp0} >= 1"
         )
     if p0 == p1:
-        return 0.0
+        return True
     signal = mu * trials * p1
     if signal == 0.0:
         raise ParameterError(
             f"approximation needs mu * trials * p_on > 0, got {signal} (underflow)"
         )
+    return False
+
+
+def _expansion(mu, probs, trials, log):
+    """The expansion inside its region: mu a float with math.log, or an
+    array with np.log."""
+    p0, p1 = probs.p_off, probs.p_on
+    lp0 = trials * p0
+    signal = mu * trials * p1
     log_q1 = math.log1p(-p1)
     q1_pow = math.exp(trials * log_q1)  # (1 - p_on)^L
     zero_mass = mu * q1_pow + (1.0 - mu)
 
-    value = -zero_mass * math.log(zero_mass)
+    value = -zero_mass * log(zero_mass)
     value += mu * trials * q1_pow * log_q1
-    value -= mu * (1.0 - q1_pow) * math.log(mu)
+    value -= mu * (1.0 - q1_pow) * log(mu)
     value += (1.0 - mu) * lp0 * (
-        math.log(zero_mass) - math.log(signal) - (trials - 1) * log_q1
+        log(zero_mass) - log(signal) - (trials - 1) * log_q1
     )
     value -= (1.0 - mu) * binary_entropy(lp0)
     return value

@@ -29,7 +29,7 @@ from .mutual_info import (
     mi_discrete_poisson,
     mi_max_bruteforce,
 )
-from .approximation import mi_approx_low_background
+from .approximation import mi_approx_low_background, mi_approx_scan
 from .asymptotics import (
     _pow_log,
     estimate_exponential_rate,
@@ -296,7 +296,8 @@ def duty_imax_rows(settings):
         mu_exact, imax_exact = mi_max_bruteforce(probs, trials)
         try:
             mu_approx, imax_approx = optimize.maximize_scalar(
-                lambda mu: mi_approx_low_background(mu, probs, trials)
+                lambda mu: mi_approx_low_background(mu, probs, trials),
+                scan=mi_approx_scan(probs, trials),
             )
         except ParameterError:
             mu_approx, imax_approx = math.nan, math.nan
@@ -408,6 +409,8 @@ def gap_rows(settings):
             # each bound = a constant in b (p0; 1 - p1 at low background) + offset
             if scenario == "large-A":
                 b, (eps_u, eps_l) = p0, gap_offsets_large_A(p0, p1, trials)
+            elif p1 == 1.0:
+                raise unresolved(x, "p1 rounds to 1")
             else:
                 b, (eps_u, eps_l) = 1.0 - p1, gap_offsets_low_background(p0, p1, trials)
             high_u = gap_bounds(triple)[1]

@@ -26,6 +26,9 @@ MAX_TRIALS_EXACT = 100_000
 
 POISSON_TAIL_MASS = 1e-14
 
+# Mixture cells per block of the duty-cycle scan: 128 KiB of float64.
+SCAN_BLOCK_CELLS = 16_384
+
 LS2PI = 0.91893853320467274178  # ln sqrt(2 pi), as in cephes
 
 
@@ -80,30 +83,52 @@ def _entropy_from_pmf(pmf):
     return float(-(pmf[mask] * np.log(pmf[mask])).sum())
 
 
+def _row_entropies(mix):
+    """The entropy of each row of a matrix of pmfs, as a column."""
+    logs = np.log(mix, out=np.zeros_like(mix), where=mix > 0.0)
+    return -(mix * logs).sum(axis=1, keepdims=True)
+
+
 def _mixture_curve(pmf0, pmf1):
-    """mu -> H(mixture) - (1-mu) H(pmf0) - mu H(pmf1) over a shared support;
-    the component entropies are computed once."""
+    """(mi, scan): mu -> H(mixture) - (1-mu) H(pmf0) - mu H(pmf1) over a
+    shared support, and the same over an array of duty cycles, summed over
+    the bins either law reaches, SCAN_BLOCK_CELLS cells at a time; the
+    component entropies are computed once."""
     h0, h1 = _entropy_from_pmf(pmf0), _entropy_from_pmf(pmf1)
 
-    def mi(mu):
-        mix = (1.0 - mu) * pmf0 + mu * pmf1
-        return _entropy_from_pmf(mix) - (1.0 - mu) * h0 - mu * h1
+    def mi(mu, law0=pmf0, law1=pmf1, entropy=_entropy_from_pmf):
+        mix = (1.0 - mu) * law0 + mu * law1
+        return entropy(mix) - (1.0 - mu) * h0 - mu * h1
 
-    return mi
+    def scan(mu):
+        reached = (pmf0 > 0.0) | (pmf1 > 0.0)
+        law0, law1 = pmf0[reached], pmf1[reached]
+        rows = max(1, SCAN_BLOCK_CELLS // law0.size)
+        blocks = range(0, mu.size, rows)
+        return np.concatenate(
+            [mi(mu[i : i + rows, None], law0, law1, _row_entropies) for i in blocks]
+        ).ravel()
+
+    return mi, scan
 
 
 def mi_binomial_curve(probs: BinaryDetectionProbs, trials):
     """mu -> I(X; N_hat) in nats for one channel: the two binomial pmfs are
     built once, and each mu costs one mixture entropy."""
+    return _binomial_curve(probs, trials)[0]
+
+
+def _binomial_curve(probs, trials):
+    """``mi_binomial_curve`` and its scan from the same pmfs (None if p_off == p_on)."""
     check_trials(trials)
     if trials > MAX_TRIALS_EXACT:
         raise ParameterError(
             f"trials = {trials} exceeds exact-summation cap {MAX_TRIALS_EXACT}"
         )
     trials = int(trials)
-    mi = None
+    mi = scan = None
     if probs.p_off != probs.p_on:
-        mi = _mixture_curve(
+        mi, scan = _mixture_curve(
             np.exp(_binomial_logpmf_support(trials, probs.p_off)),
             np.exp(_binomial_logpmf_support(trials, probs.p_on)),
         )
@@ -114,7 +139,7 @@ def mi_binomial_curve(probs: BinaryDetectionProbs, trials):
             return 0.0
         return mi(mu)
 
-    return curve
+    return curve, scan
 
 
 def mi_binomial_mixture(mu, probs: BinaryDetectionProbs, trials):
@@ -131,7 +156,8 @@ def mi_max_bruteforce(probs: BinaryDetectionProbs, trials):
     """
     if probs.p_off == probs.p_on:
         return 0.5, 0.0
-    return optimize.maximize_scalar(mi_binomial_curve(probs, trials), coarse_points=65)
+    curve, scan = _binomial_curve(probs, trials)
+    return optimize.maximize_scalar(curve, coarse_points=65, scan=scan)
 
 
 def _poisson_support_max(mean):
@@ -170,4 +196,4 @@ def mi_discrete_poisson(mu, mean_off, mean_on):
     return _mixture_curve(
         _poisson_pmf_support(mean_off, n_max),
         _poisson_pmf_support(mean_on, n_max),
-    )(mu)
+    )[0](mu)

@@ -5,9 +5,18 @@ brute-force capacities) is either a closed form checked against this
 module or produced by it, so the routine favours robustness over speed:
 a dense coarse scan brackets the best point, then golden-section search
 refines the bracket.
+
+numpy picks the bracket; libm refines and prints.  A caller may pass the
+scan as one numpy call over the interior scan points.  Its values only
+choose the bracket: the endpoints, the winner and every refinement point
+are evaluated by the scalar objective through ``math``, so a returned
+value can differ from the per-point scan's only where the two best scan
+values lie within a few ulp of each other.
 """
 
 import math
+
+import numpy as np
 
 from .errors import NumericalFailure, ParameterError
 
@@ -17,34 +26,39 @@ DEFAULT_COARSE_POINTS = 1024
 DEFAULT_TOL = 1e-10
 
 
-def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS):
+def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS, scan=None):
     """Maximize ``f`` on [0, 1]; returns ``(x_star, f_star)``.
 
     A uniform scan over ``coarse_points`` points picks the best bracket
     (ties break toward smaller x, so results are deterministic), then
     golden-section search shrinks the bracket below ``tol``.  Non-finite
     values are treated as -inf; if more than half the scan is non-finite
-    the objective is considered broken.
+    the objective is considered broken.  ``scan``, if given, maps the
+    array of interior scan points ``i / (coarse_points - 1)`` to the
+    values of ``f`` there; ``f`` is evaluated again at the winner.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
     if coarse_points < 3:
         raise ParameterError("coarse_points must be >= 3")
 
-    xs = [i / (coarse_points - 1) for i in range(coarse_points)]
-    vals = [v if math.isfinite(v := f(x)) else -math.inf for x in xs]
-    bad = vals.count(-math.inf)
+    last = coarse_points - 1
+    if scan is None:
+        vals = np.array([f(i / last) for i in range(coarse_points)], dtype=float)
+    else:
+        with np.errstate(all="ignore"):
+            vals = np.concatenate(([f(0.0)], scan(np.arange(1, last) / last), [f(1.0)]))
+    vals[~np.isfinite(vals)] = -math.inf
+    bad = int(np.count_nonzero(vals == -math.inf))
     if bad > coarse_points // 2:
         raise NumericalFailure(
             f"objective non-finite at {bad}/{coarse_points} scan points"
         )
 
-    best_f = max(vals)
-    best = vals.index(best_f)
-    best_x = xs[best]
-
-    a = xs[best - 1] if best > 0 else xs[0]
-    b = xs[best + 1] if best < coarse_points - 1 else xs[-1]
+    best = int(np.argmax(vals))  # the first maximum
+    best_x = best / last
+    best_f = f(best_x)
+    a, b = max(best - 1, 0) / last, min(best + 1, last) / last
 
     # Golden-section refinement inside the bracket around the scan winner.
     c = b - INV_GOLDEN * (b - a)
@@ -66,4 +80,3 @@ def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS):
                 best_x, best_f = x, v
 
     return best_x, best_f
-

@@ -14,6 +14,8 @@ sweeps drive it under 1e-100).
 
 import math
 
+import numpy as np
+
 from .divergences import BetaTriple
 from .errors import ParameterError
 from .guards import check_unit
@@ -27,10 +29,14 @@ def upper_envelope(mu, beta1, beta2):
     check_unit(beta2, "beta2")
     if mu == 0.0 or mu == 1.0:
         return 0.0
+    return _upper_envelope(mu, beta1, beta2, math.log)
+
+
+def _upper_envelope(mu, beta1, beta2, log):
+    """F_u at 0 < mu < 1: a float with math.log, or an array with np.log."""
     # 0.0 - x, not -x: where the envelope is 0 it prints 0, not -0
     return 0.0 - (
-        mu * math.log((1.0 - mu) * beta1 + mu)
-        + (1.0 - mu) * math.log(mu * beta2 + (1.0 - mu))
+        mu * log((1.0 - mu) * beta1 + mu) + (1.0 - mu) * log(mu * beta2 + (1.0 - mu))
     )
 
 
@@ -42,12 +48,17 @@ def envelope_difference(mu, triple: BetaTriple):
     log1p of small increments.
     """
     check_unit(mu, "mu")
-    beta, beta1, beta2 = triple.beta, triple.beta1, triple.beta2
     if mu == 0.0 or mu == 1.0:
         return 0.0
+    return _envelope_difference(mu, triple, math.log1p)
+
+
+def _envelope_difference(mu, triple, log1p):
+    """F_u - F_l at 0 < mu < 1: a float with math.log1p, or an array with np.log1p."""
+    beta, beta1, beta2 = triple.beta, triple.beta1, triple.beta2
     d1 = (1.0 - mu) * (beta - beta1) / ((1.0 - mu) * beta1 + mu)
     d2 = mu * (beta - beta2) / (mu * beta2 + (1.0 - mu))
-    return mu * math.log1p(d1) + (1.0 - mu) * math.log1p(d2)
+    return mu * log1p(d1) + (1.0 - mu) * log1p(d2)
 
 
 def lower_bound_max(beta):
@@ -77,13 +88,19 @@ def optimal_prior_upper(beta1, beta2):
     check_unit(beta2, "beta2")
     if beta1 >= 1.0 or beta2 >= 1.0:
         raise ParameterError("optimal_prior_upper needs beta1, beta2 in [0, 1)")
-    mu_star, _ = optimize.maximize_scalar(lambda mu: upper_envelope(mu, beta1, beta2))
+    mu_star, _ = optimize.maximize_scalar(
+        lambda mu: upper_envelope(mu, beta1, beta2),
+        scan=lambda mu: _upper_envelope(mu, beta1, beta2, np.log),
+    )
     return mu_star
 
 
 def bound_gap(triple: BetaTriple):
     """Delta = max over mu of the pointwise difference F_u - F_l."""
-    _, gap = optimize.maximize_scalar(lambda mu: envelope_difference(mu, triple))
+    _, gap = optimize.maximize_scalar(
+        lambda mu: envelope_difference(mu, triple),
+        scan=lambda mu: _envelope_difference(mu, triple, np.log1p),
+    )
     return gap
 
 

@@ -597,6 +597,10 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
          2, "low-A scenario requires background > 0", False),
         (["gap", "--scenario", "low-A", "--background", "5e-324"],
          3, "low-A gap at x = 0.0001 cannot be resolved", False),
+        # a peak rate that saturates p1 leaves no low-background offset
+        (["gap", "--scenario", "low-lambda", "--peak-rate", "1e300"],
+         3, "low-lambda gap at x = 5.8e-06 cannot be resolved in double precision: "
+         "p1 rounds to 1", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,3 +104,62 @@ def test_slope_degenerate_x_rejected():
         estimate_exponential_rate([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
     with pytest.raises(ParameterError, match="three points"):
         estimate_exponential_rate([(1.0, 2.0), (3.0, 8.0)])
+
+
+# The numpy scan: one call over the interior points, which only picks the
+# bracket; f itself gives the endpoints, the winner's value and the
+# refinement.
+
+
+def test_scan_called_once_with_interior_points():
+    calls = []
+
+    def scan(mu):
+        calls.append(mu.copy())
+        return -((mu - 0.3) ** 2)
+
+    f = lambda x: -((x - 0.3) ** 2)
+    assert maximize_scalar(f, scan=scan) == maximize_scalar(f)
+    assert len(calls) == 1
+    assert calls[0].tolist() == [i / 1023 for i in range(1, 1023)]
+
+
+def test_scan_value_is_not_returned():
+    # the scan only picks the bracket; the value comes from f at the winner
+    x, fx = maximize_scalar(lambda x: 2.0, scan=lambda mu: mu * 0.0, tol=1.0)
+    assert (x, fx) == (0.0, 2.0)
+
+
+def test_scan_tie_goes_left():
+    scan = lambda mu: np.where((mu > 0.25) & (mu < 0.75), 1.0, 0.0)
+    x, _ = maximize_scalar(lambda x: 1.0 if 0.25 < x < 0.75 else 0.0, scan=scan, tol=1.0)
+    assert x == 256 / 1023  # the first interior point above 0.25
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scan_non_finite_counts_as_minus_inf(bad):
+    # left as they are, NaN would win np.argmax and inf any maximum
+    scan = lambda mu: np.where(mu < 0.5, bad, mu)
+    x, _ = maximize_scalar(lambda x: x, scan=scan, coarse_points=5, tol=1.0)
+    assert x == 1.0
+
+
+def test_scan_mostly_non_finite_rejected_as_per_point():
+    f = lambda x: math.nan if x > 0.2 else x
+    scan = lambda mu: np.where(mu > 0.2, np.nan, mu)
+    with pytest.raises(NumericalFailure) as per_point:
+        maximize_scalar(f)
+    with pytest.raises(NumericalFailure) as scanned:
+        maximize_scalar(f, scan=scan)
+    assert str(scanned.value) == str(per_point.value) == (
+        "objective non-finite at 819/1024 scan points"
+    )
+
+
+def test_scan_warnings_stay_inside():
+    # log(0), 0/0 and overflow in the scan: no RuntimeWarning reaches the caller
+    scan = lambda mu: np.log(mu - mu[0]) + (mu - mu) / (mu - mu) * np.exp(1e3 * mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="non-finite at 1024/1024"):
+            maximize_scalar(lambda x: math.nan, scan=scan)
