@@ -16,6 +16,7 @@ from .channel import BinaryDetectionProbs
 from .errors import ParameterError
 from .guards import check_unit
 from .mutual_info import binary_entropy
+from . import optimize
 
 
 def mi_approx_low_background(mu, probs: BinaryDetectionProbs, trials):
@@ -26,17 +27,21 @@ def mi_approx_low_background(mu, probs: BinaryDetectionProbs, trials):
     return _expansion(mu, probs, trials, math.log)
 
 
-def mi_approx_scan(probs: BinaryDetectionProbs, trials):
-    """The expansion over ascending duty cycles in (0, 1), as a scan for
-    ``optimize.maximize_scalar``: refused if any one of them is, and only
-    the signal's underflow depends on mu, first at the smallest."""
+def mi_approx_max(probs: BinaryDetectionProbs, trials):
+    """(mu, value): the expansion's maximum over duty cycles, refused with
+    ParameterError outside its region."""
 
     def scan(mu):
+        # refused if any one of the ascending scan points is, and only the
+        # signal's underflow depends on mu, first at the smallest
         if _without_signal(mu[0], probs, trials):
             return np.zeros_like(mu)
         return _expansion(mu, probs, trials, np.log)
 
-    return scan
+    # the module-global name, so that a wrapper installed on it sees each call
+    return optimize.maximize_scalar(
+        lambda mu: mi_approx_low_background(mu, probs, trials), scan=scan
+    )
 
 
 def _without_signal(mu, probs, trials):

@@ -11,7 +11,7 @@ with a log-linear least squares fit.
 
 import math
 
-from .errors import ParameterError
+from .errors import NumericalFailure, ParameterError
 from .guards import check_finite, check_open_unit, check_positive, check_unit
 
 
@@ -104,6 +104,11 @@ def estimate_exponential_rate(points):
     mean_y = sum(y for _, y in logged) / n
     sxx = sum((x - mean_x) ** 2 for x, _ in logged)
     if sxx == 0.0:
-        raise ParameterError("all x values are identical")
+        if len({x for x, _ in logged}) == 1:
+            raise ParameterError("all x values are identical")
+        raise NumericalFailure(
+            "the spread of the x values underflows in double precision; "
+            "the rate cannot be resolved"
+        )
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in logged)
     return sxy / sxx

@@ -10,14 +10,16 @@ only through three exponentiated divergences:
     beta2 = exp(-KL(P0||P1))
 
 Infinite divergences (absolute-continuity failures, e.g. p0 = 0) are kept
-as +inf and map to an exact 0 on the beta scale.
+as +inf and map to an exact 0 on the beta scale.  A divergence that
+rounds below 0, where the two laws agree to within rounding, raises
+NumericalFailure: its beta would exceed 1.
 """
 
 import math
 from dataclasses import dataclass
 
 from .channel import BinaryDetectionProbs
-from .errors import ParameterError
+from .errors import NumericalFailure, ParameterError
 from .guards import check_trials, check_unit
 
 
@@ -66,7 +68,12 @@ def chernoff_binomial(alpha, p_a, p_b, trials):
     )
     if s == 0.0:
         return math.inf
-    return -trials * math.log(s)
+    value = -trials * math.log(s)
+    if value < 0.0:
+        raise NumericalFailure(
+            f"C_alpha = {value} rounds below 0 at alpha = {alpha}, p_a = {p_a}, p_b = {p_b}"
+        )
+    return value
 
 
 def bhattacharyya_distance(p0, p1):
@@ -89,9 +96,17 @@ def beta_triple(probs: BinaryDetectionProbs, trials) -> BetaTriple:
     p0, p1 = probs.p_off, probs.p_on
     if p0 == p1:
         return BetaTriple(1.0, 1.0, 1.0)
-    beta = math.exp(-trials * bhattacharyya_distance(p0, p1))
+    distance = bhattacharyya_distance(p0, p1)
     kl10 = kl_binomial(p1, p0, trials)
     kl01 = kl_binomial(p0, p1, trials)
+    for name, value in (
+        ("Bhattacharyya distance", distance), ("KL(P1||P0)", kl10), ("KL(P0||P1)", kl01)
+    ):
+        if value < 0.0:
+            raise NumericalFailure(
+                f"{name} = {value} rounds below 0 at p_off = {p0}, p_on = {p1}"
+            )
+    beta = math.exp(-trials * distance)
     beta1 = 0.0 if math.isinf(kl10) else math.exp(-kl10)
     beta2 = 0.0 if math.isinf(kl01) else math.exp(-kl01)
     return BetaTriple(beta=beta, beta1=beta1, beta2=beta2)

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .channel import ChannelParams, detection_prob, detection_probs, symbol_probs
-from .divergences import bhattacharyya_distance, beta_triple, chernoff_binomial
+from .divergences import bhattacharyya_distance, beta_triple
 from .errors import NumericalFailure, ParameterError
 from .guards import check_open_unit, check_trials
 from .mutual_info import (
@@ -29,7 +29,7 @@ from .mutual_info import (
     mi_discrete_poisson,
     mi_max_bruteforce,
 )
-from .approximation import mi_approx_low_background, mi_approx_scan
+from .approximation import mi_approx_low_background, mi_approx_max
 from .asymptotics import (
     _pow_log,
     estimate_exponential_rate,
@@ -49,10 +49,11 @@ from .rate_bounds import (
     gap_bounds,
     lower_bound_max,
     optimal_prior_upper,
+    tuned_lower_envelope,
     upper_bound_max,
     upper_envelope,
 )
-from . import monte_carlo, optimize
+from . import monte_carlo
 
 # Largest grid COUNT accepted.  No preset, check or benchmark workload uses
 # more than 10,000 points; a count far beyond that only exhausts memory.
@@ -216,31 +217,13 @@ def parse_grid(text):
     return grid.tolist()
 
 
-def _alpha_tuned_lower(mu, p0, p1, trials):
-    """Lower envelope with the divergence order optimized over alpha per mu."""
-    if mu == 0.0 or mu == 1.0 or p0 == p1:
-        return 0.0
-
-    def objective(alpha):
-        b1 = math.exp(-chernoff_binomial(alpha, p1, p0, trials))
-        b2 = math.exp(-chernoff_binomial(alpha, p0, p1, trials))
-        return upper_envelope(mu, b1, b2)
-
-    _, value = optimize.maximize_scalar(objective, tol=1e-9, coarse_points=65)
-    return value
-
-
 def mi_sweep_rows(settings):
     """Rate and bound columns over a duty-cycle grid (one symbol interval)."""
     peak_rate, background = settings["peak_rate"], settings["background"]
     trials = settings["samples"]
     probs = detection_probs(peak_rate, background, settings["dead_time"])
     triple = beta_triple(probs, trials)
-    upper_sub = (
-        upper_bound_max(triple.beta1, triple.beta2)
-        if not (triple.beta1 == 1.0 and triple.beta2 == 1.0)
-        else 0.0
-    )
+    upper_sub = upper_bound_max(triple.beta1, triple.beta2)
     header = [
         "mu",
         "exact_mi",
@@ -263,7 +246,7 @@ def mi_sweep_rows(settings):
             [
                 mu,
                 exact,
-                _alpha_tuned_lower(mu, probs.p_off, probs.p_on, trials),
+                tuned_lower_envelope(mu, probs, trials),
                 upper_envelope(mu, triple.beta, triple.beta),
                 upper_envelope(mu, triple.beta1, triple.beta2),
                 upper_sub,
@@ -295,17 +278,10 @@ def duty_imax_rows(settings):
         triple = beta_triple(probs, trials)
         mu_exact, imax_exact = mi_max_bruteforce(probs, trials)
         try:
-            mu_approx, imax_approx = optimize.maximize_scalar(
-                lambda mu: mi_approx_low_background(mu, probs, trials),
-                scan=mi_approx_scan(probs, trials),
-            )
+            mu_approx, imax_approx = mi_approx_max(probs, trials)
         except ParameterError:
             mu_approx, imax_approx = math.nan, math.nan
-        if triple.beta1 < 1.0 and triple.beta2 < 1.0:
-            mu_upper = optimal_prior_upper(triple.beta1, triple.beta2)
-            imax_upper = upper_envelope(mu_upper, triple.beta1, triple.beta2)
-        else:
-            mu_upper, imax_upper = 0.5, 0.0
+        mu_upper, imax_upper = optimal_prior_upper(triple.beta1, triple.beta2)
         rows.append(
             [
                 peak,
@@ -383,7 +359,10 @@ def gap_rows(settings):
         else:
             probs, L = detection_probs(x, background, dead_time), trials
         p0, p1 = probs.p_off, probs.p_on
-        triple = beta_triple(probs, L)
+        try:
+            triple = beta_triple(probs, L)
+        except NumericalFailure as exc:
+            raise unresolved(x, exc) from exc
         gap = y = bound_gap(triple)
         if not (math.isfinite(gap) and gap > 0.0):
             raise unresolved(x, f"gap_numeric is {gap}")

@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .divergences import BetaTriple
-from .errors import ParameterError
+from .channel import BinaryDetectionProbs
+from .divergences import BetaTriple, chernoff_binomial
 from .guards import check_unit
 from . import optimize
 
@@ -71,28 +71,45 @@ def upper_bound_max(beta1, beta2):
     """Closed-form upper bound on max over mu of F_u.
 
     |b1-b2|(1 - min(b1,b2))/(1 - b1 b2) - ln((1 - b1 b2)/(2 - b1 - b2)),
-    tight exactly when beta1 = beta2.
+    tight exactly when beta1 = beta2; its limit 0 at beta1 = beta2 = 1.
     """
     check_unit(beta1, "beta1")
     check_unit(beta2, "beta2")
     if beta1 == 1.0 and beta2 == 1.0:
-        raise ParameterError("upper_bound_max is degenerate at beta1 = beta2 = 1")
+        return 0.0
     return abs(beta1 - beta2) * (1.0 - min(beta1, beta2)) / (
         1.0 - beta1 * beta2
     ) - math.log((1.0 - beta1 * beta2) / (2.0 - beta1 - beta2))
 
 
 def optimal_prior_upper(beta1, beta2):
-    """Numerically maximizing duty cycle mu*(beta1, beta2) of F_u."""
+    """(mu*, max F_u): the numerically maximizing duty cycle of F_u and its
+    value; (0.5, 0.0) without signal, at beta1 = beta2 = 1."""
     check_unit(beta1, "beta1")
     check_unit(beta2, "beta2")
-    if beta1 >= 1.0 or beta2 >= 1.0:
-        raise ParameterError("optimal_prior_upper needs beta1, beta2 in [0, 1)")
-    mu_star, _ = optimize.maximize_scalar(
+    if beta1 == 1.0 and beta2 == 1.0:
+        return 0.5, 0.0
+    return optimize.maximize_scalar(
         lambda mu: upper_envelope(mu, beta1, beta2),
         scan=lambda mu: _upper_envelope(mu, beta1, beta2, np.log),
     )
-    return mu_star
+
+
+def tuned_lower_envelope(mu, probs: BinaryDetectionProbs, trials):
+    """Lower envelope with the divergence order optimized over alpha per mu:
+    max over alpha of F_u(mu, e^-C_alpha(P1||P0), e^-C_alpha(P0||P1)),
+    which at alpha = 1/2 is F_l(mu, beta)."""
+    p0, p1 = probs.p_off, probs.p_on
+    if mu == 0.0 or mu == 1.0 or p0 == p1:
+        return 0.0
+
+    def objective(alpha):
+        b1 = math.exp(-chernoff_binomial(alpha, p1, p0, trials))
+        b2 = math.exp(-chernoff_binomial(alpha, p0, p1, trials))
+        return upper_envelope(mu, b1, b2)
+
+    _, value = optimize.maximize_scalar(objective, tol=1e-9, coarse_points=65)
+    return value
 
 
 def bound_gap(triple: BetaTriple):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deadtime_channel import (
     BinaryDetectionProbs,
@@ -12,6 +13,7 @@ from deadtime_channel import (
     mi_binomial_mixture,
     upper_envelope,
 )
+from deadtime_channel.approximation import mi_approx_max
 
 
 def test_corner_duty_cycles():
@@ -102,3 +104,16 @@ def test_relative_accuracy_at_published_point():
     exact = mi_binomial_mixture(0.5, probs, 30)
     approx = mi_approx_low_background(0.5, probs, 30)
     assert approx == pytest.approx(exact, rel=5e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0), st.integers(1, 1000))
+def test_mi_approx_max_value_is_expansion_at_its_argmax(lp0, pb, trials):
+    # trials * p_off = lp0 < 1, inside the expansion's region up to rounding
+    pa = lp0 / trials
+    probs = BinaryDetectionProbs(min(pa, pb), max(pa, pb))
+    try:
+        mu, value = mi_approx_max(probs, trials)
+    except ParameterError:
+        return  # outside the expansion's region, as duty-imax's NaN cells
+    assert value == mi_approx_low_background(mu, probs, trials)

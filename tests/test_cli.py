@@ -601,6 +601,16 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
         (["gap", "--scenario", "low-lambda", "--peak-rate", "1e300"],
          3, "low-lambda gap at x = 5.8e-06 cannot be resolved in double precision: "
          "p1 rounds to 1", False),
+        # a divergence that rounds below 0 is unresolvable, not a bad flag
+        (["mi-sweep", "--peak-rate", "1e-8"], 3, "C_alpha = -", False),
+        (["mi-sweep", "--peak-rate", "1e-13", "--background", "1.0", "--samples", "20"],
+         3, "C_alpha = -", False),
+        (["duty-imax", "--a-grid", "lin:1e-9,1e-9,1"], 3, "KL(P1||P0) = -", False),
+        # a spread of sweep values that underflows the fit; equal values are a bad grid
+        (["gap", "--scenario", "zero-lambda", "--a-grid", "lin:1e-300,1e-299,3"],
+         3, "the spread of the x values underflows", False),
+        (["gap", "--scenario", "zero-lambda", "--a-grid", "lin:30,30,3"],
+         2, "all x values are identical", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from deadtime_channel import (
     BinaryDetectionProbs,
     ChannelParams,
+    NumericalFailure,
     ParameterError,
     beta_triple,
     binary_entropy,
@@ -23,6 +25,7 @@ from deadtime_channel import (
     upper_envelope,
 )
 from deadtime_channel.divergences import BetaTriple
+from deadtime_channel.rate_bounds import tuned_lower_envelope
 
 
 def lower_envelope(mu, beta):
@@ -117,8 +120,12 @@ def test_upper_bound_max_equal_betas():
 
 
 def test_upper_bound_max_degenerate():
+    # without signal the bound is its limit 0, and with one beta at 1 it is
+    # 1 - b (the log term vanishes)
+    assert upper_bound_max(1.0, 1.0) == 0.0
+    assert upper_bound_max(1.0, 0.25) == 0.75
     with pytest.raises(ParameterError):
-        upper_bound_max(1.0, 1.0)
+        upper_bound_max(1.5, 0.5)
 
 
 def test_upper_bound_max_dominates_optimizer_with_bounded_slack():
@@ -133,15 +140,15 @@ def test_upper_bound_max_dominates_optimizer_with_bounded_slack():
 
 
 def test_optimal_prior_equal_betas_is_half():
-    assert optimal_prior_upper(0.4, 0.4) == pytest.approx(0.5, abs=1e-8)
+    assert optimal_prior_upper(0.4, 0.4)[0] == pytest.approx(0.5, abs=1e-8)
 
 
 def test_optimal_prior_complement_identity():
     rng = np.random.default_rng(45)
     for _ in range(20):
         b1, b2 = rng.uniform(0.0, 0.99, 2)
-        mu_a = optimal_prior_upper(b1, b2)
-        mu_b = optimal_prior_upper(b2, b1)
+        mu_a, _ = optimal_prior_upper(b1, b2)
+        mu_b, _ = optimal_prior_upper(b2, b1)
         assert mu_a + mu_b == pytest.approx(1.0, abs=2e-8)
 
 
@@ -151,7 +158,7 @@ def test_optimal_prior_threshold_side():
         b1, b2 = rng.uniform(0.0, 0.99, 2)
         if abs(b1 - b2) < 1e-3:
             continue
-        mu = optimal_prior_upper(b1, b2)
+        mu, _ = optimal_prior_upper(b1, b2)
         threshold = (1.0 - b1) / (2.0 - b1 - b2)
         if b1 > b2:
             assert mu > threshold
@@ -160,8 +167,13 @@ def test_optimal_prior_threshold_side():
 
 
 def test_optimal_prior_domain():
+    # (0.5, 0.0) without signal; one beta at 1 is maximized like any other
+    assert optimal_prior_upper(1.0, 1.0) == (0.5, 0.0)
+    mu, value = optimal_prior_upper(1.0, 0.5)
+    assert 0.5 < mu < 1.0
+    assert value == upper_envelope(mu, 1.0, 0.5) > 0.0
     with pytest.raises(ParameterError):
-        optimal_prior_upper(1.0, 0.5)
+        optimal_prior_upper(1.0, 1.5)
 
 
 def test_envelope_difference_matches_plain_subtraction():
@@ -222,10 +234,8 @@ def test_gap_between_maxima_below_pointwise_gap():
     for _ in range(30):
         probs, trials = _channel_triple(rng)
         triple = beta_triple(probs, trials)
-        mu_upper = optimal_prior_upper(triple.beta1, triple.beta2)
-        diagnostic = upper_envelope(
-            mu_upper, triple.beta1, triple.beta2
-        ) - lower_bound_max(triple.beta)
+        _, imax_upper = optimal_prior_upper(triple.beta1, triple.beta2)
+        diagnostic = imax_upper - lower_bound_max(triple.beta)
         assert -1e-12 <= diagnostic <= bound_gap(triple) + 1e-12
 
 
@@ -279,3 +289,31 @@ def test_sandwich_random_sweep():
         mi = mi_binomial_mixture(mu, probs, trials)
         assert lower_envelope(mu, triple.beta) <= mi + 1e-9
         assert mi <= upper_envelope(mu, triple.beta1, triple.beta2) + 1e-9
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit, _unit, st.integers(1, 300), _unit)
+def test_tuned_lower_envelope_between_lower_envelope_and_exact_mi(pa, pb, trials, mu):
+    probs = BinaryDetectionProbs(min(pa, pb), max(pa, pb))
+    try:
+        triple = beta_triple(probs, trials)
+        tuned = tuned_lower_envelope(mu, probs, trials)
+    except NumericalFailure:
+        return  # a divergence rounds below 0: the refusal is the contract
+    assert tuned <= mi_binomial_mixture(mu, probs, trials) + 1e-9
+    # alpha = 1/2 lies on the 65-point alpha grid
+    assert tuned >= lower_envelope(mu, triple.beta) - 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit, _unit)
+@example(1.0, 1.0)
+def test_optimal_prior_upper_value_is_envelope_at_its_argmax(beta1, beta2):
+    mu, value = optimal_prior_upper(beta1, beta2)
+    assert value == upper_envelope(mu, beta1, beta2)
+    if beta1 == beta2 == 1.0:
+        # the no-signal conventions
+        assert (mu, value, upper_bound_max(beta1, beta2)) == (0.5, 0.0, 0.0)
