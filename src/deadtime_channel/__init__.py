@@ -47,9 +47,7 @@ from .capacity import (
     capacity_sampled,
     capacity_tau,
     duty_cycle_limits,
-    optimal_duty_cycle,
     quadratic_coeffs_low_A,
-    rate_objective,
     wyner_poisson_capacity,
 )
 from .monte_carlo import SimConfig
@@ -91,10 +89,8 @@ __all__ = [
     "mi_discrete_poisson",
     "mi_max_bruteforce",
     "optimal_alpha_grid",
-    "optimal_duty_cycle",
     "optimal_prior_upper",
     "quadratic_coeffs_low_A",
-    "rate_objective",
     "symbol_probs",
     "upper_bound_max",
     "upper_envelope",

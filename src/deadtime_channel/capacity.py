@@ -11,9 +11,10 @@ maximized in closed form by
     mu* = (a/(1+a) - p(L0)) / (p(A+L0) - p(L0)),
     a   = exp(-(h_b(p(A+L0)) - h_b(p(L0))) / (p(A+L0) - p(L0))).
 
-Slower sampling only attenuates: C = (tau/T_s) * C_tau.  The capacity
-functions return (mu_star, capacity) pairs, as the optimizer does.  All
-outputs are in nats; CSV emitters convert to bits where useful.
+Slower sampling only attenuates: C = (tau/T_s) * C_tau.  ``capacity_tau``
+is the one path to mu*; the capacity functions return (mu_star, capacity)
+pairs, as the optimizer does.  All outputs are in nats; CSV emitters
+convert to bits where useful.
 
 The entropy difference quotient is evaluated in a compensated form (log1p
 of increments plus exact -q ln q = q x tau terms) so that mu* stays
@@ -33,7 +34,6 @@ from .guards import (
     check_positive,
     check_rates,
     check_sampling,
-    check_unit,
 )
 from . import optimize
 
@@ -70,30 +70,6 @@ def _entropy_quotient(levels, peak_rate, dead_time):
             - x0 * d
         )
     return dh / d
-
-
-def optimal_duty_cycle(peak_rate, background_rate, dead_time):
-    """Closed-form (mu_star, a) maximizing F; requires peak_rate > 0.
-
-    With background, once d = p1 - p0 < 4e-5 p0 q0 the numerator a q0 - p0
-    cancels, so mu_star comes from its expansion in d instead,
-    1/2 - (q0 - p0) d / (24 p0 q0), whose next term is O(d^2).  The switch
-    sits where the two errors cross (about 3e-15 p0 q0 / d for the closed
-    form, 2e-2 (d / (p0 q0))^2 for the expansion).  When both levels
-    saturate (q0 = 0) any duty cycle is optimal: (1/2, inf), as in
-    ``capacity_tau``.
-    """
-    check_rates(peak_rate, background_rate, dead_time)
-    if peak_rate == 0:
-        raise ParameterError("optimal_duty_cycle is degenerate at peak_rate = 0")
-    levels = _levels(peak_rate, background_rate, dead_time)
-    _, _, p0, q0, _, _, d = levels
-    if q0 == 0.0:
-        return 0.5, math.inf
-    a = math.exp(-_entropy_quotient(levels, peak_rate, dead_time))
-    if p0 > 0.0 and d < 4e-5 * p0 * q0:
-        return 0.5 - (q0 - p0) * d / (24.0 * p0 * q0), a
-    return (a * q0 - p0) / ((1.0 + a) * d), a
 
 
 def _entropy_increment(p_a, q_a, p_b, q_b, delta):
@@ -141,19 +117,11 @@ def _entropy_increments(p_a, q_a, p_b, q_b, delta):
     return np.where(delta == 0.0, 0.0, np.where(edge, plain, split))
 
 
-def rate_objective(mu, peak_rate, background_rate, dead_time):
-    """F(mu) in nats: the per-sample information of the binary-level input.
-
-    Evaluated as (1-mu)[h(p_hat)-h(p0)] + mu[h(p_hat)-h(p1)] so the value
-    keeps full relative precision when the two levels nearly coincide.
-    """
-    check_unit(mu, "mu")
-    return _rate(mu, _levels(peak_rate, background_rate, dead_time), _entropy_increment)
-
-
 def _rate(mu, levels, increment):
-    """F(mu) from the ``_levels``: a float with ``_entropy_increment``, or
-    an array with ``_entropy_increments``."""
+    """F(mu) in nats from the ``_levels``, as (1-mu)[h(p_hat)-h(p0)] +
+    mu[h(p_hat)-h(p1)], which keeps full relative precision when the two
+    levels nearly coincide: a float with ``_entropy_increment``, or an
+    array with ``_entropy_increments``."""
     _, _, p0, q0, p1, q1, d = levels
     p_hat = p0 + mu * d
     q_hat = (1.0 - mu) * q0 + mu * q1
@@ -163,9 +131,17 @@ def _rate(mu, levels, increment):
 
 
 def capacity_tau(peak_rate, background_rate, dead_time):
-    """(mu_star, capacity) at critical sampling T_s = tau, via the closed form."""
+    """(mu_star, capacity) at critical sampling T_s = tau: F(mu*) / tau.
+
+    With background, once d = p1 - p0 < 4e-5 p0 q0 the numerator of
+    mu* = (a q0 - p0) / ((1 + a) d) cancels, so mu* comes from its
+    expansion 1/2 - (q0 - p0) d / (24 p0 q0), whose next term is O(d^2).
+    The switch sits where the two errors cross (about 3e-15 p0 q0 / d for
+    the closed form, 2e-2 (d / (p0 q0))^2 for the expansion).
+    """
     check_rates(peak_rate, background_rate, dead_time)
-    _, _, _, q0, _, _, d = _levels(peak_rate, background_rate, dead_time)
+    levels = _levels(peak_rate, background_rate, dead_time)
+    _, _, p0, q0, _, _, d = levels
     if peak_rate == 0 or q0 == 0.0:
         # No signal, or both levels saturate (p0 = p1 = 1): any duty cycle
         # is optimal; fix mu = 1/2.
@@ -177,9 +153,17 @@ def capacity_tau(peak_rate, background_rate, dead_time):
             f"capacity at A = {peak_rate}, tau = {dead_time} cannot be resolved "
             f"in double precision: p1 - p0 = {d} is below the normal range"
         )
-    mu_star, _ = optimal_duty_cycle(peak_rate, background_rate, dead_time)
-    f = rate_objective(mu_star, peak_rate, background_rate, dead_time)
-    return mu_star, f / dead_time
+    if p0 > 0.0 and d < 4e-5 * p0 * q0:
+        mu_star = 0.5 - (q0 - p0) * d / (24.0 * p0 * q0)
+    else:
+        a = math.exp(-_entropy_quotient(levels, peak_rate, dead_time))
+        mu_star = (a * q0 - p0) / ((1.0 + a) * d)
+    if not 0.0 <= mu_star <= 1.0:
+        raise NumericalFailure(
+            f"capacity at A = {peak_rate}, tau = {dead_time} cannot be resolved "
+            f"in double precision: mu* = {mu_star} is outside [0, 1]"
+        )
+    return mu_star, _rate(mu_star, levels, _entropy_increment) / dead_time
 
 
 def capacity_sampled(peak_rate, background_rate, dead_time, sampling_interval):
@@ -196,7 +180,7 @@ def capacity_bruteforce(peak_rate, background_rate, dead_time):
         return capacity_tau(peak_rate, background_rate, dead_time)
     levels = _levels(peak_rate, background_rate, dead_time)
     mu_dag, f_dag = optimize.maximize_scalar(
-        lambda mu: rate_objective(mu, peak_rate, background_rate, dead_time),
+        lambda mu: _rate(mu, levels, _entropy_increment),
         tol=1e-12,
         scan=lambda mu: _rate(mu, levels, _entropy_increments),
     )

@@ -217,12 +217,23 @@ def parse_grid(text):
     return grid.tolist()
 
 
+def _unresolved(point, value, what):
+    """The refusal of the sweep point ``point = value`` (``"duty-imax at A"``)
+    that double precision cannot resolve."""
+    return NumericalFailure(
+        f"{point} = {value} cannot be resolved in double precision: {what}"
+    )
+
+
 def mi_sweep_rows(settings):
     """Rate and bound columns over a duty-cycle grid (one symbol interval)."""
     peak_rate, background = settings["peak_rate"], settings["background"]
     trials = settings["samples"]
     probs = detection_probs(peak_rate, background, settings["dead_time"])
-    triple = beta_triple(probs, trials)
+    try:
+        triple = beta_triple(probs, trials)
+    except NumericalFailure as exc:
+        raise _unresolved("mi-sweep at A", peak_rate, exc) from exc
     upper_sub = upper_bound_max(triple.beta1, triple.beta2)
     header = [
         "mu",
@@ -239,6 +250,10 @@ def mi_sweep_rows(settings):
     for mu in parse_grid(settings["mu_grid"]):
         exact = exact_mi(mu)
         try:
+            lower = tuned_lower_envelope(mu, probs, trials)
+        except NumericalFailure as exc:
+            raise _unresolved("mi-sweep at mu", mu, exc) from exc
+        try:
             approx = mi_approx_low_background(mu, probs, trials)
         except ParameterError:
             approx = math.nan
@@ -246,7 +261,7 @@ def mi_sweep_rows(settings):
             [
                 mu,
                 exact,
-                tuned_lower_envelope(mu, probs, trials),
+                lower,
                 upper_envelope(mu, triple.beta, triple.beta),
                 upper_envelope(mu, triple.beta1, triple.beta2),
                 upper_sub,
@@ -275,7 +290,10 @@ def duty_imax_rows(settings):
     rows = []
     for peak in parse_grid(settings["a_grid"]):
         probs = detection_probs(peak, background, dead_time)
-        triple = beta_triple(probs, trials)
+        try:
+            triple = beta_triple(probs, trials)
+        except NumericalFailure as exc:
+            raise _unresolved("duty-imax at A", peak, exc) from exc
         mu_exact, imax_exact = mi_max_bruteforce(probs, trials)
         try:
             mu_approx, imax_approx = mi_approx_max(probs, trials)
@@ -344,13 +362,8 @@ def gap_rows(settings):
             check_trials(x, f"{scenario} sweep values")
         sweep_values = [int(x) for x in sweep_values]
 
-    def unresolved(x, what):
-        return NumericalFailure(
-            f"{scenario} gap at x = {x} cannot be resolved in double precision: {what}"
-        )
-
     # Power laws fit ln y against ln x, the exponential decays ln y against x.
-    rows, pts = [], []
+    point, rows, pts = f"{scenario} gap at x", [], []
     for x in sweep_values:
         if scenario == "large-L":
             probs, L = detection_probs(peak_rate, background, dead_time), x
@@ -362,10 +375,10 @@ def gap_rows(settings):
         try:
             triple = beta_triple(probs, L)
         except NumericalFailure as exc:
-            raise unresolved(x, exc) from exc
+            raise _unresolved(point, x, exc) from exc
         gap = y = bound_gap(triple)
         if not (math.isfinite(gap) and gap > 0.0):
-            raise unresolved(x, f"gap_numeric is {gap}")
+            raise _unresolved(point, x, f"gap_numeric is {gap}")
         if scenario == "large-L":
             _, high_snr, general_lower = gap_bounds(triple)
             cells = [general_lower, high_snr, math.nan, math.nan]
@@ -376,20 +389,20 @@ def gap_rows(settings):
             # beta - beta_i within 2^20 ulp of beta is rounding, as the offset below
             margin = min(triple.beta - triple.beta1, triple.beta - triple.beta2)
             if margin < 2.0**20 * math.ulp(triple.beta):
-                raise unresolved(
-                    x, f"beta - max(beta1, beta2) = {margin} is within 2^20 ulp of {triple.beta}"
+                raise _unresolved(
+                    point, x, f"beta - max(beta1, beta2) = {margin} is within 2^20 ulp of {triple.beta}"
                 )
             coeff = gap_quadratic_coeff_low_A(p0, trials, dead_time)
             quad = coeff * x * x
             if not math.isfinite(quad):
-                raise unresolved(x, f"the quadratic gap {coeff} * x^2 overflows")
+                raise _unresolved(point, x, f"the quadratic gap {coeff} * x^2 overflows")
             cells = [quad, quad, gap / (x * x), coeff]
         else:
             # each bound = a constant in b (p0; 1 - p1 at low background) + offset
             if scenario == "large-A":
                 b, (eps_u, eps_l) = p0, gap_offsets_large_A(p0, p1, trials)
             elif p1 == 1.0:
-                raise unresolved(x, "p1 rounds to 1")
+                raise _unresolved(point, x, "p1 rounds to 1")
             else:
                 b, (eps_u, eps_l) = 1.0 - p1, gap_offsets_low_background(p0, p1, trials)
             high_u = gap_bounds(triple)[1]
@@ -400,7 +413,7 @@ def gap_rows(settings):
             # A difference within 2^20 ulp of const_u is rounding, not the offset:
             # rounded points sit at 1-29 ulp, the presets above 4e12 ulp.
             if abs(offset) < 2.0**20 * math.ulp(const_u):
-                raise unresolved(x, f"offset {offset} is within 2^20 ulp of {const_u}")
+                raise _unresolved(point, x, f"offset {offset} is within 2^20 ulp of {const_u}")
             cells = [const_l + eps_l, const_u + eps_u, offset, eps_u]
             y = abs(offset)
         rows.append([x, gap] + cells)

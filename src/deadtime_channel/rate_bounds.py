@@ -106,7 +106,8 @@ def tuned_lower_envelope(mu, probs: BinaryDetectionProbs, trials):
     def objective(alpha):
         b1 = math.exp(-chernoff_binomial(alpha, p1, p0, trials))
         b2 = math.exp(-chernoff_binomial(alpha, p0, p1, trials))
-        return upper_envelope(mu, b1, b2)
+        # 0 < mu < 1, and b1, b2 in [0, 1]: chernoff_binomial refuses C < 0
+        return _upper_envelope(mu, b1, b2, math.log)
 
     _, value = optimize.maximize_scalar(objective, tol=1e-9, coarse_points=65)
     return value

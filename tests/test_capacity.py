@@ -1,10 +1,13 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from deadtime_channel import (
+    NumericalFailure,
     ParameterError,
     asymptotic_capacity_coeff_large_A,
     binary_entropy,
@@ -13,29 +16,27 @@ from deadtime_channel import (
     capacity_tau,
     detection_prob,
     duty_cycle_limits,
-    optimal_duty_cycle,
     quadratic_coeffs_low_A,
-    rate_objective,
     wyner_poisson_capacity,
 )
+from deadtime_channel import capacity
 
 # tau (1-p)/(8p) at background 1, tau 0.01; 50-digit reference
 D_TAU_001 = 0.12437604166493055968914310518482603891278440157203
 
 
 def test_optimal_duty_cycle_low_rate_limit():
-    mu, _ = optimal_duty_cycle(1e-8, 0.0, 1.0)
+    mu, _ = capacity_tau(1e-8, 0.0, 1.0)
     assert mu == pytest.approx(1.0 / math.e, abs=1e-7)
 
 
 def test_optimal_duty_cycle_high_rate_limit():
-    mu, a = optimal_duty_cycle(1e6, 0.0, 1.0)
+    mu, _ = capacity_tau(1e6, 0.0, 1.0)
     assert mu == pytest.approx(0.5, abs=1e-9)
-    assert a == pytest.approx(1.0, abs=1e-9)
 
 
 def test_optimal_duty_cycle_matches_bruteforce():
-    mu, _ = optimal_duty_cycle(2.0, 0.5, 1.0)
+    mu, _ = capacity_tau(2.0, 0.5, 1.0)
     mu_brute, _ = capacity_bruteforce(2.0, 0.5, 1.0)
     assert mu == pytest.approx(mu_brute, abs=1e-6)
 
@@ -59,7 +60,7 @@ def _mu_star_mpmath(peak_rate, background_rate, digits=700):
 @pytest.mark.parametrize("background", [0.01, 0.5, 5.0])
 @pytest.mark.parametrize("peak", [1e-300, 1e-100, 1e-20, 1e-12, 1e-9])
 def test_optimal_duty_cycle_vanishing_peak_rate_matches_mpmath(peak, background):
-    mu, _ = optimal_duty_cycle(peak, background, 1.0)
+    mu, _ = capacity_tau(peak, background, 1.0)
     assert abs(mu - _mu_star_mpmath(peak, background)) <= 1e-12
 
 
@@ -71,14 +72,9 @@ def test_optimal_duty_cycle_near_expansion_switch_matches_mpmath():
         p0 = -math.expm1(-background)
         for r in np.geomspace(1e-6, 1e-3, 101).tolist():
             peak = -math.log1p(-r * p0)
-            mu, _ = optimal_duty_cycle(peak, background, 1.0)
+            mu, _ = capacity_tau(peak, background, 1.0)
             worst = max(worst, abs(mu - _mu_star_mpmath(peak, background, 60)))
     assert worst <= 5e-11
-
-
-def test_optimal_duty_cycle_zero_rate_rejected():
-    with pytest.raises(ParameterError):
-        optimal_duty_cycle(0.0, 0.5, 1.0)
 
 
 def test_capacity_zero_rate_conventions():
@@ -99,8 +95,7 @@ def test_capacity_low_rate_linear_in_A_over_e():
 
 def test_optimal_duty_cycle_when_both_levels_saturate():
     # background * tau = 800: q0 = 0, so p0 = p1 = 1 and every mu is optimal
-    assert optimal_duty_cycle(1.0, 800.0, 1.0) == (0.5, math.inf)
-    assert capacity_tau(1.0, 800.0, 1.0)[0] == 0.5
+    assert capacity_tau(1.0, 800.0, 1.0) == (0.5, 0.0)
 
 
 def test_capacity_sampled_scalings():
@@ -219,7 +214,7 @@ def test_duty_cycle_limits_zero_background_column():
 
 def test_duty_cycle_limit_matches_extreme_rate():
     table = duty_cycle_limits(0.5, 1.0)
-    mu, _ = optimal_duty_cycle(1e4, 0.5, 1.0)
+    mu, _ = capacity_tau(1e4, 0.5, 1.0)
     assert mu == pytest.approx(table["high_peak_with_background"], abs=1e-3)
 
 
@@ -256,8 +251,9 @@ def test_scaling_symmetry_exact_for_dyadic_factor():
 
 
 def test_rate_objective_corner_values():
-    assert rate_objective(0.0, 2.0, 0.5, 1.0) == 0.0
-    assert rate_objective(1.0, 2.0, 0.5, 1.0) == 0.0
+    levels = capacity._levels(2.0, 0.5, 1.0)
+    assert capacity._rate(0.0, levels, capacity._entropy_increment) == 0.0
+    assert capacity._rate(1.0, levels, capacity._entropy_increment) == 0.0
 
 
 def test_duty_cycle_limit_not_uniform_in_dead_time():
@@ -267,7 +263,7 @@ def test_duty_cycle_limit_not_uniform_in_dead_time():
     h = binary_entropy(p)
     expected = math.exp(-h / p) / (p * (1.0 + math.exp(-h / p)))
     for tau in (1e-4, 1e-8):
-        mu, _ = optimal_duty_cycle(1.0 / tau, 0.0, tau)
+        mu, _ = capacity_tau(1.0 / tau, 0.0, tau)
         assert mu == pytest.approx(expected, abs=1e-4)
     assert abs(expected - 1.0 / math.e) > 0.04
 
@@ -279,3 +275,75 @@ def test_capacity_strictly_increasing_in_peak_rate():
         for a in np.geomspace(1e-3, 25.0, 40)
     ]
     assert all(x < y for x, y in zip(caps, caps[1:]))
+
+
+def test_capacity_builds_the_levels_once_per_call(monkeypatch):
+    calls = []
+    levels = capacity._levels
+
+    def counting(*args):
+        calls.append(args)
+        return levels(*args)
+
+    monkeypatch.setattr(capacity, "_levels", counting)
+    for run in (
+        lambda: capacity_tau(2.0, 0.5, 1.0),
+        lambda: capacity_sampled(2.0, 0.5, 1.0, 4.0),
+        lambda: capacity_bruteforce(2.0, 0.5, 1.0),
+        lambda: capacity_bruteforce(0.0, 0.5, 1.0),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_mu_star_outside_the_unit_interval_is_refused(monkeypatch):
+    # a = e^-50 drives the closed form's numerator a q0 - p0 below 0
+    monkeypatch.setattr(capacity, "_entropy_quotient", lambda *args: 50.0)
+    with pytest.raises(NumericalFailure, match=r"mu\* = -.* is outside \[0, 1\]"):
+        capacity_tau(2.0, 0.5, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1e-6, 700.0),
+    st.one_of(st.just(0.0), st.floats(1e-8, 700.0)),
+    st.floats(1.0, 1e6),
+)
+def test_closed_form_capacity_matches_bruteforce(peak, background, sampling):
+    # tau = 1; where p1 - p0 leaves the normal range the capacity is refused
+    assume(background <= 700.0 - peak)
+    assume(math.exp(-background) * -math.expm1(-peak) >= sys.float_info.min)
+    mu, cap = capacity_tau(peak, background, 1.0)
+    _, cap_brute = capacity_bruteforce(peak, background, 1.0)
+    assert 0.0 <= mu <= 1.0
+    assert 0.0 <= cap <= math.log(2.0)
+    assert abs(cap - cap_brute) <= 1e-8 * (1.0 + cap)
+    assert capacity_sampled(peak, background, 1.0, sampling) == (mu, cap * (1.0 / sampling))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at zero background _entropy_increment takes its plain-difference "
+    "branch, whose -q ln q rounds q_hat near 1; mending it moves capacity "
+    "bytes (ROADMAP item 2)",
+)
+def test_zero_background_capacity_stays_below_wyner():
+    # the first row of capacity --preset zero-background --a-grid log:1e-8,1e-6,3
+    _, cap = capacity_tau(1e-8, 0.0, 0.02)
+    _, wyner = wyner_poisson_capacity(1e-8, 0.0)
+    assert cap <= wyner + 16 * math.ulp(wyner)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="where q1 underflows _entropy_increment takes its plain-difference "
+    "branch and loses the O(q0) terms; mending it moves capacity bytes "
+    "(ROADMAP item 2)",
+)
+def test_capacity_keeps_its_saturation_limit_where_q1_underflows():
+    # capacity --background 13093 --a-grid lin:24000,24400,5 at tau = 0.02:
+    # exp(-(A + background) tau) underflows to 0 from A = 24200 on
+    limit = asymptotic_capacity_coeff_large_A(13093.0, 0.02) / 0.02
+    for peak in (24000.0, 24400.0):
+        assert capacity_tau(peak, 13093.0, 0.02)[1] / limit == pytest.approx(1.0, rel=1e-6)

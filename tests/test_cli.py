@@ -611,6 +611,17 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
          3, "the spread of the x values underflows", False),
         (["gap", "--scenario", "zero-lambda", "--a-grid", "lin:30,30,3"],
          2, "all x values are identical", False),
+        # a divergence refusal names its sweep point: A where the beta triple
+        # is refused, mu where the tuned lower envelope is
+        (["duty-imax", "--a-grid", "lin:1e-9,1e-9,1"],
+         3, "duty-imax at A = 1e-09 cannot be resolved in double precision: "
+         "KL(P1||P0) = -", False),
+        (["mi-sweep", "--peak-rate", "1e-9"],
+         3, "mi-sweep at A = 1e-09 cannot be resolved in double precision: "
+         "KL(P1||P0) = -", False),
+        (["mi-sweep", "--peak-rate", "1e-8"],
+         3, "mi-sweep at mu = 0.025 cannot be resolved in double precision: "
+         "C_alpha = -", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):

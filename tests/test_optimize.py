@@ -8,11 +8,11 @@ from deadtime_channel import (
     NumericalFailure,
     ParameterError,
     estimate_exponential_rate,
+    capacity_tau,
     maximize_scalar,
-    optimal_duty_cycle,
-    rate_objective,
     upper_envelope,
 )
+from deadtime_channel import capacity
 
 
 def test_quadratic_maximum():
@@ -28,10 +28,11 @@ def test_lower_envelope_peaks_at_half():
 
 
 def test_matches_closed_form_duty_cycle():
+    levels = capacity._levels(2.0, 0.5, 1.0)
     x, _ = maximize_scalar(
-        lambda mu: rate_objective(mu, 2.0, 0.5, 1.0), tol=1e-12
+        lambda mu: capacity._rate(mu, levels, capacity._entropy_increment), tol=1e-12
     )
-    mu_star, _ = optimal_duty_cycle(2.0, 0.5, 1.0)
+    mu_star, _ = capacity_tau(2.0, 0.5, 1.0)
     assert x == pytest.approx(mu_star, abs=1e-6)
 
 
