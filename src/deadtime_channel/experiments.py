@@ -342,7 +342,8 @@ def gap_rows(settings):
     convergence constants (an exponential rate in the sweep variable,
     except low-lambda where it is the power-law exponent in the background
     rate and low-A where it is the power-law order in the peak rate).
-    Zero-lambda needs a zero background and low-A a positive one.
+    Zero-lambda needs a zero background, low-A and large-A a positive one
+    (zero-lambda is large-A's zero-background case).
     """
     scenario = settings["scenario"]
     peak_rate, background = settings.get("peak_rate"), settings.get("background")
@@ -351,8 +352,8 @@ def gap_rows(settings):
     sweep_values = parse_grid(settings[grid])
     if scenario == "zero-lambda" and background != 0.0:
         raise ParameterError("zero-lambda scenario requires background = 0")
-    if scenario == "low-A" and background == 0.0:
-        raise ParameterError("low-A scenario requires background > 0")
+    if scenario in ("low-A", "large-A") and background == 0.0:
+        raise ParameterError(f"{scenario} scenario requires background > 0")
     power_law = scenario in ("low-lambda", "low-A")
     for x in sweep_values if power_law else ():
         if not x > 0:
@@ -400,6 +401,8 @@ def gap_rows(settings):
         else:
             # each bound = a constant in b (p0; 1 - p1 at low background) + offset
             if scenario == "large-A":
+                if p0 == 0.0:
+                    raise _unresolved(point, x, "p0 rounds to 0")
                 b, (eps_u, eps_l) = p0, gap_offsets_large_A(p0, p1, trials)
             elif p1 == 1.0:
                 raise _unresolved(point, x, "p1 rounds to 1")

@@ -252,8 +252,8 @@ def test_scaling_symmetry_exact_for_dyadic_factor():
 
 def test_rate_objective_corner_values():
     levels = capacity._levels(2.0, 0.5, 1.0)
-    assert capacity._rate(0.0, levels, capacity._entropy_increment) == 0.0
-    assert capacity._rate(1.0, levels, capacity._entropy_increment) == 0.0
+    assert capacity._rate(0.0, levels) == 0.0
+    assert capacity._rate(1.0, levels) == 0.0
 
 
 def test_duty_cycle_limit_not_uniform_in_dead_time():

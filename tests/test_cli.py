@@ -622,6 +622,15 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
         (["mi-sweep", "--peak-rate", "1e-8"],
          3, "mi-sweep at mu = 0.025 cannot be resolved in double precision: "
          "C_alpha = -", False),
+        # the large-A offsets expand in p0: refused at zero background (the
+        # zero-lambda scenario), unresolvable where background * tau underflows p0 to 0
+        (["gap", "--scenario", "large-A", "--background", "0"],
+         2, "large-A scenario requires background > 0", False),
+        (["gap", "--scenario", "large-A", "--background", "-0"],
+         2, "large-A scenario requires background > 0", False),
+        (["gap", "--scenario", "large-A", "--background", "5e-324"],
+         3, "large-A gap at x = 100.0 cannot be resolved in double precision: "
+         "p0 rounds to 0", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):
@@ -702,6 +711,64 @@ def test_special_float_flags_end_cleanly(capsys):
                     failures.append((" ".join(argv), code, err.strip()))
     assert failures == []
     assert read == offered  # every float flag reached a sweep that reads it
+
+
+def _fuzz_preset(base):
+    """The preset settings that the fuzz command ``base`` runs."""
+    command = base[0]
+    if "--preset" in base:
+        name = base[base.index("--preset") + 1]
+    else:
+        name = base[2] if command == "gap" else experiments.DEFAULT_PRESET[command]
+    return experiments.PRESETS[command][name]
+
+
+# (base, settings key) for every float flag that a non-simulate base reads
+_READ_FLOAT_FLAGS = [
+    (base, dest)
+    for base in _FUZZ_COMMANDS
+    if base[0] != "simulate"
+    for dest in _fuzz_preset(base)
+    if cli._OPTIONS[dest][0] is float
+]
+
+
+def _flag_value(base, dest, product):
+    """The value of ``dest`` that puts rate * tau at ``product`` in ``base``:
+    a dead time against the base's background (else its peak rate), a rate
+    or sampling interval against its dead time (0.1, where the dead-time
+    sweep ends)."""
+    preset = _fuzz_preset(base)
+    if dest == "dead_time":
+        return product / (preset.get("background") or preset.get("peak_rate") or 1.0)
+    return product / preset.get("dead_time", 0.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    flag=st.sampled_from(_READ_FLOAT_FLAGS),
+    value=st.one_of(
+        # log-uniform over the positive doubles
+        st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(
+            lambda e: ("value", max(min(math.exp(e), sys.float_info.max), 5e-324))
+        ),
+        # rate * tau where exp(-rate * tau) is subnormal or just above
+        st.floats(690.0, 760.0).map(lambda product: ("product", product)),
+    ),
+)
+def test_float_flags_between_special_values_end_cleanly(flag, value):
+    base, dest = flag
+    kind, x = value
+    if kind == "product":
+        x = _flag_value(base, dest, x)
+    argv = base + [f"{experiments.flag(dest)}={x!r}"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    sweep = base[2] if base[0] == "gap" else base[0]
+    assert _ends_cleanly(code, stdout.getvalue(), stderr.getvalue(), sweep), (
+        argv, code, stderr.getvalue()
+    )
 
 
 # (subcommand, preset, grid key) for every *_grid key of every preset; a

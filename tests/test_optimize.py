@@ -29,9 +29,7 @@ def test_lower_envelope_peaks_at_half():
 
 def test_matches_closed_form_duty_cycle():
     levels = capacity._levels(2.0, 0.5, 1.0)
-    x, _ = maximize_scalar(
-        lambda mu: capacity._rate(mu, levels, capacity._entropy_increment), tol=1e-12
-    )
+    x, _ = maximize_scalar(lambda mu: capacity._rate(mu, levels), tol=1e-12)
     mu_star, _ = capacity_tau(2.0, 0.5, 1.0)
     assert x == pytest.approx(mu_star, abs=1e-6)
 
