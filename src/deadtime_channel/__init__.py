@@ -7,7 +7,7 @@ continuous Poisson reference, and a Monte Carlo validator, plus a sweep
 CLI that emits CSV.
 """
 
-from .channel import BinaryDetectionProbs, ChannelParams, detection_prob, symbol_probs
+from .channel import BinaryDetectionProbs, detection_prob
 from .divergences import (
     BetaTriple,
     beta_triple,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryDetectionProbs",
     "BetaTriple",
-    "ChannelParams",
     "NumericalFailure",
     "ParameterError",
     "SimConfig",
@@ -91,7 +90,6 @@ __all__ = [
     "optimal_alpha_grid",
     "optimal_prior_upper",
     "quadratic_coeffs_low_A",
-    "symbol_probs",
     "upper_bound_max",
     "upper_envelope",
     "wyner_poisson_capacity",

@@ -1,4 +1,4 @@
-"""Channel parameters and the rate -> per-sample detection probability map.
+"""The rate -> per-sample detection probability map of the channel.
 
 The receiver holds each detected photon for a dead time tau, and the ADC
 samples every T_s >= tau.  A sample is 1 exactly when at least one photon
@@ -13,27 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .guards import check_nonnegative, check_positive, check_rates, check_trials
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Physical description of the dead-time photon-counting channel.
-
-    peak_rate          photons per unit time while the "on" symbol is sent
-    background_rate    dark-current photon rate, always present
-    dead_time          pulse-merge window of the detector
-    samples_per_symbol samples falling inside one OOK symbol
-    """
-
-    peak_rate: float
-    background_rate: float
-    dead_time: float
-    samples_per_symbol: int
-
-    def __post_init__(self):
-        check_rates(self.peak_rate, self.background_rate, self.dead_time)
-        check_trials(self.samples_per_symbol, "samples_per_symbol")
+from .guards import check_nonnegative, check_positive, check_rates
 
 
 @dataclass(frozen=True)
@@ -68,8 +48,3 @@ def detection_probs(peak_rate, background_rate, dead_time) -> BinaryDetectionPro
         p_off=detection_prob(background_rate, dead_time),
         p_on=detection_prob(peak_rate + background_rate, dead_time),
     )
-
-
-def symbol_probs(params: ChannelParams) -> BinaryDetectionProbs:
-    """detection_probs of a ChannelParams."""
-    return detection_probs(params.peak_rate, params.background_rate, params.dead_time)

@@ -19,8 +19,11 @@ import math
 from dataclasses import dataclass
 
 from .channel import BinaryDetectionProbs
-from .errors import NumericalFailure, ParameterError
+from .errors import NumericalFailure
 from .guards import check_trials, check_unit
+
+# Points of optimal_alpha_grid's grid on [0, 1]; odd, so that 1/2 is one.
+ALPHA_GRID_SIZE = 999
 
 
 @dataclass(frozen=True)
@@ -112,20 +115,19 @@ def beta_triple(probs: BinaryDetectionProbs, trials) -> BetaTriple:
     return BetaTriple(beta=beta, beta1=beta1, beta2=beta2)
 
 
-def optimal_alpha_grid(probs: BinaryDetectionProbs, trials, grid_size):
-    """Grid argmax over alpha of min{C_alpha(P1||P0), C_alpha(P0||P1)}.
+def optimal_alpha_grid(probs: BinaryDetectionProbs, trials):
+    """Argmax over the ALPHA_GRID_SIZE-point grid on [0, 1] of
+    min{C_alpha(P1||P0), C_alpha(P0||P1)}.
 
     Verification oracle for the closed-form optimum alpha* = 1/2: returns
     (alpha_star, value).  Degenerate p0 = p1 yields (0.5, 0.0).
     """
-    if grid_size < 3:
-        raise ParameterError(f"grid_size must be >= 3, got {grid_size}")
     p0, p1 = probs.p_off, probs.p_on
     if p0 == p1:
         return 0.5, 0.0
     best_alpha, best_val = 0.5, -math.inf
-    for i in range(grid_size):
-        alpha = i / (grid_size - 1)
+    for i in range(ALPHA_GRID_SIZE):
+        alpha = i / (ALPHA_GRID_SIZE - 1)
         val = min(
             chernoff_binomial(alpha, p1, p0, trials),
             chernoff_binomial(alpha, p0, p1, trials),

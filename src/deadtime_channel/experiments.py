@@ -19,10 +19,10 @@ import math
 
 import numpy as np
 
-from .channel import ChannelParams, detection_prob, detection_probs, symbol_probs
+from .channel import detection_prob, detection_probs
 from .divergences import bhattacharyya_distance, beta_triple
 from .errors import NumericalFailure, ParameterError
-from .guards import check_open_unit, check_trials
+from .guards import check_trials
 from .mutual_info import (
     mi_binomial_curve,
     mi_binomial_mixture,
@@ -343,7 +343,9 @@ def gap_rows(settings):
     except low-lambda where it is the power-law exponent in the background
     rate and low-A where it is the power-law order in the peak rate).
     Zero-lambda needs a zero background, low-A and large-A a positive one
-    (zero-lambda is large-A's zero-background case).
+    (zero-lambda is large-A's zero-background case).  Every scenario needs
+    a signal: a peak rate of 0, fixed or an a_grid value, makes p0 == p1
+    and is refused as a setting, not as a gap that rounds to 0.
     """
     scenario = settings["scenario"]
     peak_rate, background = settings.get("peak_rate"), settings.get("background")
@@ -355,13 +357,16 @@ def gap_rows(settings):
     if scenario in ("low-A", "large-A") and background == 0.0:
         raise ParameterError(f"{scenario} scenario requires background > 0")
     power_law = scenario in ("low-lambda", "low-A")
-    for x in sweep_values if power_law else ():
-        if not x > 0:
+    for x in sweep_values if scenario != "large-L" else ():
+        # a negative peak rate is named by the rate guards at its point
+        if x == 0.0 or (power_law and not x > 0):
             raise ParameterError(f"{scenario} sweep values must be > 0, got {x}")
     if scenario == "large-L":
         for x in sweep_values:
             check_trials(x, f"{scenario} sweep values")
         sweep_values = [int(x) for x in sweep_values]
+    if peak_rate == 0.0:
+        raise ParameterError(f"{scenario} scenario requires peak_rate > 0")
 
     # Power laws fit ln y against ln x, the exponential decays ln y against x.
     point, rows, pts = f"{scenario} gap at x", [], []
@@ -491,26 +496,15 @@ def capacity_rows(settings):
 def simulate_rows(settings):
     """Monte Carlo validation row: empirical vs closed-form, with z-scores.
 
-    The sampling interval is 1/samples, so the samples tile one symbol
-    exactly, and samples * dead_time > 1 is refused.
+    ``monte_carlo.SimConfig`` holds the settings and refuses a bad one,
+    samples * dead_time > 1 included: the sampling interval is 1/samples,
+    so the samples tile one symbol exactly.
     """
-    trials, symbols = settings["samples"], settings["symbols"]
-    seed, duty_cycle = settings["seed"], settings["mu"]
-    check_trials(trials, "samples")
-    check_open_unit(duty_cycle, "mu")
-    params = ChannelParams(
-        settings["peak_rate"], settings["background"], settings["dead_time"], trials
-    )
-    if 1.0 / trials < params.dead_time:
-        raise ParameterError(
-            f"the sampling interval 1/--samples = {1.0 / trials} must be >= "
-            f"--dead-time = {params.dead_time}"
-        )
-    probs = symbol_probs(params)
-    mi_exact = mi_binomial_mixture(duty_cycle, probs, trials)
-    config = monte_carlo.SimConfig(params, symbols, seed, duty_cycle)
+    config = monte_carlo.SimConfig(**settings)
+    probs = detection_probs(config.peak_rate, config.background, config.dead_time)
+    mi_exact = mi_binomial_mixture(config.mu, probs, config.samples)
     counts = monte_carlo.joint_counts(config)
-    (p0_hat, se0), (p1_hat, se1) = monte_carlo.detection_from_counts(counts, trials)
+    (p0_hat, se0), (p1_hat, se1) = monte_carlo.detection_from_counts(counts, config.samples)
     mi_plugin = monte_carlo.plugin_mi_from_counts(counts)
     mi_sigma = monte_carlo.bootstrap_mi_sigma(config, counts)
     header = [
@@ -526,7 +520,7 @@ def simulate_rows(settings):
         "z_mi",
     ]
     row = [
-        symbols,
+        config.symbols,
         p0_hat,
         probs.p_off,
         p1_hat,

@@ -1,5 +1,6 @@
 """Monte Carlo simulation of the sampled photon-counting receive chain.
 
+A run is a ``SimConfig``, the simulate preset's settings checked once.
 Each window's indicator is drawn as Bernoulli(1 - exp(-rate*tau)), the
 probability that at least one photon arrives in the window's trailing dead
 time.  Randomness comes from numpy's counter-based Philox4x64 generator,
@@ -21,12 +22,13 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .channel import ChannelParams, symbol_probs
+from .channel import detection_probs
 from .errors import NumericalFailure, ParameterError
-from .guards import check_unit
+from .guards import check_open_unit, check_rates, check_trials
 
 CHUNK_SYMBOLS = 16384
 
@@ -46,26 +48,40 @@ _BOOTSTRAP_STREAM = 0xB0075
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One reproducible simulation run: channel, size, seed, and OOK prior."""
+    """One reproducible run: the simulate preset's settings, each checked
+    here with the message the CLI prints.  The ``samples`` windows tile
+    one symbol, so the sampling interval is 1/samples."""
 
-    params: ChannelParams
+    peak_rate: float
+    background: float
+    dead_time: float
+    samples: int
     symbols: int
     seed: int
-    duty_cycle: float
+    mu: float
 
     def __post_init__(self):
+        check_trials(self.samples, "samples")
+        check_open_unit(self.mu, "mu")
+        check_rates(self.peak_rate, self.background, self.dead_time)
+        if 1.0 / self.samples < self.dead_time:
+            raise ParameterError(
+                f"the sampling interval 1/--samples = {1.0 / self.samples} must be >= "
+                f"--dead-time = {self.dead_time}"
+            )
         if self.symbols < 1:
             raise ParameterError(f"symbols must be >= 1, got {self.symbols}")
-        check_unit(self.duty_cycle, "duty_cycle")
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must be a 64-bit unsigned integer")
-        chunk = min(self.symbols, CHUNK_SYMBOLS)
-        L = self.params.samples_per_symbol
+        chunk, L = min(self.symbols, CHUNK_SYMBOLS), self.samples
         if chunk * L > MAX_CHUNK_WINDOWS:
             raise ParameterError(
                 f"a chunk of {chunk} symbols at L = {L} is {chunk * L} sampling "
                 f"windows, above the cap of {MAX_CHUNK_WINDOWS}"
             )
+
+    # perfbench/tracer.py counts uniforms as config.params.samples_per_symbol
+    params = property(lambda self: SimpleNamespace(samples_per_symbol=self.samples))
 
 
 def _chunk_rng(seed, chunk_index, stream=0):
@@ -79,10 +95,10 @@ def _chunk_rng(seed, chunk_index, stream=0):
 
 def _chunk_counts(config, probs, chunk):
     """(2, L + 1) histogram of one keyed chunk of the run."""
-    L = config.params.samples_per_symbol
+    L = config.samples
     n = min(CHUNK_SYMBOLS, config.symbols - chunk * CHUNK_SYMBOLS)
     rng = _chunk_rng(config.seed, chunk)
-    bits = rng.random(n) < config.duty_cycle
+    bits = rng.random(n) < config.mu
     p = np.where(bits, probs.p_on, probs.p_off)[:, None]
     nhat = np.empty(n, dtype=np.int64)
     rows = max(1, BLOCK_WINDOWS // L)
@@ -112,7 +128,7 @@ def joint_counts(config: SimConfig):
     usable CPU, up to one thread per chunk, each sum every workers-th
     chunk, so memory stays flat however many chunks a run has.
     """
-    probs = symbol_probs(config.params)
+    probs = detection_probs(config.peak_rate, config.background, config.dead_time)
     chunks = -(-config.symbols // CHUNK_SYMBOLS)
     workers = min(_cpus(), chunks)
 
@@ -152,7 +168,7 @@ def detection_from_counts(counts, L):
         if n_sym == 0:
             raise NumericalFailure(
                 "no symbols of one class were observed; "
-                "increase symbols or move duty_cycle away from {0, 1}"
+                "increase symbols or move mu away from {0, 1}"
             )
         windows = n_sym * L
         ones = int((k * row).sum())

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BinaryDetectionProbs, detection_probs
-from .divergences import beta_triple, optimal_alpha_grid
+from .divergences import ALPHA_GRID_SIZE, beta_triple, optimal_alpha_grid
 from .mutual_info import mi_binomial_mixture
 from .capacity import (
     asymptotic_capacity_coeff_large_A,
@@ -92,16 +92,16 @@ def check_sandwich():
 def check_half_alpha_optimal():
     """Grid argmax of the min-divergence sits at alpha = 1/2."""
     rng = np.random.default_rng(2)
-    grid = 999
     offsets = []
     for _ in range(50):
         p0, p1 = np.sort(rng.uniform(0.01, 0.99, 2))
         trials = int(rng.integers(1, 101))
-        alpha, _ = optimal_alpha_grid(BinaryDetectionProbs(p0, p1), trials, grid)
+        alpha, _ = optimal_alpha_grid(BinaryDetectionProbs(p0, p1), trials)
         offsets.append(abs(alpha - 0.5))
     # one grid step, plus rounding
+    step = 1.0 / (ALPHA_GRID_SIZE - 1)
     return CheckResult("half-alpha-optimal", (
-        ("worst |alpha* - 1/2|", float(np.max(offsets)), "<=", 1.0 / (grid - 1) + 1e-12),
+        ("worst |alpha* - 1/2|", float(np.max(offsets)), "<=", step + 1e-12),
     ))
 
 

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from deadtime_channel import (
-    BinaryDetectionProbs,
-    ChannelParams,
-    ParameterError,
-    detection_prob,
-    symbol_probs,
-)
+from deadtime_channel import BinaryDetectionProbs, ParameterError, SimConfig, detection_prob
+from deadtime_channel.channel import detection_probs
+from deadtime_channel.experiments import PRESETS
 
 # 1 - exp(-0.02), 50-digit reference
 DET_002 = 0.019801326693244697779185895774691133700287599530865
@@ -65,23 +61,25 @@ def test_rate_composition_identity():
 
 
 def _params(peak=10.0, background=0.02, tau=0.02, samples=30):
-    return ChannelParams(peak, background, tau, samples)
+    # a channel's settings are held, and checked, by the run that simulates it
+    settings = dict(peak_rate=peak, background=background, dead_time=tau, samples=samples)
+    return SimConfig(**{**PRESETS["simulate"]["published"], **settings})
 
 
 def test_symbol_probs_off_equals_on_without_signal():
-    probs = symbol_probs(_params(peak=0.0))
+    probs = detection_probs(0.0, 0.02, 0.02)
     assert probs.p_off == probs.p_on
 
 
 def test_symbol_probs_noiseless_limit():
-    probs = symbol_probs(_params(peak=1e12, background=0.0))
+    probs = detection_probs(1e12, 0.0, 0.02)
     assert probs.p_off == 0.0
     assert probs.p_on == 1.0
 
 
 def test_symbol_probs_published_setting():
     # peak 10, background 0.02, dead time 0.02 under the unit-symbol convention
-    probs = symbol_probs(_params())
+    probs = detection_probs(10.0, 0.02, 0.02)
     assert probs.p_off == pytest.approx(3.9992001066560008532764476950755627792524972798e-4, rel=1e-14)
     assert probs.p_on == pytest.approx(0.18159667373352134262487266216190700737439527549965, rel=1e-14)
 
@@ -91,7 +89,7 @@ def test_symbol_probs_ordering():
     for _ in range(100):
         peak = rng.uniform(0.0, 50.0)
         background = rng.uniform(0.0, 5.0)
-        probs = symbol_probs(_params(peak=peak, background=background, tau=0.02))
+        probs = detection_probs(peak, background, 0.02)
         assert probs.p_off <= probs.p_on
         if peak > 0:
             assert probs.p_off < probs.p_on

@@ -631,6 +631,26 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
         (["gap", "--scenario", "large-A", "--background", "5e-324"],
          3, "large-A gap at x = 100.0 cannot be resolved in double precision: "
          "p0 rounds to 0", False),
+        # a zero peak rate sends no signal (p0 == p1): a bad setting, not
+        # rounding; a negative one is named as a rate, and one that
+        # underflows p1 - p0 is unresolvable
+        (["gap", "--scenario", "large-L", "--peak-rate", "0"],
+         2, "large-L scenario requires peak_rate > 0", False),
+        (["gap", "--scenario", "large-L", "--peak-rate", "-0"],
+         2, "large-L scenario requires peak_rate > 0", False),
+        (["gap", "--scenario", "low-lambda", "--peak-rate", "0"],
+         2, "low-lambda scenario requires peak_rate > 0", False),
+        (["gap", "--scenario", "large-A", "--a-grid", "lin:0,180,9"],
+         2, "large-A sweep values must be > 0, got 0.0", False),
+        (["gap", "--scenario", "zero-lambda", "--a-grid", "lin:0,80,11"],
+         2, "zero-lambda sweep values must be > 0, got 0.0", False),
+        (["gap", "--scenario", "large-L", "--peak-rate", "-1"],
+         2, "peak_rate must be >= 0, got -1.0", False),
+        (["gap", "--scenario", "large-A", "--a-grid", "lin:-10,180,9"],
+         2, "peak_rate must be >= 0, got -10.0", False),
+        (["gap", "--scenario", "large-L", "--peak-rate", "5e-324"],
+         3, "large-L gap at x = 50 cannot be resolved in double precision: "
+         "gap_numeric is 0.0", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):

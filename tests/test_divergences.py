@@ -152,17 +152,12 @@ def test_alpha_grid_hits_half():
     for _ in range(20):
         p0, p1 = _random_probs(rng)
         trials = int(rng.integers(1, 60))
-        alpha, _ = optimal_alpha_grid(BinaryDetectionProbs(p0, p1), trials, 999)
+        alpha, _ = optimal_alpha_grid(BinaryDetectionProbs(p0, p1), trials)
         assert abs(alpha - 0.5) <= 1.0 / 998.0 + 1e-12
 
 
-def test_alpha_grid_refuses_fewer_than_three_points():
-    with pytest.raises(ParameterError, match="grid_size must be >= 3, got 2"):
-        optimal_alpha_grid(BinaryDetectionProbs(0.1, 0.7), 10, grid_size=2)
-
-
 def test_alpha_grid_degenerate_convention():
-    assert optimal_alpha_grid(BinaryDetectionProbs(0.2, 0.2), 5, 101) == (0.5, 0.0)
+    assert optimal_alpha_grid(BinaryDetectionProbs(0.2, 0.2), 5) == (0.5, 0.0)
 
 
 def test_alpha_grid_half_dominates_everywhere():

@@ -5,13 +5,14 @@ import pytest
 from scipy import stats
 
 from deadtime_channel import (
-    ChannelParams,
     NumericalFailure,
+    ParameterError,
     SimConfig,
     mi_binomial_mixture,
-    symbol_probs,
 )
-from deadtime_channel import monte_carlo
+from deadtime_channel import cli, monte_carlo
+from deadtime_channel.channel import detection_probs
+from deadtime_channel.experiments import PRESETS, flag
 from deadtime_channel.monte_carlo import (
     CHUNK_SYMBOLS,
     _chunk_rng,
@@ -21,27 +22,32 @@ from deadtime_channel.monte_carlo import (
     plugin_mi_from_counts,
 )
 
-PUBLISHED = ChannelParams(10.0, 0.02, 0.02, 30)
+PUBLISHED = PRESETS["simulate"]["published"]
 
 
-def _bernoulli_hits(rng, bits, params):
+def _config(**settings):
+    """A run of the published simulate preset with ``settings`` laid over it."""
+    return SimConfig(**{**PUBLISHED, **settings})
+
+
+def _probs(config):
+    return detection_probs(config.peak_rate, config.background, config.dead_time)
+
+
+def _bernoulli_hits(rng, bits, config):
     # each window fires with the closed-form detection probability
-    probs = symbol_probs(params)
+    probs = _probs(config)
     p = np.where(bits, probs.p_on, probs.p_off)[:, None]
-    return rng.random((bits.size, params.samples_per_symbol)) < p
+    return rng.random((bits.size, config.samples)) < p
 
 
-def _arrival_hits(rng, bits, params):
+def _arrival_hits(rng, bits, config):
     # Poisson arrival times over the union of the sampling windows: arrivals
     # outside the trailing dead-time windows never affect a sample when
     # T_s >= tau, so the union is all that needs to be populated
-    L = params.samples_per_symbol
-    tau = params.dead_time
-    rates = np.where(
-        bits,
-        params.peak_rate + params.background_rate,
-        params.background_rate,
-    )
+    L = config.samples
+    tau = config.dead_time
+    rates = np.where(bits, config.peak_rate + config.background, config.background)
     counts = rng.poisson(rates * L * tau)
     total = int(counts.sum())
     z = np.zeros((bits.size, L), dtype=bool)
@@ -55,15 +61,15 @@ def _arrival_hits(rng, bits, params):
 
 def _serial_joint_counts(config, window_hits=_bernoulli_hits):
     # one chunk after another, each chunk's windows drawn as one array
-    L = config.params.samples_per_symbol
+    L = config.samples
     counts = np.zeros((2, L + 1), dtype=np.int64)
     done = 0
     chunk = 0
     while done < config.symbols:
         n = min(CHUNK_SYMBOLS, config.symbols - done)
         rng = _chunk_rng(config.seed, chunk)
-        bits = rng.random(n) < config.duty_cycle
-        nhat = window_hits(rng, bits, config.params).sum(axis=1)
+        bits = rng.random(n) < config.mu
+        nhat = window_hits(rng, bits, config).sum(axis=1)
         counts[0] += np.bincount(nhat[~bits], minlength=L + 1)
         counts[1] += np.bincount(nhat[bits], minlength=L + 1)
         done += n
@@ -76,12 +82,12 @@ def test_chunk_error_reaches_the_caller(monkeypatch):
     def chunk_counts(config, probs, chunk):
         if chunk == 2:
             raise MemoryError("chunk 2")
-        return np.zeros((2, config.params.samples_per_symbol + 1), dtype=np.int64)
+        return np.zeros((2, config.samples + 1), dtype=np.int64)
 
     monkeypatch.setattr(monte_carlo, "_chunk_counts", chunk_counts)
     monkeypatch.setattr(monte_carlo, "_cpus", lambda: 3)
     with pytest.raises(MemoryError, match="chunk 2"):
-        joint_counts(SimConfig(PUBLISHED, 3 * CHUNK_SYMBOLS, 1, 0.5))
+        joint_counts(_config(symbols=3 * CHUNK_SYMBOLS, seed=1))
 
 
 def test_chunk_streams_keyed_by_every_64_bit_seed():
@@ -103,7 +109,7 @@ def _plugin_mi(config):
 
 def test_simulate_symbol_dark():
     # no background: an off-symbol never fires a window
-    config = SimConfig(ChannelParams(5.0, 0.0, 0.02, 30), 2000, 1, 0.5)
+    config = _config(peak_rate=5.0, background=0.0, symbols=2000, seed=1)
     for counts in (joint_counts(config), _serial_joint_counts(config, _arrival_hits)):
         assert counts[0, 1:].sum() == 0
         assert counts[0, 0] > 0
@@ -111,7 +117,9 @@ def test_simulate_symbol_dark():
 
 def test_simulate_symbol_saturated():
     # peak * tau = 50: p_on rounds to 1 and about 25 arrivals hit each window
-    config = SimConfig(ChannelParams(100.0, 0.0, 0.5, 8), 200, 2, 0.5)
+    config = _config(
+        peak_rate=400.0, background=0.0, dead_time=0.125, samples=8, symbols=200, seed=2
+    )
     for counts in (joint_counts(config), _serial_joint_counts(config, _arrival_hits)):
         assert counts[1, :8].sum() == 0  # every on-symbol fires all 8 windows
         assert counts[1, 8] > 0
@@ -119,12 +127,14 @@ def test_simulate_symbol_saturated():
 
 
 _BIT_IDENTITY_CONFIGS = [
-    SimConfig(PUBLISHED, 1, 3, 0.5),
-    SimConfig(PUBLISHED, CHUNK_SYMBOLS, 4, 0.5),
-    SimConfig(PUBLISHED, 3 * CHUNK_SYMBOLS + 123, 5, 0.3),
-    SimConfig(ChannelParams(10.0, 0.02, 0.002, 300), 2 * CHUNK_SYMBOLS + 7, 6, 0.5),
+    _config(symbols=1, seed=3),
+    _config(symbols=CHUNK_SYMBOLS, seed=4),
+    _config(symbols=3 * CHUNK_SYMBOLS + 123, seed=5, mu=0.3),
+    _config(dead_time=0.002, samples=300, symbols=2 * CHUNK_SYMBOLS + 7, seed=6),
     # one symbol's row is larger than a block of uniforms
-    SimConfig(ChannelParams(1e5, 1e4, 2.0**-17, 2**17), 5, 8, 0.5),
+    _config(
+        peak_rate=1e5, background=1e4, dead_time=2.0**-17, samples=2**17, symbols=5, seed=8
+    ),
 ]
 
 
@@ -144,10 +154,11 @@ def test_joint_counts_match_serial_chunk_loop(monkeypatch, config, cpus):
 
 
 def test_window_frequency_matches_closed_form():
-    probs = symbol_probs(PUBLISHED)
-    config = SimConfig(PUBLISHED, 40000, 99, 1.0)
+    # the on-symbols' windows of a run at duty cycle 1/2, about 40000 symbols
+    config = _config(symbols=80000, seed=99)
+    probs = _probs(config)
     counts = joint_counts(config)
-    windows = 40000 * 30
+    windows = int(counts[1].sum()) * 30
     ones = int((np.arange(31) * counts[1]).sum())
     p_hat = ones / windows
     se = math.sqrt(probs.p_on * (1.0 - probs.p_on) / windows)
@@ -155,50 +166,58 @@ def test_window_frequency_matches_closed_form():
 
 
 def _detection(config):
-    return detection_from_counts(joint_counts(config), config.params.samples_per_symbol)
+    return detection_from_counts(joint_counts(config), config.samples)
 
 
 def test_detection_estimates_reproducible():
-    config = SimConfig(PUBLISHED, 30000, 4242, 0.5)
+    config = _config(symbols=30000, seed=4242)
     first, second = joint_counts(config), joint_counts(config)
     assert np.array_equal(first, second)
     assert bootstrap_mi_sigma(config, first) == bootstrap_mi_sigma(config, second)
 
 
 def test_detection_estimates_within_three_sigma():
-    probs = symbol_probs(PUBLISHED)
-    (p0_hat, se0), (p1_hat, se1) = _detection(SimConfig(PUBLISHED, 200000, 7, 0.5))
+    config = _config(symbols=200000, seed=7)
+    probs = _probs(config)
+    (p0_hat, se0), (p1_hat, se1) = _detection(config)
     assert abs(p0_hat - probs.p_off) < 3.0 * se0
     assert abs(p1_hat - probs.p_on) < 3.0 * se1
 
 
 def test_detection_estimates_equal_without_signal():
-    params = ChannelParams(0.0, 1.0, 0.02, 30)
-    (p0_hat, se0), (p1_hat, se1) = _detection(SimConfig(params, 100000, 5, 0.5))
+    config = _config(peak_rate=0.0, background=1.0, symbols=100000, seed=5)
+    (p0_hat, se0), (p1_hat, se1) = _detection(config)
     assert abs(p0_hat - p1_hat) < 3.0 * math.hypot(se0, se1)
 
 
+def _one_class_counts():
+    # 1024 symbols, all of them off, as a run at duty cycle 0 would give
+    counts = np.zeros((2, 31), dtype=np.int64)
+    counts[0, :3] = (512, 256, 256)
+    return counts
+
+
 def test_detection_estimates_need_both_classes():
-    with pytest.raises(NumericalFailure):
-        _detection(SimConfig(PUBLISHED, 1000, 5, 0.0))
+    with pytest.raises(NumericalFailure, match="no symbols of one class"):
+        detection_from_counts(_one_class_counts(), 30)
 
 
 def test_plugin_mi_zero_prior_is_zero():
-    assert _plugin_mi(SimConfig(PUBLISHED, 1000, 5, 0.0)) == 0.0
+    assert plugin_mi_from_counts(_one_class_counts()) == 0.0
 
 
 def test_plugin_mi_within_three_bootstrap_sigma():
-    config = SimConfig(PUBLISHED, 120000, 11, 0.5)
+    config = _config(symbols=120000, seed=11)
     counts = joint_counts(config)
-    exact = mi_binomial_mixture(0.5, symbol_probs(PUBLISHED), 30)
+    exact = mi_binomial_mixture(0.5, _probs(config), 30)
     sigma = bootstrap_mi_sigma(config, counts)
     assert abs(plugin_mi_from_counts(counts) - exact) < 3.0 * sigma
 
 
 def test_plugin_mi_degenerate_channel_shrinks_with_samples():
-    params = ChannelParams(0.0, 1.0, 0.02, 30)
     estimates = [
-        _plugin_mi(SimConfig(params, n, 13, 0.5)) for n in (1000, 10000, 100000)
+        _plugin_mi(_config(peak_rate=0.0, background=1.0, symbols=n, seed=13))
+        for n in (1000, 10000, 100000)
     ]
     assert all(e > 0.0 for e in estimates)  # plug-in bias is upward
     assert estimates[0] > estimates[1] > estimates[2]
@@ -208,11 +227,11 @@ def test_plugin_bias_upward_and_shrinking():
     # mean bias over seeds at the published setup; the sizes are chosen so
     # the O(cells/n) bias stands >= 3 sigma above the estimator noise of
     # the seed averages (at 1e5+ symbols the bias drowns in that noise)
-    exact = mi_binomial_mixture(0.5, symbol_probs(PUBLISHED), 30)
+    exact = mi_binomial_mixture(0.5, _probs(_config()), 30)
     mean_bias = []
     for symbols, reps in ((320, 256), (32000, 64)):
         biases = [
-            _plugin_mi(SimConfig(PUBLISHED, symbols, 1000 + r, 0.5)) - exact
+            _plugin_mi(_config(symbols=symbols, seed=1000 + r)) - exact
             for r in range(reps)
         ]
         mean_bias.append(sum(biases) / reps)
@@ -222,13 +241,13 @@ def test_plugin_bias_upward_and_shrinking():
 
 def test_two_simulation_paths_agree():
     # same window-hit law from the Bernoulli and the arrival-time realizations
-    params = ChannelParams(4.0, 0.5, 0.05, 20)
+    config = _config(peak_rate=4.0, background=0.5, dead_time=0.05, samples=20)
     n = 50000  # 1e6 windows per method
     bits = np.ones(n, dtype=bool)
     ones = []
     for window_hits, stream in ((_bernoulli_hits, 1), (_arrival_hits, 2)):
         rng = _chunk_rng(99, 0, stream=stream)
-        ones.append(int(window_hits(rng, bits, params).sum()))
+        ones.append(int(window_hits(rng, bits, config).sum()))
     windows = n * 20
     table = [[ones[0], windows - ones[0]], [ones[1], windows - ones[1]]]
     _, p_value, _, _ = stats.chi2_contingency(table)
@@ -236,10 +255,10 @@ def test_two_simulation_paths_agree():
 
 
 def test_adjacent_windows_uncorrelated():
-    params = ChannelParams(4.0, 0.5, 0.05, 20)
+    config = _config(peak_rate=4.0, background=0.5, dead_time=0.05, samples=20)
     rng = _chunk_rng(17, 0)
     bits = np.ones(40000, dtype=bool)
-    z = _arrival_hits(rng, bits, params).astype(float)
+    z = _arrival_hits(rng, bits, config).astype(float)
     left = z[:, :-1].ravel()
     right = z[:, 1:].ravel()
     r = np.corrcoef(left, right)[0, 1]
@@ -247,7 +266,7 @@ def test_adjacent_windows_uncorrelated():
 
 
 def test_bootstrap_sigma_positive_and_stable():
-    config = SimConfig(PUBLISHED, 50000, 23, 0.5)
+    config = _config(symbols=50000, seed=23)
     counts = joint_counts(config)
     sigma = bootstrap_mi_sigma(config, counts)
     assert 0.0 < sigma < 0.05
@@ -285,22 +304,51 @@ def _sparse_histograms():
             yield counts.copy()
             counts[1, L] = 0  # the final cell, which takes the remainder, empty
             yield counts
-    yield joint_counts(SimConfig(PUBLISHED, 5000, 9, 0.5))
+    yield joint_counts(_config(symbols=5000, seed=9))
 
 
 def test_bootstrap_sigma_matches_full_vector_draw():
     # skipping the empty cells draws the same binomials as the full vector
     # and sums the same MI terms in the same order
-    config = SimConfig(PUBLISHED, 1000, 31, 0.5)
+    config = _config(symbols=1000, seed=31)
     for counts in _sparse_histograms():
         assert plugin_mi_from_counts(counts) == _full_plugin_mi(counts)
         assert bootstrap_mi_sigma(config, counts) == _full_vector_sigma(config, counts)
 
 
-def test_sim_config_validation():
-    with pytest.raises(Exception):
-        SimConfig(PUBLISHED, 0, 1, 0.5)
-    with pytest.raises(Exception):
-        SimConfig(PUBLISHED, 10, 1, 1.5)
-    with pytest.raises(Exception):
-        SimConfig(PUBLISHED, 10, -1, 0.5)
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        pytest.param(dict(samples=0), "samples must be a positive integer, got 0", id="samples"),
+        pytest.param(dict(mu=0.0), "mu must be in (0, 1), got 0.0", id="mu-0"),
+        pytest.param(dict(mu=1.0), "mu must be in (0, 1), got 1.0", id="mu-1"),
+        pytest.param(dict(peak_rate=-1.0), "peak_rate must be >= 0, got -1.0", id="peak_rate"),
+        pytest.param(
+            dict(background=math.nan), "background_rate must be finite, got nan", id="background"
+        ),
+        pytest.param(dict(dead_time=0.0), "dead_time must be > 0, got 0.0", id="dead_time"),
+        pytest.param(
+            dict(samples=100),
+            "the sampling interval 1/--samples = 0.01 must be >= --dead-time = 0.02",
+            id="sampling-interval",
+        ),
+        pytest.param(dict(symbols=0), "symbols must be >= 1, got 0", id="symbols"),
+        pytest.param(dict(seed=-1), "seed must be a 64-bit unsigned integer", id="seed-negative"),
+        pytest.param(dict(seed=2**64), "seed must be a 64-bit unsigned integer", id="seed-2**64"),
+        # also above the exact-MI trial cap, which is checked after the config
+        pytest.param(
+            dict(samples=100001, dead_time=1e-6),
+            "a chunk of 16384 symbols at L = 100001 is 1638416384 sampling windows, "
+            "above the cap of 33554432",
+            id="chunk-cap",
+        ),
+    ],
+)
+def test_sim_config_refuses_each_bad_setting(capsys, settings, message):
+    # each bad setting is refused once, by SimConfig, with the CLI's message
+    with pytest.raises(ParameterError) as refused:
+        _config(**settings)
+    assert str(refused.value) == message
+    argv = ["simulate"] + [f"{flag(key)}={value}" for key, value in settings.items()]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from deadtime_channel import (
     BinaryDetectionProbs,
-    ChannelParams,
     NumericalFailure,
     ParameterError,
     beta_triple,
@@ -20,10 +19,10 @@ from deadtime_channel import (
     mi_approx_low_background,
     mi_binomial_mixture,
     optimal_prior_upper,
-    symbol_probs,
     upper_bound_max,
     upper_envelope,
 )
+from deadtime_channel.channel import detection_probs
 from deadtime_channel.divergences import BetaTriple
 from deadtime_channel.rate_bounds import tuned_lower_envelope
 
@@ -247,10 +246,10 @@ def test_lower_envelope_concave_with_interior_peak():
     assert mus[int(np.argmax(vals))] == pytest.approx(0.5, abs=0.02)
 
 
-def _bound_set(params, mu):
-    """Exact rate, both envelopes, the approximation and Delta at one point."""
-    probs = symbol_probs(params)
-    trials = params.samples_per_symbol
+def _bound_set(peak, mu, trials=30):
+    """Exact rate, both envelopes, the approximation and Delta at one point
+    of the published channel (background 0.02, dead time 0.02)."""
+    probs = detection_probs(peak, 0.02, 0.02)
     triple = beta_triple(probs, trials)
     return (
         mi_binomial_mixture(mu, probs, trials),
@@ -262,16 +261,14 @@ def _bound_set(params, mu):
 
 
 def test_rate_bound_set_published_point():
-    params = ChannelParams(10.0, 0.02, 0.02, 30)
-    exact, lower, upper, approx, gap = _bound_set(params, 0.5)
+    exact, lower, upper, approx, gap = _bound_set(10.0, 0.5)
     assert lower <= exact <= upper
     assert gap >= 0.0
     assert lower < approx < upper
 
 
 def test_rate_bound_set_zero_signal():
-    params = ChannelParams(0.0, 0.02, 0.02, 30)
-    assert _bound_set(params, 0.5) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    assert _bound_set(0.0, 0.5) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_sandwich_random_sweep():
