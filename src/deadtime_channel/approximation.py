@@ -29,13 +29,17 @@ def mi_approx_low_background(mu, probs: BinaryDetectionProbs, trials):
 
 def mi_approx_max(probs: BinaryDetectionProbs, trials):
     """(mu, value): the expansion's maximum over duty cycles, refused with
-    ParameterError outside its region."""
+    ParameterError outside its region; (0.5, 0.0) without signal, as the
+    other duty-cycle optima."""
+    if probs.p_off == probs.p_on:
+        # refused outside the region, as at any other channel
+        _without_signal(0.5, probs, trials)
+        return 0.5, 0.0
 
     def scan(mu):
         # refused if any one of the ascending scan points is, and only the
         # signal's underflow depends on mu, first at the smallest
-        if _without_signal(mu[0], probs, trials):
-            return np.zeros_like(mu)
+        _without_signal(mu[0], probs, trials)
         return _expansion(mu, probs, trials, np.log)
 
     # the module-global name, so that a wrapper installed on it sees each call

@@ -160,6 +160,23 @@ def capacity_bruteforce(peak_rate, background_rate, dead_time):
     return mu_dag, f_dag / dead_time
 
 
+def _log1pmx_over_x(x):
+    """g(x) / x for x > -1, with g(x) = log1p(x) - x (and 0 at x = 0).
+
+    Below |x| = 0.5 the difference cancels, so it is summed as a series in
+    t = x / (2 + x), from log1p(x) = 2 atanh(t) and x - 2t = t x; dividing
+    by x keeps the value clear of the underflow of g ~ -x^2/2 at tiny x.
+    """
+    if not abs(x) < 0.5:
+        return (math.log1p(x) - x) / x
+    t = x / (2.0 + x)
+    t2 = t * t
+    total, power, k = 0.0, t2, 3.0
+    while total + power / k != total:
+        total, power, k = total + power / k, power * t2, k + 2.0
+    return (2.0 * total - x) / (2.0 + x)
+
+
 def wyner_poisson_capacity(peak_rate, background_rate):
     """Continuous peak-constrained Poisson capacity and its optimal on-probability.
 
@@ -172,7 +189,12 @@ def wyner_poisson_capacity(peak_rate, background_rate):
     (the bracketed form keeps full precision at low SNR); background 0, or
     a ratio s too small for 1/s to be finite, gives q* = 1/e, C = A / e, and
     a ratio s beyond the double range the low-SNR limit q* = 1/2,
-    C = A^2 / (8 L0).
+    C = A^2 / (8 L0).  From s = 1 on, where both lines cancel as s grows,
+    the same values come from g(x) = log1p(x) - x, whose linear terms
+    cancel exactly: with u = s g(1/s),
+
+        q_star = 1 + (1+s) expm1(u)
+        C      = A q* [u - (s/q*) g(q*/s) + ln(1 + (1-q*)/(q*+s))].
     """
     check_positive(peak_rate, "peak_rate")
     check_nonnegative(background_rate, "background_rate")
@@ -183,6 +205,13 @@ def wyner_poisson_capacity(peak_rate, background_rate):
     if math.isinf(s):
         # the low-SNR limit
         return 0.5, peak_rate * (peak_rate / background_rate) / 8.0
+    if s >= 1.0:
+        u = _log1pmx_over_x(1.0 / s)
+        q_star = 1.0 + (1.0 + s) * math.expm1(u)
+        ratio = (1.0 - q_star) / (q_star + s)
+        return q_star, peak_rate * q_star * (
+            u - _log1pmx_over_x(q_star / s) + math.log1p(ratio)
+        )
     q_star = (1.0 + s) * math.exp(s * math.log1p(1.0 / s) - 1.0) - s
     cap = background_rate * (
         -math.log1p(q_star / s)

@@ -21,7 +21,7 @@ Grids are written lin:START,STOP,COUNT or log:START,STOP,COUNT with finite
 endpoints.  A subcommand's flags are the keys of its presets
 (experiments.PRESETS), and a run reads exactly one preset: the --preset
 given, or else the one the flags pick (gap: the --scenario's; capacity
-with --tau-grid: dead-time-sweep; otherwise the subcommand's default).
+with --tau-grid: dead-time-sweep), otherwise the subcommand's first preset.
 experiments.run refuses a flag that this preset lacks, which the sweep
 would not read, and a gap --scenario other than the preset's; the other
 flags override the preset's values.

@@ -3,10 +3,10 @@
 
 ``PRESETS`` declares the settings each sweep reads; the CLI's flags are
 their keys.  ``run`` is the one settings resolver: a run reads exactly one
-preset, the named one or the one the settings pick, refuses a setting that
-preset lacks, which the sweep would not read, and hands the preset
-overlaid by the settings to the command's ``*_rows`` function.  The CLI
-and the acceptance checks both call it.
+preset (the named one, the one the settings pick, or else the command's
+first), refuses a setting that preset lacks, which the sweep would not
+read, and hands the preset overlaid by the settings to the command's
+``*_rows`` function.  The CLI and the acceptance checks both call it.
 
 Sweeps work in the normalized convention: the symbol duration is 1, so a
 dead time of 0.02 with 30 samples per symbol means the sampling interval
@@ -59,9 +59,10 @@ from . import monte_carlo
 # more than 10,000 points; a count far beyond that only exhausts memory.
 MAX_GRID_POINTS = 1_000_000
 
-# Named parameter presets per CLI subcommand (the published setups).  Each
-# gap preset is named after its scenario and holds one *_grid, its sweep;
-# the gap presets are also the parameters of the gap acceptance checks.
+# Named parameter presets per CLI subcommand (the published setups); a
+# subcommand's first preset is its default.  Each gap preset is named
+# after its scenario and holds one *_grid, its sweep; the gap presets are
+# also the parameters of the gap acceptance checks.
 PRESETS = {
     "mi-sweep": {
         "published": {
@@ -70,12 +71,12 @@ PRESETS = {
         },
     },
     "duty-imax": {
-        "samples20": {
-            "background": 0.02, "dead_time": 0.02, "samples": 20,
-            "a_grid": "log:0.5,200,40",
-        },
         "samples30": {
             "background": 0.02, "dead_time": 0.02, "samples": 30,
+            "a_grid": "log:0.5,200,40",
+        },
+        "samples20": {
+            "background": 0.02, "dead_time": 0.02, "samples": 20,
             "a_grid": "log:0.5,200,40",
         },
     },
@@ -103,12 +104,12 @@ PRESETS = {
     },
     # sampling_interval None is critical sampling, T_s = tau
     "capacity": {
-        "zero-background": {
-            "background": 0.0, "dead_time": 0.02, "sampling_interval": None,
-            "a_grid": "log:0.01,2000,60",
-        },
         "small-background": {
             "background": 0.001, "dead_time": 0.02, "sampling_interval": None,
+            "a_grid": "log:0.01,2000,60",
+        },
+        "zero-background": {
+            "background": 0.0, "dead_time": 0.02, "sampling_interval": None,
             "a_grid": "log:0.01,2000,60",
         },
         "dead-time-sweep": {
@@ -125,16 +126,6 @@ PRESETS = {
 }
 
 
-# The preset a run reads when none is named and the settings pick none:
-# gap picks its scenario's, and capacity over a tau_grid dead-time-sweep.
-DEFAULT_PRESET = {
-    "mi-sweep": "published",
-    "duty-imax": "samples30",
-    "capacity": "small-background",
-    "simulate": "published",
-}
-
-
 def flag(key):
     """The CLI flag of a settings key."""
     return "--" + key.replace("_", "-")
@@ -145,9 +136,9 @@ def run(command, settings):
 
     A run reads exactly one preset: ``settings["preset"]`` if given, else
     the one the settings pick (gap: the scenario's; capacity with a
-    tau_grid: dead-time-sweep; otherwise ``DEFAULT_PRESET``).  A setting
-    that preset lacks, or a scenario other than its own, is refused; the
-    rows get the preset overlaid by the settings.
+    tau_grid: dead-time-sweep), otherwise the command's first preset in
+    ``PRESETS``.  A setting that preset lacks, or a scenario other than its
+    own, is refused; the rows get the preset overlaid by the settings.
     """
     settings = dict(settings)
     table = PRESETS[command]
@@ -164,7 +155,7 @@ def run(command, settings):
         elif command == "capacity" and "tau_grid" in settings:
             name = "dead-time-sweep"
         else:
-            name = DEFAULT_PRESET[command]
+            name = next(iter(table))
     elif name not in table:
         raise ParameterError(
             f"unknown preset {name!r} for {command}; choose from {sorted(table)}"
@@ -388,9 +379,11 @@ def gap_rows(settings):
         if scenario == "large-L":
             _, high_snr, general_lower = gap_bounds(triple)
             cells = [general_lower, high_snr, math.nan, math.nan]
+            predicted = bhattacharyya_distance(p0, p1)
         elif scenario == "zero-lambda":
             lead = _pow_log(1.0 - p1, 0.5 * trials)
             cells = [lead, 2.0 * lead, math.nan, math.nan]
+            predicted = exp_rate_zero_background(trials, dead_time)
         elif scenario == "low-A":
             # beta - beta_i within 2^20 ulp of beta is rounding, as the offset below
             margin = min(triple.beta - triple.beta1, triple.beta - triple.beta2)
@@ -403,16 +396,19 @@ def gap_rows(settings):
             if not math.isfinite(quad):
                 raise _unresolved(point, x, f"the quadratic gap {coeff} * x^2 overflows")
             cells = [quad, quad, gap / (x * x), coeff]
+            predicted = 2.0
         else:
             # each bound = a constant in b (p0; 1 - p1 at low background) + offset
             if scenario == "large-A":
                 if p0 == 0.0:
                     raise _unresolved(point, x, "p0 rounds to 0")
                 b, (eps_u, eps_l) = p0, gap_offsets_large_A(p0, p1, trials)
+                predicted = min(0.5, (1.0 - p0) * trials) * dead_time
             elif p1 == 1.0:
                 raise _unresolved(point, x, "p1 rounds to 1")
             else:
                 b, (eps_u, eps_l) = 1.0 - p1, gap_offsets_low_background(p0, p1, trials)
+                predicted = min(0.5, detection_prob(peak_rate, dead_time) * trials)
             high_u = gap_bounds(triple)[1]
             half, full = _pow_log(b, 0.5 * trials), _pow_log(b, trials)
             const_u = 2.0 * half - full
@@ -424,24 +420,11 @@ def gap_rows(settings):
                 raise _unresolved(point, x, f"offset {offset} is within 2^20 ulp of {const_u}")
             cells = [const_l + eps_l, const_u + eps_u, offset, eps_u]
             y = abs(offset)
-        rows.append([x, gap] + cells)
+        rows.append([x, gap] + cells + [predicted])
         pts.append((math.log(x) if power_law else x, y))
     slope = estimate_exponential_rate(pts)
-    # after the sweep, so that a bad setting is named by the first point;
-    # large-L fixes both rates and large-A the background, so the last
-    # point's p0 (and at large-L p1) is every point's
-    if scenario == "large-L":
-        predicted = bhattacharyya_distance(p0, p1)
-    elif scenario == "large-A":
-        predicted = min(0.5, (1.0 - p0) * trials) * dead_time
-    elif scenario == "low-lambda":
-        predicted = min(0.5, detection_prob(peak_rate, dead_time) * trials)
-    elif scenario == "zero-lambda":
-        predicted = exp_rate_zero_background(trials, dead_time)
-    else:
-        predicted = 2.0
     for row in rows:
-        row.extend([slope if power_law else -slope, predicted])
+        row.insert(-1, slope if power_law else -slope)
     return GAP_HEADER, rows
 
 

@@ -1,0 +1,103 @@
+"""High-precision mpmath versions of the capacity sweep's cells.
+
+Each function takes the same double inputs as the library and evaluates
+its quantity exactly in those inputs, to ``DIGITS`` significant digits
+(more where a ratio of rates needs them), and returns a float.  The
+probabilities are built from the rates, so that q = e^(-x) holds exactly
+instead of being rebuilt as 1 - p.  Nothing here calls the library, so a
+test that scores the library against these functions checks it against
+an independent evaluation of the paper's formulas.
+"""
+
+import math
+
+import mpmath
+
+# 60 digits leave more than 40 after the worst cancellation of the capacity
+# presets: F(mu*) ~ d^2 and a q0 - p0 ~ d lose about 2 log10(1 / (A tau)) <= 8.
+DIGITS = 60
+
+
+def levels(peak_rate, background_rate, dead_time):
+    """(p0, q0, p1, q1, d) as mpf, with x = rate * tau, p = 1 - e^(-x),
+    q = e^(-x) and d = p1 - p0, at the current precision."""
+    peak, background, tau = (mpmath.mpf(v) for v in (peak_rate, background_rate, dead_time))
+    x0, x1 = background * tau, (peak + background) * tau
+    q0, q1 = mpmath.exp(-x0), mpmath.exp(-x1)
+    d = q0 * -mpmath.expm1(-peak * tau)
+    return -mpmath.expm1(-x0), q0, -mpmath.expm1(-x1), q1, d
+
+
+def _entropy(p, q):
+    """h_b for p + q = 1 given both, with 0 ln 0 = 0."""
+    return sum(-v * mpmath.log(v) for v in (p, q) if v > 0)
+
+
+def _mu_star(p0, q0, p1, q1, d):
+    a = mpmath.exp(-(_entropy(p1, q1) - _entropy(p0, q0)) / d)
+    return (a * q0 - p0) / ((1 + a) * d)
+
+
+def _rate(mu, p0, q0, p1, q1, d):
+    """F(mu) = h_b(p_hat) - (1 - mu) h_b(p0) - mu h_b(p1)."""
+    p_hat, q_hat = p0 + mu * d, (1 - mu) * q0 + mu * q1
+    return _entropy(p_hat, q_hat) - (1 - mu) * _entropy(p0, q0) - mu * _entropy(p1, q1)
+
+
+def mu_star(peak_rate, background_rate, dead_time, digits=DIGITS):
+    """The capacity-achieving duty cycle at critical sampling, from its
+    closed form (a q0 - p0) / ((1 + a) d), a = exp(-(h(p1) - h(p0)) / d);
+    the cancellation costs about 2 log10(1 / (A tau)) of the ``digits``."""
+    with mpmath.workdps(digits):
+        return float(_mu_star(*levels(peak_rate, background_rate, dead_time)))
+
+
+def capacity(peak_rate, background_rate, dead_time, sampling_interval):
+    """F(mu*) / T_s in nats: the capacity at dead time tau, sampled every T_s."""
+    with mpmath.workdps(DIGITS):
+        lv = levels(peak_rate, background_rate, dead_time)
+        return float(_rate(_mu_star(*lv), *lv) / mpmath.mpf(sampling_interval))
+
+
+def wyner_capacity(peak_rate, background_rate):
+    """Wyner's continuous peak-constrained Poisson capacity,
+    L0 [-ln(1 + q*/s) + q* ln(1 + 1/s) + (q*/s) ln(1 + (1-q*)/(q*+s))]
+    with q* = (1+s)^(1+s) / (s^s e) - s and s = background / peak; A / e
+    at background 0.
+
+    q* cancels in about log10(s) digits and the bracket, which is
+    O(1/s^2), in as many again, so the precision grows with s."""
+    if background_rate == 0.0:
+        with mpmath.workdps(DIGITS):
+            return float(mpmath.mpf(peak_rate) / mpmath.e)
+    digits = DIGITS + 2 * max(0, math.ceil(math.log10(background_rate / peak_rate)))
+    with mpmath.workdps(digits):
+        peak, background = mpmath.mpf(peak_rate), mpmath.mpf(background_rate)
+        s = background / peak
+        q = (1 + s) * mpmath.exp(s * mpmath.log1p(1 / s) - 1) - s
+        return float(background * (
+            -mpmath.log1p(q / s)
+            + q * mpmath.log1p(1 / s)
+            + (q / s) * mpmath.log1p((1 - q) / (q + s))
+        ))
+
+
+def approx_low_A(peak_rate, background_rate, dead_time, sampling_interval):
+    """The low-peak-rate law of the capacity: (tau / T_s) A / e at zero
+    background, else (tau / T_s) d_tau A^2 with d_tau = tau q0 / (8 p0)."""
+    with mpmath.workdps(DIGITS):
+        peak, tau = mpmath.mpf(peak_rate), mpmath.mpf(dead_time)
+        scale = tau / mpmath.mpf(sampling_interval)
+        if background_rate == 0.0:
+            return float(scale * peak / mpmath.e)
+        p0, q0, _, _, _ = levels(peak_rate, background_rate, dead_time)
+        return float(scale * tau * q0 / (8 * p0) * peak**2)
+
+
+def limit_large_A(background_rate, dead_time, sampling_interval):
+    """The saturation limit c / T_s of the capacity as A grows, with
+    c = ln(1 + 1/u), u = exp(e^(L0 tau) h_b(p0))."""
+    with mpmath.workdps(DIGITS):
+        p0, q0, _, _, _ = levels(0.0, background_rate, dead_time)
+        u = mpmath.exp(_entropy(p0, q0) / q0)
+        return float(mpmath.log1p(1 / u) / mpmath.mpf(sampling_interval))

@@ -54,9 +54,13 @@ def test_zero_signal_channel_carries_nothing():
     for mu in (0.1, 0.5, 0.9):
         assert mi_approx_low_background(mu, probs, 30) == 0.0
         assert mi_binomial_mixture(mu, probs, 30) == 0.0
+    # the zero-signal convention of the other duty-cycle optima
+    assert mi_approx_max(probs, 30) == (0.5, 0.0)
     # the validity region is still enforced without signal
     with pytest.raises(ParameterError, match="validity"):
         mi_approx_low_background(0.5, BinaryDetectionProbs(0.05, 0.05), 30)
+    with pytest.raises(ParameterError, match="validity"):
+        mi_approx_max(BinaryDetectionProbs(0.05, 0.05), 30)
 
 
 def test_validity_guard():

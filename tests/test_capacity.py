@@ -1,10 +1,11 @@
 import math
 import sys
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+
+import oracle
 
 from deadtime_channel import (
     NumericalFailure,
@@ -41,27 +42,12 @@ def test_optimal_duty_cycle_matches_bruteforce():
     assert mu == pytest.approx(mu_brute, abs=1e-6)
 
 
-def _mu_star_mpmath(peak_rate, background_rate, digits=700):
-    """The closed-form mu* at tau = 1 in 700-digit arithmetic by default:
-    enough for the cancellation in a/(1+a) - p0 down to peak rates of 1e-300."""
-    with mpmath.workdps(digits):
-        peak, bg = mpmath.mpf(peak_rate), mpmath.mpf(background_rate)
-        p0, q0 = -mpmath.expm1(-bg), mpmath.exp(-bg)
-        d = q0 * -mpmath.expm1(-peak)
-        p1, q1 = p0 + d, mpmath.exp(-(peak + bg))
-
-        def h(p, q):
-            return -p * mpmath.log(p) - q * mpmath.log(q)
-
-        a = mpmath.exp(-(h(p1, q1) - h(p0, q0)) / d)
-        return float((a / (1 + a) - p0) / d)
-
-
 @pytest.mark.parametrize("background", [0.01, 0.5, 5.0])
 @pytest.mark.parametrize("peak", [1e-300, 1e-100, 1e-20, 1e-12, 1e-9])
 def test_optimal_duty_cycle_vanishing_peak_rate_matches_mpmath(peak, background):
     mu, _ = capacity_tau(peak, background, 1.0)
-    assert abs(mu - _mu_star_mpmath(peak, background)) <= 1e-12
+    # 700 digits carry the cancellation in a q0 - p0 down to A = 1e-300
+    assert abs(mu - oracle.mu_star(peak, background, 1.0, digits=700)) <= 1e-12
 
 
 def test_optimal_duty_cycle_near_expansion_switch_matches_mpmath():
@@ -73,7 +59,7 @@ def test_optimal_duty_cycle_near_expansion_switch_matches_mpmath():
         for r in np.geomspace(1e-6, 1e-3, 101).tolist():
             peak = -math.log1p(-r * p0)
             mu, _ = capacity_tau(peak, background, 1.0)
-            worst = max(worst, abs(mu - _mu_star_mpmath(peak, background, 60)))
+            worst = max(worst, abs(mu - oracle.mu_star(peak, background, 1.0)))
     assert worst <= 5e-11
 
 
@@ -150,6 +136,25 @@ def test_wyner_domain():
         wyner_poisson_capacity(0.0, 1.0)
     with pytest.raises(ParameterError):
         wyner_poisson_capacity(1.0, -0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_s=st.floats(math.log(1e-3), math.log(1e300)),
+    log_peak=st.floats(math.log(1e-3), math.log(1e3)),
+)
+@example(log_s=math.log(1e6), log_peak=0.0)
+@example(log_s=math.log(1e15), log_peak=0.0)
+@example(log_s=math.log(1e16), log_peak=0.0)
+@example(log_s=0.0, log_peak=0.0)
+def test_wyner_matches_mpmath_where_background_dominates(log_s, log_peak):
+    # s = background / peak log-uniform; the form used from s = 1 on keeps
+    # its digits where the q* form cancels (0.58 relative off at s = 1e15)
+    peak = math.exp(log_peak)
+    background = math.exp(log_s) * peak
+    _, cap = wyner_poisson_capacity(peak, background)
+    exact = oracle.wyner_capacity(peak, background)
+    assert abs(cap - exact) <= 1e-14 * exact
 
 
 def test_wyner_continuous_in_s_near_zero():

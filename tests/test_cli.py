@@ -187,6 +187,18 @@ def test_gap_offset_scenarios_track_their_formulas(capsys):
             assert row[idx["gap_numeric"]] <= row[idx["gap_upper_formula"]] * 1.02
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["mi-sweep"], ["duty-imax"], ["capacity"], ["simulate", "--symbols", "1000"]],
+    ids=lambda argv: argv[0],
+)
+def test_bare_command_reads_its_first_preset(capsys, argv):
+    first = next(iter(experiments.PRESETS[argv[0]]))
+    bare = _run(capsys, argv)
+    assert bare[0] == 0
+    assert bare == _run(capsys, argv + ["--preset", first])
+
+
 def test_gap_requires_scenario(capsys):
     code, _, err = _run(capsys, ["gap"])
     _assert_one_line_error(code, err, 2, "requires --scenario")
@@ -497,6 +509,8 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
     idx = {name: header.index(name) for name in header}
     for name in ("imax_exact", "imax_lower", "imax_upper", "imax_approx"):
         assert rows[0][idx[name]] == 0.0
+    for name in ("mu_exact", "mu_approx", "mu_lower", "mu_upper"):
+        assert rows[0][idx[name]] == 0.5
 
 
 @pytest.mark.parametrize(
@@ -739,7 +753,7 @@ def _fuzz_preset(base):
     if "--preset" in base:
         name = base[base.index("--preset") + 1]
     else:
-        name = base[2] if command == "gap" else experiments.DEFAULT_PRESET[command]
+        name = base[2] if command == "gap" else next(iter(experiments.PRESETS[command]))
     return experiments.PRESETS[command][name]
 
 

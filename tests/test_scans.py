@@ -99,7 +99,9 @@ def test_upper_envelope_scan_agrees(passed):
 
 def test_approximation_scan_agrees(passed):
     for peak, background, tau, trials in _channels(3):
-        mi_approx_max(detection_probs(peak, background, tau), trials)
+        probs = detection_probs(peak, background, tau)
+        if probs.p_off != probs.p_on:  # without signal no scan runs
+            mi_approx_max(probs, trials)
     # the NaN cells of duty-imax: refused outside the expansion's region
     assert _scan_outcomes(passed) == {"ok", "ParameterError"}
 
