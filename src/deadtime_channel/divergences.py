@@ -66,6 +66,12 @@ def chernoff_binomial(alpha, p_a, p_b, trials):
     check_unit(p_a, "p_a")
     check_unit(p_b, "p_b")
     check_trials(trials)
+    return _chernoff(alpha, p_a, p_b, trials)
+
+
+def _chernoff(alpha, p_a, p_b, trials):
+    """``chernoff_binomial`` without its argument checks, for callers that
+    checked the laws and the trial count once per channel."""
     s = p_a**alpha * p_b ** (1.0 - alpha) + (1.0 - p_a) ** alpha * (1.0 - p_b) ** (
         1.0 - alpha
     )

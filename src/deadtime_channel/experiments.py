@@ -15,6 +15,7 @@ function of the settings (plus the seed for the simulation sweep); columns
 that do not apply to a scenario hold nan.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -49,7 +50,7 @@ from .rate_bounds import (
     gap_bounds,
     lower_bound_max,
     optimal_prior_upper,
-    tuned_lower_envelope,
+    tuned_lower_curve,
     upper_bound_max,
     upper_envelope,
 )
@@ -237,11 +238,12 @@ def mi_sweep_rows(settings):
         "poisson_benchmark",
     ]
     exact_mi = mi_binomial_curve(probs, trials)
+    tuned_lower = tuned_lower_curve(probs, trials)
     rows = []
     for mu in parse_grid(settings["mu_grid"]):
         exact = exact_mi(mu)
         try:
-            lower = tuned_lower_envelope(mu, probs, trials)
+            lower = tuned_lower(mu)
         except NumericalFailure as exc:
             raise _unresolved("mi-sweep at mu", mu, exc) from exc
         try:
@@ -450,17 +452,29 @@ def capacity_rows(settings):
     else:
         tau = settings["dead_time"]
         points = [(peak, tau) for peak in parse_grid(settings["a_grid"])]
+    # A tau sweep repeats Wyner's capacity, an A sweep the coefficients of
+    # both limits.  Each is computed once per run of equal arguments, called
+    # in the per-row order and with no refusal cached, so a refused sweep
+    # names the same point.
+    wyner_capacity, low_A_coeffs, large_A_coeff = (
+        functools.lru_cache(maxsize=1)(fn)
+        for fn in (
+            wyner_poisson_capacity,
+            quadratic_coeffs_low_A,
+            asymptotic_capacity_coeff_large_A,
+        )
+    )
     rows = []
     for peak, tau in points:
         t_s = sampling_interval if sampling_interval is not None else tau
         mu_star, cap = capacity_sampled(peak, background, tau, t_s)
-        _, wyner = wyner_poisson_capacity(peak, background)
+        _, wyner = wyner_capacity(peak, background)
         if background == 0.0:
             approx_low = (tau / t_s) * peak / math.e
         else:
-            _, d_tau = quadratic_coeffs_low_A(background, tau)
+            _, d_tau = low_A_coeffs(background, tau)
             approx_low = d_tau * peak * peak * (tau / t_s)
-        limit = asymptotic_capacity_coeff_large_A(background, tau) / t_s
+        limit = large_A_coeff(background, tau) / t_s
         rows.append(
             [
                 peak,
@@ -531,14 +545,14 @@ def _z_score(name, estimate, closed, stderr):
 
 
 def format_csv(header, rows):
-    """Serialize to CSV text: UTF-8 content, LF endings, 17 significant digits."""
+    """Serialize to CSV text: UTF-8 content, LF endings, 17 significant digits.
+
+    Each row is formatted by one %-template, "%.17g" for a float cell (as
+    ``f"{value:.17g}"``) and "%s" for any other, its ``str()``, so that an
+    int keeps every digit where "%.17g" would print 10**17 as 1e+17.
+    """
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, float):
-                cells.append(f"{value:.17g}")
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+        template = ",".join(["%.17g" if isinstance(v, float) else "%s" for v in row])
+        lines.append(template % tuple(row))
     return "\n".join(lines) + "\n"

@@ -7,13 +7,17 @@ a dense coarse scan brackets the best point, then golden-section search
 refines the bracket.
 
 numpy picks the bracket; libm refines and prints.  A caller may pass the
-scan as one numpy call over the interior scan points.  Its values only
-choose the bracket: the endpoints, the winner and every refinement point
-are evaluated by the scalar objective through ``math``, so a returned
-value can differ from the per-point scan's only where the two best scan
-values lie within a few ulp of each other.
+scan as one numpy call over the interior scan points, or as values it
+has cached for them (the tuned lower envelope's divergence pairs, one set
+per channel).  Its values only choose the bracket: the endpoints, the
+winner and every refinement point are evaluated by the scalar objective
+through ``math``, so a returned value can differ from the per-point
+scan's only where the two best scan values lie within a few ulp of each
+other.  The interior points are one read-only array per scan size, built
+once per process.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -34,8 +38,8 @@ def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS, sca
     golden-section search shrinks the bracket below ``tol``.  Non-finite
     values are treated as -inf; if more than half the scan is non-finite
     the objective is considered broken.  ``scan``, if given, maps the
-    array of interior scan points ``i / (coarse_points - 1)`` to the
-    values of ``f`` there; ``f`` is evaluated again at the winner.
+    read-only array of interior scan points ``i / (coarse_points - 1)``
+    to the values of ``f`` there; ``f`` is evaluated again at the winner.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -47,7 +51,7 @@ def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS, sca
         vals = np.array([f(i / last) for i in range(coarse_points)], dtype=float)
     else:
         with np.errstate(all="ignore"):
-            vals = np.concatenate(([f(0.0)], scan(np.arange(1, last) / last), [f(1.0)]))
+            vals = np.concatenate(([f(0.0)], scan(_interior(coarse_points)), [f(1.0)]))
     vals[~np.isfinite(vals)] = -math.inf
     bad = int(np.count_nonzero(vals == -math.inf))
     if bad > coarse_points // 2:
@@ -75,8 +79,19 @@ def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS, sca
             a, c, fc = c, d, fd
             d = a + INV_GOLDEN * (b - a)
             fd = f(d)
-        for x, v in ((c, fc), (d, fd)):
-            if v > best_f:
-                best_x, best_f = x, v
+        if fc > best_f:
+            best_x, best_f = c, fc
+        if fd > best_f:
+            best_x, best_f = d, fd
 
     return best_x, best_f
+
+
+@functools.cache
+def _interior(coarse_points):
+    """The interior scan points i / (coarse_points - 1), read-only: one
+    array per size, shared by every scan."""
+    last = coarse_points - 1
+    points = np.arange(1, last) / last
+    points.flags.writeable = False
+    return points

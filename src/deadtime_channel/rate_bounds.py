@@ -10,15 +10,21 @@ envelope over the lower one across duty cycles.  The pointwise difference
 is evaluated through log1p so it stays relative-accurate even when it is
 many orders of magnitude below the envelopes themselves (deep high-SNR
 sweeps drive it under 1e-100).
+
+The tuned lower envelope, F_u at the Chernoff pair of the best divergence
+order alpha, is a per-channel curve: ``tuned_lower_curve(probs, trials)``
+checks the channel once and returns mu -> value, computing the pairs of
+its alpha scan once per channel.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from .channel import BinaryDetectionProbs
-from .divergences import BetaTriple, chernoff_binomial
-from .guards import check_unit
+from .divergences import BetaTriple, _chernoff
+from .guards import check_trials, check_unit
 from . import optimize
 
 
@@ -89,28 +95,67 @@ def optimal_prior_upper(beta1, beta2):
     check_unit(beta2, "beta2")
     if beta1 == 1.0 and beta2 == 1.0:
         return 0.5, 0.0
+
+    def objective(mu):
+        # upper_envelope without its checks: the optimizer keeps 0 <= mu <= 1
+        if mu == 0.0 or mu == 1.0:
+            return 0.0
+        return _upper_envelope(mu, beta1, beta2, math.log)
+
     return optimize.maximize_scalar(
-        lambda mu: upper_envelope(mu, beta1, beta2),
-        scan=lambda mu: _upper_envelope(mu, beta1, beta2, np.log),
+        objective, scan=lambda mu: _upper_envelope(mu, beta1, beta2, np.log)
     )
 
 
-def tuned_lower_envelope(mu, probs: BinaryDetectionProbs, trials):
-    """Lower envelope with the divergence order optimized over alpha per mu:
+def tuned_lower_curve(probs: BinaryDetectionProbs, trials):
+    """mu -> the lower envelope with the divergence order optimized per mu:
     max over alpha of F_u(mu, e^-C_alpha(P1||P0), e^-C_alpha(P0||P1)),
-    which at alpha = 1/2 is F_l(mu, beta)."""
+    which at alpha = 1/2 is F_l(mu, beta).
+
+    Each mu maximizes over alpha from a 65-point scan refined to 1e-9.
+    The divergence pairs at the 63 interior scan orders i/64 depend only on
+    the channel, so the first interior mu computes them all and later ones
+    reuse them; a pair that raises leaves nothing cached.  The endpoints
+    and the refinement evaluate their pairs afresh, so every value is the
+    one a per-point scan over alpha would give.
+    """
     p0, p1 = probs.p_off, probs.p_on
-    if mu == 0.0 or mu == 1.0 or p0 == p1:
-        return 0.0
+    check_unit(p0, "p_off")
+    check_unit(p1, "p_on")
+    check_trials(trials)
+    points = 65
+    last = points - 1
 
-    def objective(alpha):
-        b1 = math.exp(-chernoff_binomial(alpha, p1, p0, trials))
-        b2 = math.exp(-chernoff_binomial(alpha, p0, p1, trials))
-        # 0 < mu < 1, and b1, b2 in [0, 1]: chernoff_binomial refuses C < 0
-        return _upper_envelope(mu, b1, b2, math.log)
+    def betas(alpha):
+        # 0 <= alpha <= 1, and _chernoff refuses C < 0: both betas in [0, 1]
+        return math.exp(-_chernoff(alpha, p1, p0, trials)), math.exp(
+            -_chernoff(alpha, p0, p1, trials)
+        )
 
-    _, value = optimize.maximize_scalar(objective, tol=1e-9, coarse_points=65)
-    return value
+    @functools.cache
+    def scan_betas():
+        return [betas(i / last) for i in range(1, last)]
+
+    def curve(mu):
+        check_unit(mu, "mu")
+        if mu == 0.0 or mu == 1.0 or p0 == p1:
+            return 0.0
+
+        def objective(alpha):
+            return _upper_envelope(mu, *betas(alpha), math.log)
+
+        def scan(alphas):
+            # alphas are the interior points i/64, whose pairs scan_betas holds
+            return np.array(
+                [_upper_envelope(mu, b1, b2, math.log) for b1, b2 in scan_betas()]
+            )
+
+        _, value = optimize.maximize_scalar(
+            objective, tol=1e-9, coarse_points=points, scan=scan
+        )
+        return value
+
+    return curve
 
 
 def bound_gap(triple: BetaTriple):

@@ -1,4 +1,4 @@
-"""High-precision mpmath versions of the capacity sweep's cells.
+"""High-precision mpmath versions of the capacity and duty-imax sweeps' cells.
 
 Each function takes the same double inputs as the library and evaluates
 its quantity exactly in those inputs, to ``DIGITS`` significant digits
@@ -101,3 +101,52 @@ def limit_large_A(background_rate, dead_time, sampling_interval):
         p0, q0, _, _, _ = levels(0.0, background_rate, dead_time)
         u = mpmath.exp(_entropy(p0, q0) / q0)
         return float(mpmath.log1p(1 / u) / mpmath.mpf(sampling_interval))
+
+
+def _relative_entropy(p_from, q_from, p_to, q_to):
+    """KL(Bern(p_from) || Bern(p_to)) with q = 1 - p given, 0 ln 0 = 0."""
+    return sum(a * mpmath.log(a / b) for a, b in ((p_from, p_to), (q_from, q_to)) if a > 0)
+
+
+def _beta_triple(peak_rate, background_rate, dead_time, trials):
+    """(beta, beta1, beta2) as mpf for Bin(L, p0) against Bin(L, p1):
+    (sqrt(p0 p1) + sqrt(q0 q1))^L, exp(-L KL(p1||p0)) and exp(-L KL(p0||p1)),
+    for a positive background (p0 > 0)."""
+    p0, q0, p1, q1, _ = levels(peak_rate, background_rate, dead_time)
+    beta = (mpmath.sqrt(p0 * p1) + mpmath.sqrt(q0 * q1)) ** trials
+    beta1 = mpmath.exp(-trials * _relative_entropy(p1, q1, p0, q0))
+    beta2 = mpmath.exp(-trials * _relative_entropy(p0, q0, p1, q1))
+    return beta, beta1, beta2
+
+
+def _upper_envelope(mu, beta1, beta2):
+    """F_u(mu) = -{mu ln[(1-mu) b1 + mu] + (1-mu) ln[mu b2 + (1-mu)]}."""
+    return -(
+        mu * mpmath.log((1 - mu) * beta1 + mu)
+        + (1 - mu) * mpmath.log(mu * beta2 + (1 - mu))
+    )
+
+
+def _upper_envelope_slope(mu, beta1, beta2):
+    """dF_u/dmu: positive at mu = 0 and negative at mu = 1 when beta1,
+    beta2 < 1 (ln b <= b - 1), with one root between."""
+    a, c = (1 - mu) * beta1 + mu, mu * beta2 + (1 - mu)
+    return -(
+        mpmath.log(a) + mu * (1 - beta1) / a - mpmath.log(c) - (1 - mu) * (1 - beta2) / c
+    )
+
+
+def duty_imax_bounds(peak_rate, background_rate, dead_time, trials):
+    """(imax_lower, mu_upper, imax_upper): ln 2 - ln(1 + beta), the maximizer
+    of F_u(mu, beta1, beta2) as the root of dF_u/dmu bracketed by [0, 1],
+    and F_u there."""
+    with mpmath.workdps(DIGITS):
+        beta, beta1, beta2 = _beta_triple(peak_rate, background_rate, dead_time, trials)
+        mu = mpmath.findroot(
+            lambda x: _upper_envelope_slope(x, beta1, beta2), (0, 1), solver="anderson"
+        )
+        return (
+            float(mpmath.log(2) - mpmath.log1p(beta)),
+            float(mu),
+            float(_upper_envelope(mu, beta1, beta2)),
+        )

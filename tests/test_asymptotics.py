@@ -18,6 +18,7 @@ from deadtime_channel import (
     mi_discrete_poisson,
     quadratic_coeffs_low_A,
 )
+from deadtime_channel.rate_bounds import tuned_lower_curve
 
 
 def test_gap_offsets_large_A_main_branch():
@@ -127,6 +128,10 @@ def test_estimate_rate_domain():
         estimate_exponential_rate([(0.0, 1.0), (1.0, -0.5), (2.0, 0.2)])
 
 
+# the tuned lower envelope of one channel, a function of the duty cycle
+_tuned_lower = tuned_lower_curve(BinaryDetectionProbs(0.1, 0.4), 30)
+
+
 # NaN passes a sign test, so without a finiteness guard each of these
 # returns nan, a negative MI or a bare ValueError
 @pytest.mark.parametrize(
@@ -142,11 +147,15 @@ def test_estimate_rate_domain():
         (exp_rate_zero_background, (math.nan, 0.1), "trials must be finite"),
         (gap_offsets_large_A, (0.5, math.nan, 10), r"p1 must be in \[0, 1\]"),
         (gap_offsets_low_background, (math.nan, 0.5, 10), r"p0 must be in \[0, 1\]"),
+        (_tuned_lower, (2.0,), r"mu must be in \[0, 1\], got 2.0"),
+        (_tuned_lower, (-0.5,), r"mu must be in \[0, 1\], got -0.5"),
+        (_tuned_lower, (math.nan,), r"mu must be in \[0, 1\], got nan"),
     ],
     ids=[
         "poisson-nan-mean-on", "poisson-nan-mean-off", "quadratic-coeffs-nan",
         "bhattacharyya-nan", "bhattacharyya-above-1", "rate-nan-value",
         "zero-background-nan-trials", "offsets-large-A-nan", "offsets-low-background-nan",
+        "tuned-lower-mu-above-1", "tuned-lower-mu-below-0", "tuned-lower-mu-nan",
     ],
 )
 def test_nan_and_out_of_domain_arguments_refused(fn, args, message):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -83,6 +84,40 @@ def test_seventeen_significant_digits(capsys):
     cell = out.strip().split("\n")[1].split(",")[1]
     mantissa = cell.replace("-", "").replace(".", "").lstrip("0")
     assert len(mantissa) >= 16  # 17 significant digits requested
+
+
+def _csv_per_cell(header, rows):
+    """The CSV text by the per-cell rule: f"{v:.17g}" for a float, str(v) otherwise."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[math.nan, math.inf, -math.inf, -0.0, 0.0]],
+        [[5e-324, 1.7976931348623157e308, 0.1, -2.2250738585072014e-308, 1.0 / 3.0]],
+        # "%.17g" would print the int 10**17 as 1e+17
+        [[0, -3, 10**17, 2**70], [True, 0.5, -0, 7]],
+        [[np.float64(0.1), np.float64(-0.0), np.int64(10**17), np.int64(-3)]],
+        # rows of different types and lengths in one table
+        [[1, 2.5], [2.5, 1], [3], [], [np.float64(math.nan), "x"]],
+    ],
+    ids=["header-only", "special-floats", "extreme-floats", "ints", "numpy-scalars", "mixed"],
+)
+def test_format_csv_matches_per_cell_rule(rows):
+    header = ["a", "b", "c"]
+    assert experiments.format_csv(header, rows) == _csv_per_cell(header, rows)
+
+
+def test_format_csv_matches_per_cell_rule_on_random_floats():
+    rng = np.random.default_rng(24)
+    values = rng.standard_normal(4000) * 10.0 ** rng.integers(-320, 308, 4000)
+    rows = [values[i : i + 8].tolist() for i in range(0, values.size, 8)]
+    assert experiments.format_csv(["x"] * 8, rows) == _csv_per_cell(["x"] * 8, rows)
 
 
 def test_duty_imax_columns(capsys):

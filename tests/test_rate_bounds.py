@@ -24,7 +24,7 @@ from deadtime_channel import (
 )
 from deadtime_channel.channel import detection_probs
 from deadtime_channel.divergences import BetaTriple
-from deadtime_channel.rate_bounds import tuned_lower_envelope
+from deadtime_channel.rate_bounds import tuned_lower_curve
 
 
 def lower_envelope(mu, beta):
@@ -297,7 +297,7 @@ def test_tuned_lower_envelope_between_lower_envelope_and_exact_mi(pa, pb, trials
     probs = BinaryDetectionProbs(min(pa, pb), max(pa, pb))
     try:
         triple = beta_triple(probs, trials)
-        tuned = tuned_lower_envelope(mu, probs, trials)
+        tuned = tuned_lower_curve(probs, trials)(mu)
     except NumericalFailure:
         return  # a divergence rounds below 0: the refusal is the contract
     assert tuned <= mi_binomial_mixture(mu, probs, trials) + 1e-9

@@ -1,7 +1,9 @@
-"""Every computed cell of the capacity references against the mpmath oracle.
+"""The audited cells of the references against the mpmath oracle: every
+computed cell of the capacity references, and the bound columns of the
+duty-imax references.
 
 The files under perfbench/reference/ pin today's bytes, not the truth.
-This test reads them (and only reads them) and scores each computed cell
+This test reads them (and only reads them) and scores each audited cell
 against ``oracle``, which evaluates the same formula exactly in the row's
 double inputs.  The A and tau columns are those inputs; the other settings
 come from the preset.  Each bound is the worst relative error that the
@@ -50,6 +52,14 @@ BOUNDS = {
 }
 
 
+# worst relative error per duty-imax preset and bound column; mu_upper is
+# an argmax, resolved only to about sqrt(eps) where F_u is flat
+DUTY_IMAX_BOUNDS = {
+    "samples30": {"imax_lower": 8.9e-15, "mu_upper": 1.7e-8, "imax_upper": 2.6e-15},
+    "samples20": {"imax_lower": 9.9e-15, "mu_upper": 2.4e-8, "imax_upper": 2.4e-15},
+}
+
+
 def _oracle_row(peak, tau, background, sampling_interval):
     t_s = tau if sampling_interval is None else sampling_interval
     cap = oracle.capacity(peak, background, tau, t_s)
@@ -67,6 +77,25 @@ def _relative_error(value, exact):
     return abs(value - exact) / abs(exact) if exact != 0.0 else abs(value)
 
 
+def _reference(command, name):
+    """The header and rows of a reference file."""
+    path = REFERENCE / f"{command}_{name}.csv"
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        rows = list(reader)
+    assert rows
+    return reader.fieldnames, rows
+
+
+def _worst_errors(rows, oracle_row, columns):
+    """Each column's worst relative error against ``oracle_row(row)``."""
+    worst = dict.fromkeys(columns, 0.0)
+    for row in rows:
+        for column, value in oracle_row(row).items():
+            worst[column] = max(worst[column], _relative_error(float(row[column]), value))
+    return worst
+
+
 def test_every_capacity_preset_has_bounds():
     assert sorted(BOUNDS) == sorted(PRESETS["capacity"])
 
@@ -74,16 +103,35 @@ def test_every_capacity_preset_has_bounds():
 @pytest.mark.parametrize("name", list(BOUNDS))
 def test_capacity_reference_within_bounds(name):
     preset = PRESETS["capacity"][name]
-    with open(REFERENCE / f"capacity_{name}.csv", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        assert set(reader.fieldnames) == {"A", "tau", *BOUNDS[name]}
-        rows = list(reader)
-    assert rows
-    worst = dict.fromkeys(BOUNDS[name], 0.0)
-    for row in rows:
+    fieldnames, rows = _reference("capacity", name)
+    assert set(fieldnames) == {"A", "tau", *BOUNDS[name]}
+
+    def oracle_row(row):
         peak, tau = float(row["A"]), float(row["tau"])
-        exact = _oracle_row(peak, tau, preset["background"], preset["sampling_interval"])
-        for column, value in exact.items():
-            worst[column] = max(worst[column], _relative_error(float(row[column]), value))
+        return _oracle_row(peak, tau, preset["background"], preset["sampling_interval"])
+
+    worst = _worst_errors(rows, oracle_row, BOUNDS[name])
     over = {c: w for c, w in worst.items() if w > BOUNDS[name][c]}
+    assert over == {}, worst
+
+
+def test_every_duty_imax_preset_has_bounds():
+    assert sorted(DUTY_IMAX_BOUNDS) == sorted(PRESETS["duty-imax"])
+
+
+@pytest.mark.parametrize("name", list(DUTY_IMAX_BOUNDS))
+def test_duty_imax_reference_bound_columns_within_bounds(name):
+    preset = PRESETS["duty-imax"][name]
+    bounds = DUTY_IMAX_BOUNDS[name]
+    fieldnames, rows = _reference("duty-imax", name)
+    assert {"A", *bounds} <= set(fieldnames)
+
+    def oracle_row(row):
+        exact = oracle.duty_imax_bounds(
+            float(row["A"]), preset["background"], preset["dead_time"], preset["samples"]
+        )
+        return dict(zip(("imax_lower", "mu_upper", "imax_upper"), exact))
+
+    worst = _worst_errors(rows, oracle_row, bounds)
+    over = {c: w for c, w in worst.items() if w > bounds[c]}
     assert over == {}, worst

@@ -17,18 +17,29 @@ that the four tests take about 3 s; the per-point and the numpy scan
 share everything after the winner, so a coarse tolerance hides nothing.
 At the library's own sizes (1,024 points, 65 for the exact MI, and the
 default tolerance) the same draws agree as well, in about 20 s.
+
+The tuned lower envelope scans the divergence order instead: its scan
+pairs are computed once per channel, and the last tests hold it to the
+per-point scan over alpha that it replaces, at its own sizes.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from deadtime_channel import NumericalFailure, ParameterError, optimize
+from deadtime_channel import NumericalFailure, ParameterError, optimize, rate_bounds
 from deadtime_channel.approximation import mi_approx_max
 from deadtime_channel.channel import detection_probs
-from deadtime_channel.divergences import beta_triple
+from deadtime_channel.divergences import beta_triple, chernoff_binomial
 from deadtime_channel.mutual_info import mi_max_bruteforce
 from deadtime_channel.optimize import maximize_scalar
-from deadtime_channel.rate_bounds import bound_gap, optimal_prior_upper
+from deadtime_channel.rate_bounds import (
+    _upper_envelope,
+    bound_gap,
+    optimal_prior_upper,
+    tuned_lower_curve,
+)
 
 CHANNELS = 2000
 COARSE_POINTS = 33
@@ -110,3 +121,123 @@ def test_mi_scan_agrees(passed):
     for peak, background, tau, trials in _channels(5):
         mi_max_bruteforce(detection_probs(peak, background, tau), trials)
     assert _scan_outcomes(passed) == {"ok"}
+
+
+# an ascending duty-cycle grid, walked in order as mi_sweep_rows walks it
+TUNED_MU_GRID = np.linspace(0.0, 1.0, 5).tolist()
+TUNED_CHANNELS = 400
+
+
+def _tuned_lower_per_point(mu, probs, trials):
+    """The tuned lower envelope point by point: a 65-point scan over alpha
+    of the checked Chernoff divergences, refined to 1e-9."""
+    p0, p1 = probs.p_off, probs.p_on
+    if mu == 0.0 or mu == 1.0 or p0 == p1:
+        return 0.0
+
+    def objective(alpha):
+        b1 = math.exp(-chernoff_binomial(alpha, p1, p0, trials))
+        b2 = math.exp(-chernoff_binomial(alpha, p0, p1, trials))
+        return _upper_envelope(mu, b1, b2, math.log)
+
+    _, value = maximize_scalar(objective, tol=1e-9, coarse_points=65)
+    return value
+
+
+def _value_outcome(f, *args):
+    try:
+        value = f(*args)
+    except (ParameterError, NumericalFailure) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", float(value).hex()
+
+
+def _tuned_channels(seed):
+    """(probs, trials): the first TUNED_CHANNELS draws of ``_channels``."""
+    for i, (peak, background, tau, trials) in enumerate(_channels(seed)):
+        if i == TUNED_CHANNELS:
+            return
+        yield detection_probs(peak, background, tau), trials
+
+
+# weak signals: from A = 1e-8 on a divergence rounds below 0 at some alpha
+# (mi-sweep --peak-rate 1e-8 is refused at mu = 0.025 and alpha = 4/64)
+WEAK_CHANNELS = [
+    (detection_probs(10.0**-k, 0.02, 0.02), trials)
+    for k in range(4, 16)
+    for trials in (1, 30, 1000)
+]
+
+
+def test_tuned_lower_curve_equals_per_point_scan():
+    differing, outcomes = [], set()
+    for probs, trials in [*_tuned_channels(4), *WEAK_CHANNELS]:
+        curve = tuned_lower_curve(probs, trials)
+        for mu in TUNED_MU_GRID:
+            expected = _value_outcome(_tuned_lower_per_point, mu, probs, trials)
+            outcomes.add(expected[0])
+            if _value_outcome(curve, mu) != expected:
+                differing.append((probs, trials, mu, expected))
+    assert differing == []
+    assert outcomes == {"ok", "NumericalFailure"}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The alphas of the Chernoff kernel calls, and a count of objective
+    evaluations, made through ``rate_bounds`` while the test runs."""
+    alphas, evals = [], [0]
+    kernel, maximize = rate_bounds._chernoff, optimize.maximize_scalar
+
+    def chernoff(alpha, *args):
+        alphas.append(alpha)
+        return kernel(alpha, *args)
+
+    def counted(f, *args, **kwargs):
+        def objective(x):
+            evals[0] += 1
+            return f(x)
+
+        return maximize(objective, *args, **kwargs)
+
+    monkeypatch.setattr(rate_bounds, "_chernoff", chernoff)
+    monkeypatch.setattr(optimize, "maximize_scalar", counted)
+    return alphas, evals
+
+
+def test_tuned_lower_curve_computes_each_scan_pair_once(kernel_calls):
+    alphas, evals = kernel_calls
+    interior = {i / 64 for i in range(1, 64)}
+    for probs, trials in _tuned_channels(4):
+        if probs.p_off == probs.p_on:
+            continue  # saturated levels: no signal, no scan
+        alphas.clear()
+        evals[0] = 0
+        curve = tuned_lower_curve(probs, trials)
+        for mu in TUNED_MU_GRID:
+            curve(mu)
+        # two divergences per objective evaluation, and per interior scan order once
+        assert len(alphas) == 2 * (evals[0] + 63)
+        assert set(alphas) >= interior
+
+
+def test_tuned_lower_curve_refills_after_a_failed_fill(monkeypatch, kernel_calls):
+    alphas, _ = kernel_calls
+    probs, trials = detection_probs(10.0, 0.02, 0.02), 30
+    counting = rate_bounds._chernoff
+    failed = []
+
+    def fails_once_at_4_64(alpha, *args):
+        if alpha == 4 / 64 and not failed:
+            failed.append(alpha)
+            raise NumericalFailure("injected")
+        return counting(alpha, *args)
+
+    monkeypatch.setattr(rate_bounds, "_chernoff", fails_once_at_4_64)
+    curve = tuned_lower_curve(probs, trials)
+    with pytest.raises(NumericalFailure, match="injected"):
+        curve(0.25)
+    alphas.clear()
+    assert curve(0.5) == _tuned_lower_per_point(0.5, probs, trials)
+    # the pairs before the failure were computed again, not kept
+    assert alphas.count(1 / 64) >= 2
