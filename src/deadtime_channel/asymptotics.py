@@ -12,7 +12,7 @@ with a log-linear least squares fit.
 import math
 
 from .errors import NumericalFailure, ParameterError
-from .guards import check_finite, check_open_unit, check_positive, check_unit
+from .guards import check_finite, check_open_unit, check_positive, check_trials, check_unit
 
 
 def _pow_log(base, exponent):
@@ -71,9 +71,7 @@ def gap_offsets_low_background(p0, p1, trials):
 
 def exp_rate_zero_background(trials, dead_time):
     """Gap decay rate in the peak rate when the background is zero: L tau / 2."""
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    check_finite(trials, "trials")
+    check_trials(trials)
     check_positive(dead_time, "dead_time")
     return 0.5 * trials * dead_time
 

@@ -224,6 +224,9 @@ def mi_sweep_rows(settings):
     probs = detection_probs(peak_rate, background, settings["dead_time"])
     try:
         triple = beta_triple(probs, trials)
+        # before the pairs, so that L past the cap is refused as a setting
+        exact_mi = mi_binomial_curve(probs, trials)
+        tuned_lower = tuned_lower_curve(probs, trials)
     except NumericalFailure as exc:
         raise _unresolved("mi-sweep at A", peak_rate, exc) from exc
     upper_sub = upper_bound_max(triple.beta1, triple.beta2)
@@ -237,8 +240,6 @@ def mi_sweep_rows(settings):
         "approx",
         "poisson_benchmark",
     ]
-    exact_mi = mi_binomial_curve(probs, trials)
-    tuned_lower = tuned_lower_curve(probs, trials)
     rows = []
     for mu in parse_grid(settings["mu_grid"]):
         exact = exact_mi(mu)

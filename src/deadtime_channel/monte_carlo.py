@@ -105,12 +105,7 @@ def _chunk_counts(config, probs, chunk):
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         nhat[lo:hi] = np.count_nonzero(rng.random((hi - lo, L)) < p[lo:hi], axis=1)
-    return np.stack(
-        [
-            np.bincount(nhat[~bits], minlength=L + 1),
-            np.bincount(nhat[bits], minlength=L + 1),
-        ]
-    )
+    return np.bincount(nhat + (L + 1) * bits, minlength=2 * (L + 1)).reshape(2, L + 1)
 
 
 def _cpus():

@@ -10,7 +10,6 @@ log-factorials come from a table that reproduces scipy's ``gammaln``
 dependency.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -40,26 +39,35 @@ def binary_entropy(x):
     return -x * math.log(x) - (1.0 - x) * math.log1p(-x)
 
 
-@functools.cache
-def _log_factorials():
-    """ln k! for k = 0.._poisson_support_max(MAX_TRIALS_EXACT), computed as
-    cephes lgam(k + 1) does: the log of the exact product below 13, else its
-    Stirling series in cephes' evaluation order with libm's log (math.log)."""
-    x = np.arange(13.0, _poisson_support_max(MAX_TRIALS_EXACT) + 2.0)
-    log_x = np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
-    p = 1.0 / (x * x)
-    series = np.where(
-        x < 1000.0,
-        (((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
-          + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p
-        + 8.33333333333331927722e-2,
-        (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-        + 0.0833333333333333333333,
-    )
-    small = [math.log(math.factorial(k)) for k in range(12)]
-    table = np.concatenate((small, (x - 0.5) * log_x - x + LS2PI + series / x))
-    table.flags.writeable = False  # shared by every caller in the process
-    return table
+_log_factorial_table = np.empty(0)
+
+
+def _log_factorials(n):
+    """ln k! for k = 0..n: a read-only view of one table per process, which a
+    read past its end rebuilds at least twice as long, so it stays shorter
+    than twice the largest count read.  Each entry is cephes lgam(k + 1)
+    bit for bit, a function of k alone: the log of the exact product below
+    13, else its Stirling series in cephes' evaluation order with libm's
+    log (math.log)."""
+    global _log_factorial_table
+    if n >= len(_log_factorial_table):
+        size = max(n + 1, 2 * len(_log_factorial_table))
+        x = np.arange(13.0, size + 1.0)
+        log_x = np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
+        p = 1.0 / (x * x)
+        series = np.where(
+            x < 1000.0,
+            (((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
+              + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p
+            + 8.33333333333331927722e-2,
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333,
+        )
+        small = [math.log(math.factorial(k)) for k in range(min(size, 12))]
+        table = np.concatenate((small, (x - 0.5) * log_x - x + LS2PI + series / x))
+        table.flags.writeable = False  # shared by every caller in the process
+        _log_factorial_table = table
+    return _log_factorial_table[: n + 1]
 
 
 def _xlogy(k, y):
@@ -72,7 +80,7 @@ def _xlogy(k, y):
 def _binomial_logpmf_support(trials, p):
     """Log pmf over the full support k = 0..trials as a numpy array;
     impossible outcomes are -inf."""
-    table = _log_factorials()
+    table = _log_factorials(trials)
     k = np.arange(trials + 1, dtype=np.float64)
     comb = table[trials] - table[: trials + 1] - table[trials::-1]
     return comb + _xlogy(k, p) + _xlogy(trials - k, 1.0 - p)
@@ -91,22 +99,22 @@ def _row_entropies(mix):
 
 def _mixture_curve(pmf0, pmf1):
     """(mi, scan): mu -> H(mixture) - (1-mu) H(pmf0) - mu H(pmf1) over a
-    shared support, and the same over an array of duty cycles, summed over
-    the bins either law reaches, SCAN_BLOCK_CELLS cells at a time; the
-    component entropies are computed once."""
-    h0, h1 = _entropy_from_pmf(pmf0), _entropy_from_pmf(pmf1)
+    shared support, and the same over an array of duty cycles,
+    SCAN_BLOCK_CELLS cells at a time.  Both laws are compacted once, to the
+    bins either law reaches, and the component entropies computed once."""
+    reached = (pmf0 > 0.0) | (pmf1 > 0.0)
+    law0, law1 = pmf0[reached], pmf1[reached]
+    h0, h1 = _entropy_from_pmf(law0), _entropy_from_pmf(law1)
+    rows = max(1, SCAN_BLOCK_CELLS // law0.size)
 
-    def mi(mu, law0=pmf0, law1=pmf1, entropy=_entropy_from_pmf):
+    def mi(mu, entropy=_entropy_from_pmf):
         mix = (1.0 - mu) * law0 + mu * law1
         return entropy(mix) - (1.0 - mu) * h0 - mu * h1
 
     def scan(mu):
-        reached = (pmf0 > 0.0) | (pmf1 > 0.0)
-        law0, law1 = pmf0[reached], pmf1[reached]
-        rows = max(1, SCAN_BLOCK_CELLS // law0.size)
         blocks = range(0, mu.size, rows)
         return np.concatenate(
-            [mi(mu[i : i + rows, None], law0, law1, _row_entropies) for i in blocks]
+            [mi(mu[i : i + rows, None], _row_entropies) for i in blocks]
         ).ravel()
 
     return mi, scan
@@ -169,7 +177,7 @@ def _poisson_support_max(mean):
 def _poisson_pmf_support(mean, n_max):
     k = np.arange(n_max + 1, dtype=np.float64)
     # 0 ln 0 = 0 and k ln 0 = -inf for k > 0: mean 0 is a point mass at 0
-    return np.exp(_xlogy(k, mean) - mean - _log_factorials()[: n_max + 1])
+    return np.exp(_xlogy(k, mean) - mean - _log_factorials(n_max))
 
 
 def mi_discrete_poisson(mu, mean_off, mean_on):

@@ -13,11 +13,10 @@ sweeps drive it under 1e-100).
 
 The tuned lower envelope, F_u at the Chernoff pair of the best divergence
 order alpha, is a per-channel curve: ``tuned_lower_curve(probs, trials)``
-checks the channel once and returns mu -> value, computing the pairs of
-its alpha scan once per channel.
+checks the channel and computes the pairs of its alpha scan once, when it
+is built, and returns mu -> value.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -114,10 +113,10 @@ def tuned_lower_curve(probs: BinaryDetectionProbs, trials):
 
     Each mu maximizes over alpha from a 65-point scan refined to 1e-9.
     The divergence pairs at the 63 interior scan orders i/64 depend only on
-    the channel, so the first interior mu computes them all and later ones
-    reuse them; a pair that raises leaves nothing cached.  The endpoints
-    and the refinement evaluate their pairs afresh, so every value is the
-    one a per-point scan over alpha would give.
+    the channel, so building the curve computes them all (none without
+    signal), and a pair that raises refuses the channel there.  The
+    endpoints and the refinement evaluate their pairs afresh, so every
+    value is the one a per-point scan over alpha would give.
     """
     p0, p1 = probs.p_off, probs.p_on
     check_unit(p0, "p_off")
@@ -132,9 +131,7 @@ def tuned_lower_curve(probs: BinaryDetectionProbs, trials):
             -_chernoff(alpha, p0, p1, trials)
         )
 
-    @functools.cache
-    def scan_betas():
-        return [betas(i / last) for i in range(1, last)]
+    scan_betas = [] if p0 == p1 else [betas(i / last) for i in range(1, last)]
 
     def curve(mu):
         check_unit(mu, "mu")
@@ -147,7 +144,7 @@ def tuned_lower_curve(probs: BinaryDetectionProbs, trials):
         def scan(alphas):
             # alphas are the interior points i/64, whose pairs scan_betas holds
             return np.array(
-                [_upper_envelope(mu, b1, b2, math.log) for b1, b2 in scan_betas()]
+                [_upper_envelope(mu, b1, b2, math.log) for b1, b2 in scan_betas]
             )
 
         _, value = optimize.maximize_scalar(

@@ -144,7 +144,8 @@ _tuned_lower = tuned_lower_curve(BinaryDetectionProbs(0.1, 0.4), 30)
         (bhattacharyya_distance, (2.0, 0.5), r"p0 must be in \[0, 1\]"),
         (estimate_exponential_rate, ([(0.0, 1.0), (1.0, math.nan), (2.0, 0.2)],),
          "value at x = 1.0 must be finite"),
-        (exp_rate_zero_background, (math.nan, 0.1), "trials must be finite"),
+        (exp_rate_zero_background, (math.nan, 0.1), "trials must be a positive integer"),
+        (exp_rate_zero_background, (2.5, 0.1), "trials must be a positive integer, got 2.5"),
         (gap_offsets_large_A, (0.5, math.nan, 10), r"p1 must be in \[0, 1\]"),
         (gap_offsets_low_background, (math.nan, 0.5, 10), r"p0 must be in \[0, 1\]"),
         (_tuned_lower, (2.0,), r"mu must be in \[0, 1\], got 2.0"),
@@ -154,7 +155,8 @@ _tuned_lower = tuned_lower_curve(BinaryDetectionProbs(0.1, 0.4), 30)
     ids=[
         "poisson-nan-mean-on", "poisson-nan-mean-off", "quadratic-coeffs-nan",
         "bhattacharyya-nan", "bhattacharyya-above-1", "rate-nan-value",
-        "zero-background-nan-trials", "offsets-large-A-nan", "offsets-low-background-nan",
+        "zero-background-nan-trials", "zero-background-fractional-trials",
+        "offsets-large-A-nan", "offsets-low-background-nan",
         "tuned-lower-mu-above-1", "tuned-lower-mu-below-0", "tuned-lower-mu-nan",
     ],
 )

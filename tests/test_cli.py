@@ -660,8 +660,8 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
          3, "the spread of the x values underflows", False),
         (["gap", "--scenario", "zero-lambda", "--a-grid", "lin:30,30,3"],
          2, "all x values are identical", False),
-        # a divergence refusal names its sweep point: A where the beta triple
-        # is refused, mu where the tuned lower envelope is
+        # a divergence refusal names its sweep point: A, where the beta
+        # triple or the tuned lower envelope's scan pairs are refused
         (["duty-imax", "--a-grid", "lin:1e-9,1e-9,1"],
          3, "duty-imax at A = 1e-09 cannot be resolved in double precision: "
          "KL(P1||P0) = -", False),
@@ -669,7 +669,7 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
          3, "mi-sweep at A = 1e-09 cannot be resolved in double precision: "
          "KL(P1||P0) = -", False),
         (["mi-sweep", "--peak-rate", "1e-8"],
-         3, "mi-sweep at mu = 0.025 cannot be resolved in double precision: "
+         3, "mi-sweep at A = 1e-08 cannot be resolved in double precision: "
          "C_alpha = -", False),
         # the large-A offsets expand in p0: refused at zero background (the
         # zero-lambda scenario), unresolvable where background * tau underflows p0 to 0

@@ -92,11 +92,16 @@ def test_log_pmf_against_exact_rational():
 # scipy is the oracle here only: the package computes ln k! and k ln y itself
 
 
-def test_log_factorials_match_gammaln_bit_for_bit():
-    table = _log_factorials()
-    n = _poisson_support_max(MAX_TRIALS_EXACT)
-    assert len(table) == n + 1
-    assert np.array_equal(table, gammaln(np.arange(n + 1) + 1.0))
+def test_log_factorials_match_gammaln_bit_for_bit(monkeypatch):
+    # from an empty table: each read grows it, and it stays shorter than
+    # twice the largest count read so far
+    monkeypatch.setattr(mutual_info, "_log_factorial_table", np.empty(0))
+    for n in (1, 12, 13, 31, 201, 10_001, _poisson_support_max(MAX_TRIALS_EXACT)):
+        table = _log_factorials(n)
+        assert len(table) == n + 1
+        assert np.array_equal(table, gammaln(np.arange(n + 1) + 1.0))
+        assert not table.flags.writeable
+        assert len(mutual_info._log_factorial_table) < 2 * (n + 1)
 
 
 @pytest.mark.parametrize("y", [0.0, 5e-324, 1e-300, 0.02, 0.5, 1.0 - 2.0**-53, 1.0])
@@ -132,13 +137,26 @@ def test_poisson_pmf_matches_gammaln_expression(mean):
     assert np.array_equal(_poisson_pmf_support(mean, n_max), expected)
 
 
+# Modules whose import would cost every run start-up time and resident
+# memory: scipy is a test oracle only, and concurrent.futures loads logging,
+# so the Monte Carlo sampler runs on plain threads.
+_UNLOADED = ("scipy", "logging", "concurrent.futures")
+
+_IMPORT_THEN_SIMULATE = f"""
+import os, sys, deadtime_channel.cli
+print([name for name in {_UNLOADED!r} if name in sys.modules])
+deadtime_channel.cli.main(["simulate", "--symbols", "20000", "--out", os.devnull])
+print([name for name in {_UNLOADED!r} if name in sys.modules])
+"""
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = Path(deadtime_channel.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, deadtime_channel.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", _IMPORT_THEN_SIMULATE],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
 
 
 @pytest.mark.parametrize("trials", [2.5, 0, -1])

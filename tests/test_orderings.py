@@ -1,0 +1,226 @@
+"""The orderings the paper proves hold on every row a sweep prints.
+
+Derandomized ``hypothesis`` draws run ``experiments.run``, the function
+behind the CLI: L from 1 to 300; the peak rate, the dead time and the
+background (zero in a fifth of the draws) log-uniform; grids of a few
+points.  A run that is refused prints no row and is skipped.  Every row of
+every other run must keep each ordering up to one relative slack,
+``SLACK``, written once here and never widened per case:
+
+- ``mi-sweep``: lower <= exact_mi <= upper; exact_mi <= poisson_benchmark;
+  0 <= exact_mi <= min(ln 2, h_b(mu));
+- ``duty-imax``: imax_lower <= imax_exact <= imax_upper <= ln 2; mu_exact
+  and mu_upper in [0, 1].
+
+The Poisson benchmark bounds the exact rate only where the sampling
+interval 1/L is at least the dead time: the photon count is then a
+sufficient statistic for the symbol, and the dead-time receiver sees a
+function of the arrivals.  Shorter intervals overlap their dead-time
+windows, which the binomial model does not describe.
+
+Today's arithmetic resolves these orderings only between the two ends of
+the channel's range, so the draws keep the Bhattacharyya coefficient beta =
+(sqrt(p0 p1) + sqrt(q0 q1))^L in [BETA_MIN, BETA_MAX] and the interior
+duty cycles in [MU_MIN, 1 - MU_MIN].  The known violations, outside that
+range and of the two orderings left out above (exact_mi <= upper_sub and
+lower_sub <= lower), are strict xfails, one test function each, naming the
+ROADMAP item that mends them; each turns into a failure when its item
+lands.
+"""
+
+import math
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deadtime_channel import (
+    NumericalFailure,
+    ParameterError,
+    beta_triple,
+    binary_entropy,
+    experiments,
+)
+from deadtime_channel.channel import detection_probs
+
+# 16 ulp relative to the larger side of each comparison
+SLACK = 16 * sys.float_info.epsilon
+LN2 = math.log(2.0)
+
+# below BETA_MIN the exact MI lies within its own rounding of ln 2 or
+# h_b(mu); above BETA_MAX (weak signal) the envelopes lose their digits to
+# cancellation (ROADMAP items 3 and 17)
+BETA_MIN, BETA_MAX = 1e-6, 1.0 - 1e-6
+# below MU_MIN the exact MI is within its rounding of 0 (item 3)
+MU_MIN = 1e-3
+
+EXAMPLES = 500
+
+
+def _le(a, b):
+    return a <= b + SLACK * max(abs(a), abs(b))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def _grid(kind, endpoint):
+    return st.builds(
+        lambda a, b, count: f"{kind}:{min(a, b)!r},{max(a, b)!r},{count}",
+        endpoint, endpoint, st.integers(1, 4),
+    )
+
+
+def _resolved(sweep, peak_rates):
+    """Whether every channel of ``sweep`` at ``peak_rates`` lies in the
+    resolved range of beta."""
+    for peak in peak_rates:
+        probs = detection_probs(peak, sweep["background"], sweep["dead_time"])
+        try:
+            beta = beta_triple(probs, sweep["samples"]).beta
+        except NumericalFailure:
+            return False
+        if not BETA_MIN <= beta <= BETA_MAX:
+            return False
+    return True
+
+
+_CHANNEL = {
+    "background": st.one_of(st.just(0.0), _log_uniform(1e-6, 1e2)),
+    "dead_time": _log_uniform(1e-4, 0.3),
+    "samples": st.integers(1, 300),
+}
+_MU = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(MU_MIN, 1.0 - MU_MIN))
+
+MI_SWEEPS = st.fixed_dictionaries(
+    {**_CHANNEL, "peak_rate": _log_uniform(1e-4, 1e3), "mu_grid": _grid("lin", _MU)}
+).filter(lambda sweep: _resolved(sweep, [sweep["peak_rate"]]))
+DUTY_SWEEPS = st.fixed_dictionaries(
+    {**_CHANNEL, "a_grid": _grid("log", _log_uniform(1e-4, 1e3))}
+).filter(lambda sweep: _resolved(sweep, experiments.parse_grid(sweep["a_grid"])))
+
+
+def _rows(command, sweep):
+    """The rows of ``command`` as dicts by column, or [] if it is refused."""
+    try:
+        header, rows = experiments.run(command, sweep)
+    except (ParameterError, NumericalFailure):
+        return []
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _poisson_bounds(sweep):
+    """Whether the sweep samples no faster than its dead time, 1/L >= tau."""
+    settings = {**experiments.PRESETS["mi-sweep"]["published"], **sweep}
+    return settings["dead_time"] <= 1.0 / settings["samples"]
+
+
+def mi_sweep_violations(row, sweep):
+    mu, exact = row["mu"], row["exact_mi"]
+    orderings = {
+        "lower <= exact_mi": _le(row["lower"], exact),
+        "exact_mi <= upper": _le(exact, row["upper"]),
+        "exact_mi <= poisson_benchmark": (
+            not _poisson_bounds(sweep) or _le(exact, row["poisson_benchmark"])
+        ),
+        "0 <= exact_mi": _le(0.0, exact),
+        "exact_mi <= ln 2": _le(exact, LN2),
+        "exact_mi <= h_b(mu)": _le(exact, binary_entropy(mu)),
+    }
+    return [name for name, holds in orderings.items() if not holds]
+
+
+def duty_imax_violations(row):
+    orderings = {
+        "imax_lower <= imax_exact": _le(row["imax_lower"], row["imax_exact"]),
+        "imax_exact <= imax_upper": _le(row["imax_exact"], row["imax_upper"]),
+        "imax_upper <= ln 2": _le(row["imax_upper"], LN2),
+        "mu_exact in [0, 1]": 0.0 <= row["mu_exact"] <= 1.0,
+        "mu_upper in [0, 1]": 0.0 <= row["mu_upper"] <= 1.0,
+    }
+    return [name for name, holds in orderings.items() if not holds]
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(MI_SWEEPS)
+def test_mi_sweep_rows_keep_the_orderings(sweep):
+    for row in _rows("mi-sweep", sweep):
+        assert mi_sweep_violations(row, sweep) == [], (sweep, row)
+
+
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(DUTY_SWEEPS)
+def test_duty_imax_rows_keep_the_orderings(sweep):
+    for row in _rows("duty-imax", sweep):
+        assert duty_imax_violations(row) == [], (sweep, row)
+
+
+def _violated(command, sweep, ordering):
+    """Whether some row of ``command`` breaks ``ordering``; a refused run,
+    which prints no row, breaks none."""
+    rows = _rows(command, sweep)
+    if command == "mi-sweep":
+        return any(ordering in mi_sweep_violations(row, sweep) for row in rows)
+    return any(ordering in duty_imax_violations(row) for row in rows)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 17: at weak signal upper_sub is computed from O(1) "
+    "terms that cancel, and falls below the exact rate",
+)
+def test_upper_sub_bounds_exact_mi_at_weak_signal():
+    rows = _rows("mi-sweep", {"peak_rate": 1e-6, "mu_grid": "lin:0.25,0.75,3"})
+    assert rows
+    for row in rows:
+        assert _le(row["exact_mi"], row["upper_sub"]), row
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 17: the tuned lower envelope is F_l itself where its "
+    "best order is 1/2, from pairs that round apart from beta, and F_l "
+    "amplifies that rounding by about 1/(1 - beta)",
+)
+def test_tuned_lower_envelope_above_lower_sub_at_weak_signal():
+    rows = _rows("mi-sweep", {"peak_rate": 1e-5, "mu_grid": "lin:0.25,0.75,3"})
+    assert rows
+    for row in rows:
+        assert _le(row["lower_sub"], row["lower"]), row
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: H(mixture) - (1-mu) H0 - mu H1 cancels, so at "
+    "tiny duty cycles the exact MI is rounding noise, negative here",
+)
+def test_exact_mi_nonnegative_at_tiny_duty_cycles():
+    sweep = {"mu_grid": "log:1e-300,1e-100,3"}
+    assert not _violated("mi-sweep", sweep, "0 <= exact_mi")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: near saturation the exact MI's rounding exceeds "
+    "its distance to the Poisson benchmark and to F_l's maximum",
+)
+def test_exact_mi_within_its_bounds_at_saturation():
+    mi_sweep = {"peak_rate": 1000.0, "mu_grid": "lin:0.25,0.75,3"}
+    duty_imax = {
+        "samples": 200, "dead_time": 0.005, "background": 0.0, "a_grid": "log:100,1000,4",
+    }
+    assert not _violated("mi-sweep", mi_sweep, "exact_mi <= poisson_benchmark")
+    assert not _violated("duty-imax", duty_imax, "imax_lower <= imax_exact")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="mi-sweep accepts a sampling interval 1/L below the dead time, "
+    "where the binomial model overlaps its windows and the exact rate "
+    "exceeds the Poisson benchmark",
+)
+def test_exact_mi_below_poisson_benchmark_when_sampling_faster_than_dead_time():
+    sweep = {"samples": 100, "mu_grid": "lin:0.5,0.5,1"}
+    rows = _rows("mi-sweep", sweep)
+    assert all(_le(row["exact_mi"], row["poisson_benchmark"]) for row in rows), rows
