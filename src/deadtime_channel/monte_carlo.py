@@ -13,6 +13,15 @@ drawn in blocks of about 2**16 windows; the generator is consumed
 sequentially, so the blocks see the same bits as one chunk-sized draw and
 a run is bit-stable for a fixed seed.
 
+A window's uniform is never formed as a float.  numpy's
+``Generator.random()`` returns (x >> 11) * 2**-53 for the raw Philox word
+x, so u < p holds exactly when x < ceil(p * 2**53) << 11.  Each symbol
+class's threshold is computed once per run, and the raw words are compared
+with it directly: the same windows fire as with ``random() < p``, from the
+same words in the same order, without the float conversion and its pass
+over memory.  At p = 1 the threshold would be 2**64, past uint64; every
+window of that class fires, as every uniform is below 1.
+
 ``detection_from_counts``, ``plugin_mi_from_counts`` and
 ``bootstrap_mi_sigma`` score the histogram of ``joint_counts``; an estimate
 it cannot support raises ``NumericalFailure``.
@@ -37,8 +46,8 @@ CHUNK_SYMBOLS = 16384
 # Memory is bounded by the blocks, not by this cap.
 MAX_CHUNK_WINDOWS = 2**25
 
-# Windows per block of uniforms (512 KiB of float64, so a block stays in
-# cache); a block is one symbol's row when L is larger.
+# Windows per block of uniforms (512 KiB of raw uint64 words, so a block
+# stays in cache); a block is one symbol's row when L is larger.
 BLOCK_WINDOWS = 2**16
 
 BOOTSTRAP_REPLICATES = 200
@@ -93,18 +102,41 @@ def _chunk_rng(seed, chunk_index, stream=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunk_counts(config, probs, chunk):
+def _thresholds(probs):
+    """The raw-word thresholds of the (off, on) symbol classes, as uint64,
+    and which classes are saturated (p = 1: every window fires).
+
+    A window fires when its word x is below ceil(p * 2**53) << 11, the
+    words whose uniform (x >> 11) * 2**-53 is below p.  Scaling by 2**53 is
+    exact for every p in [0, 1].  A saturated class gets threshold 0, so
+    that its counts are wrong at once unless they are set to L.
+    """
+    scaled = [math.ceil(p * 2.0**53) for p in (probs.p_off, probs.p_on)]
+    saturated = [c == 2**53 for c in scaled]
+    words = [0 if full else c << 11 for c, full in zip(scaled, saturated)]
+    return np.array(words, dtype=np.uint64), np.array(saturated)
+
+
+def _chunk_counts(config, thresholds, chunk):
     """(2, L + 1) histogram of one keyed chunk of the run."""
     L = config.samples
     n = min(CHUNK_SYMBOLS, config.symbols - chunk * CHUNK_SYMBOLS)
     rng = _chunk_rng(config.seed, chunk)
     bits = rng.random(n) < config.mu
-    p = np.where(bits, probs.p_on, probs.p_off)[:, None]
+    words, saturated = thresholds
+    level = bits.view(np.uint8)  # each symbol's class, as an index
+    bound = words[level][:, None]
     nhat = np.empty(n, dtype=np.int64)
     rows = max(1, BLOCK_WINDOWS // L)
+    fired = np.empty((min(rows, n), L), dtype=bool)
+    # the smallest unsigned type that holds L: one byte per count at L < 256
+    count_type = np.min_scalar_type(L)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        nhat[lo:hi] = np.count_nonzero(rng.random((hi - lo, L)) < p[lo:hi], axis=1)
+        block = fired[: hi - lo]
+        np.less(rng.bit_generator.random_raw((hi - lo, L)), bound[lo:hi], out=block)
+        nhat[lo:hi] = np.einsum("ij->i", block.view(np.uint8), dtype=count_type)
+    nhat[saturated[level]] = L
     return np.bincount(nhat + (L + 1) * bits, minlength=2 * (L + 1)).reshape(2, L + 1)
 
 
@@ -124,12 +156,13 @@ def joint_counts(config: SimConfig):
     chunk, so memory stays flat however many chunks a run has.
     """
     probs = detection_probs(config.peak_rate, config.background, config.dead_time)
+    thresholds = _thresholds(probs)
     chunks = -(-config.symbols // CHUNK_SYMBOLS)
     workers = min(_cpus(), chunks)
 
     def counts(first):
         share = range(first, chunks, workers)
-        return sum(_chunk_counts(config, probs, chunk) for chunk in share)
+        return sum(_chunk_counts(config, thresholds, chunk) for chunk in share)
 
     # Plain threads, not concurrent.futures: importing that loads logging,
     # which raises the peak resident memory of a short run by about 0.4 MiB.

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from deadtime_channel.experiments import PRESETS, flag
 from deadtime_channel.monte_carlo import (
     CHUNK_SYMBOLS,
     _chunk_rng,
+    _thresholds,
     bootstrap_mi_sigma,
     detection_from_counts,
     joint_counts,
@@ -34,6 +36,9 @@ def _probs(config):
     return detection_probs(config.peak_rate, config.background, config.dead_time)
 
 
+# The oracle draws float uniforms with rng.random() < p, not the raw words
+# joint_counts compares with integer thresholds, so it checks that kernel
+# rather than repeating it.
 def _bernoulli_hits(rng, bits, config):
     # each window fires with the closed-form detection probability
     probs = _probs(config)
@@ -79,7 +84,7 @@ def _serial_joint_counts(config, window_hits=_bernoulli_hits):
 
 def test_chunk_error_reaches_the_caller(monkeypatch):
     # a chunk that fails on another thread fails joint_counts, not silently
-    def chunk_counts(config, probs, chunk):
+    def chunk_counts(config, thresholds, chunk):
         if chunk == 2:
             raise MemoryError("chunk 2")
         return np.zeros((2, config.samples + 1), dtype=np.int64)
@@ -101,6 +106,38 @@ def test_chunk_streams_keyed_by_every_64_bit_seed():
         for seed in (0, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
     ]
     assert len(set(firsts)) == len(firsts)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20260808, 2**63, 2**64 - 1])
+def test_random_is_the_top_53_bits_of_a_raw_word(seed):
+    # the identity the integer thresholds rest on: a numpy release that
+    # changes it would move every simulate byte
+    key = np.array([seed, 3], dtype=np.uint64)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(4099)
+    words = np.random.Philox(key=key).random_raw(4099)
+    assert uniforms.tobytes() == ((words >> np.uint64(11)) * 2.0**-53).tobytes()
+
+
+@pytest.mark.parametrize(
+    "p", [0.0, 5e-324, 1e-300, 2.0**-53, 0.0004, 0.5, 0.18, 1.0 - 2.0**-53, 1.0]
+)
+def test_threshold_fires_exactly_the_uniforms_below_p(p):
+    # the words on either side of the threshold, with their low 11 bits at
+    # both extremes, and random words: the kernel's test, x below the
+    # class's word threshold or the class saturated, is random() < p on each
+    words, saturated = _thresholds(SimpleNamespace(p_off=p, p_on=p))
+    c = math.ceil(p * 2.0**53)
+    tops = [top for top in (c - 1, c) if 0 <= top < 2**53]
+    edges = [(top << 11) | low for top in tops for low in (0, 1, 2**11 - 2, 2**11 - 1)]
+    x = np.concatenate(
+        [
+            np.array(edges + [0, 2**64 - 1], dtype=np.uint64),
+            np.random.default_rng(17).integers(0, 2**64, size=10**5, dtype=np.uint64),
+        ]
+    )
+    below_p = (x >> np.uint64(11)) * 2.0**-53 < p
+    for level in (0, 1):
+        assert np.array_equal((x < words[level]) | saturated[level], below_p)
 
 
 def _plugin_mi(config):
@@ -135,14 +172,33 @@ _BIT_IDENTITY_CONFIGS = [
     _config(
         peak_rate=1e5, background=1e4, dead_time=2.0**-17, samples=2**17, symbols=5, seed=8
     ),
+    # p_off == 0: no off-symbol window fires
+    _config(background=0.0, symbols=2 * CHUNK_SYMBOLS + 9, seed=2**64 - 1),
+    # p_on == 1: its word threshold would be 2**64
+    _config(peak_rate=1e6, symbols=2 * CHUNK_SYMBOLS + 9, seed=10),
+    # both levels saturated
+    _config(peak_rate=1e300, background=1e300, symbols=2 * CHUNK_SYMBOLS + 9, seed=11),
+    # p_on == 1 - 2**-53, the largest threshold below 2**64
+    _config(peak_rate=1835.0, symbols=2 * CHUNK_SYMBOLS + 9, seed=12),
 ]
+
+
+def test_bit_identity_configs_reach_the_threshold_edges():
+    dark, saturated_on, saturated_both, below_1 = map(_probs, _BIT_IDENTITY_CONFIGS[-4:])
+    assert dark.p_off == 0.0
+    assert saturated_on.p_on == 1.0
+    assert saturated_both.p_off == saturated_both.p_on == 1.0
+    assert below_1.p_on == 1.0 - 2.0**-53
 
 
 @pytest.mark.parametrize("cpus", [None, 1, 3])
 @pytest.mark.parametrize(
     "config",
     _BIT_IDENTITY_CONFIGS,
-    ids=["one-symbol", "one-chunk", "partial-fourth-chunk", "L300", "L131072"],
+    ids=[
+        "one-symbol", "one-chunk", "partial-fourth-chunk", "L300", "L131072",
+        "dark-off", "saturated-on", "saturated-both", "on-below-1",
+    ],
 )
 def test_joint_counts_match_serial_chunk_loop(monkeypatch, config, cpus):
     # blocked draws on any number of threads give the serial loop's counts

@@ -10,7 +10,10 @@ every other run must keep each ordering up to one relative slack,
 - ``mi-sweep``: lower <= exact_mi <= upper; exact_mi <= poisson_benchmark;
   0 <= exact_mi <= min(ln 2, h_b(mu));
 - ``duty-imax``: imax_lower <= imax_exact <= imax_upper <= ln 2; mu_exact
-  and mu_upper in [0, 1].
+  and mu_upper in [0, 1];
+- ``capacity``, over a peak-rate grid or a dead-time grid: capacity_nats
+  <= wyner_capacity (the dead-time receiver sees a function of the
+  arrivals); capacity_nats <= limit_large_A; mu_star in [0, 1].
 
 The Poisson benchmark bounds the exact rate only where the sampling
 interval 1/L is at least the dead time: the photon count is then a
@@ -21,8 +24,10 @@ windows, which the binomial model does not describe.
 Today's arithmetic resolves these orderings only between the two ends of
 the channel's range, so the draws keep the Bhattacharyya coefficient beta =
 (sqrt(p0 p1) + sqrt(q0 q1))^L in [BETA_MIN, BETA_MAX] and the interior
-duty cycles in [MU_MIN, 1 - MU_MIN].  The known violations, outside that
-range and of the two orderings left out above (exact_mi <= upper_sub and
+duty cycles in [MU_MIN, 1 - MU_MIN].  The capacity draws keep each
+point's A tau at least A_TAU_MIN and its on-level exponent (A +
+background) tau at most SATURATION.  The known violations, outside those
+ranges and of the two orderings left out above (exact_mi <= upper_sub and
 lower_sub <= lower), are strict xfails, one test function each, naming the
 ROADMAP item that mends them; each turns into a failure when its item
 lands.
@@ -53,6 +58,10 @@ LN2 = math.log(2.0)
 BETA_MIN, BETA_MAX = 1e-6, 1.0 - 1e-6
 # below MU_MIN the exact MI is within its rounding of 0 (item 3)
 MU_MIN = 1e-3
+# below A_TAU_MIN a weak signal's capacity rounds above Wyner's (item 2);
+# above SATURATION the on-level q1 = exp(-(A + background) tau) is below
+# 2**-53, lost beside 1, and the capacity rounds above its limit (item 2)
+A_TAU_MIN, SATURATION = 1e-7, 53 * math.log(2.0)
 
 EXAMPLES = 500
 
@@ -101,6 +110,41 @@ DUTY_SWEEPS = st.fixed_dictionaries(
 ).filter(lambda sweep: _resolved(sweep, experiments.parse_grid(sweep["a_grid"])))
 
 
+def _capacity_resolved(peak_rates, dead_times, background):
+    """Whether every (A, tau) point lies between the weak-signal and the
+    saturated end of the capacity's resolved range."""
+    return all(
+        A_TAU_MIN <= peak * tau and (peak + background) * tau <= SATURATION
+        for peak in peak_rates
+        for tau in dead_times
+    )
+
+
+_CAPACITY_A_SWEEPS = st.fixed_dictionaries(
+    {
+        "background": _CHANNEL["background"],
+        "dead_time": _CHANNEL["dead_time"],
+        "a_grid": _grid("log", _log_uniform(1e-4, 1e3)),
+    }
+).filter(
+    lambda sweep: _capacity_resolved(
+        experiments.parse_grid(sweep["a_grid"]), [sweep["dead_time"]], sweep["background"]
+    )
+)
+_CAPACITY_TAU_SWEEPS = st.fixed_dictionaries(
+    {
+        "peak_rate": _log_uniform(1e-4, 1e3),
+        "background": _CHANNEL["background"],
+        "tau_grid": _grid("log", _CHANNEL["dead_time"]),
+    }
+).filter(
+    lambda sweep: _capacity_resolved(
+        [sweep["peak_rate"]], experiments.parse_grid(sweep["tau_grid"]), sweep["background"]
+    )
+)
+CAPACITY_SWEEPS = st.one_of(_CAPACITY_A_SWEEPS, _CAPACITY_TAU_SWEEPS)
+
+
 def _rows(command, sweep):
     """The rows of ``command`` as dicts by column, or [] if it is refused."""
     try:
@@ -142,6 +186,16 @@ def duty_imax_violations(row):
     return [name for name, holds in orderings.items() if not holds]
 
 
+def capacity_violations(row):
+    cap = row["capacity_nats"]
+    orderings = {
+        "capacity_nats <= wyner_capacity": _le(cap, row["wyner_capacity"]),
+        "capacity_nats <= limit_large_A": _le(cap, row["limit_large_A"]),
+        "mu_star in [0, 1]": 0.0 <= row["mu_star"] <= 1.0,
+    }
+    return [name for name, holds in orderings.items() if not holds]
+
+
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
 @given(MI_SWEEPS)
 def test_mi_sweep_rows_keep_the_orderings(sweep):
@@ -156,12 +210,21 @@ def test_duty_imax_rows_keep_the_orderings(sweep):
         assert duty_imax_violations(row) == [], (sweep, row)
 
 
+@settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
+@given(CAPACITY_SWEEPS)
+def test_capacity_rows_keep_the_orderings(sweep):
+    for row in _rows("capacity", sweep):
+        assert capacity_violations(row) == [], (sweep, row)
+
+
 def _violated(command, sweep, ordering):
     """Whether some row of ``command`` breaks ``ordering``; a refused run,
     which prints no row, breaks none."""
     rows = _rows(command, sweep)
     if command == "mi-sweep":
         return any(ordering in mi_sweep_violations(row, sweep) for row in rows)
+    if command == "capacity":
+        return any(ordering in capacity_violations(row) for row in rows)
     return any(ordering in duty_imax_violations(row) for row in rows)
 
 
@@ -224,3 +287,36 @@ def test_exact_mi_below_poisson_benchmark_when_sampling_faster_than_dead_time():
     sweep = {"samples": 100, "mu_grid": "lin:0.5,0.5,1"}
     rows = _rows("mi-sweep", sweep)
     assert all(_le(row["exact_mi"], row["poisson_benchmark"]) for row in rows), rows
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: at zero background and A tau <= 3.6e-8 "
+    "_entropy_increment takes its plain-difference branch, and the capacity "
+    "rounds above Wyner's",
+)
+def test_capacity_below_wyner_at_zero_background_and_weak_signal():
+    sweep = {"preset": "zero-background", "a_grid": "log:1e-8,1e-6,3"}
+    assert not _violated("capacity", sweep, "capacity_nats <= wyner_capacity")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: at A tau of about 2e-14 and below, F(mu*) ~ "
+    "d^2 / (8 p0 q0) is summed from O(d) terms of _entropy_increment, whose "
+    "O(eps d) rounding puts the capacity above Wyner's at any background",
+)
+def test_capacity_below_wyner_at_weak_signal_with_background():
+    sweep = {"background": 0.01, "a_grid": "log:1e-13,1e-11,3"}
+    assert not _violated("capacity", sweep, "capacity_nats <= wyner_capacity")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: where q1 = exp(-(A + background) tau) underflows "
+    "_entropy_increment takes its plain-difference branch and loses the "
+    "O(q0) terms; the capacity lands 5.5e-4 above its limit here",
+)
+def test_capacity_below_its_limit_where_q1_underflows():
+    sweep = {"background": 1600.0, "a_grid": "log:4e4,1e5,2"}
+    assert not _violated("capacity", sweep, "capacity_nats <= limit_large_A")
