@@ -26,7 +26,6 @@ from .mutual_info import (
 )
 from .rate_bounds import (
     bound_gap,
-    envelope_difference,
     gap_bounds,
     lower_bound_max,
     optimal_prior_upper,
@@ -72,7 +71,6 @@ __all__ = [
     "chernoff_binomial",
     "detection_prob",
     "duty_cycle_limits",
-    "envelope_difference",
     "estimate_exponential_rate",
     "exp_rate_zero_background",
     "gap_bounds",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import BinaryDetectionProbs
 from .errors import ParameterError
-from .guards import check_unit
+from .guards import check_trials, check_unit
 from .mutual_info import binary_entropy
 from . import optimize
 
@@ -22,6 +22,7 @@ from . import optimize
 def mi_approx_low_background(mu, probs: BinaryDetectionProbs, trials):
     """Expansion of I(X; N_hat) in nats, dropping o(L p0) and O(1/L) terms."""
     check_unit(mu, "mu")
+    check_trials(trials)
     if mu == 0.0 or mu == 1.0 or _without_signal(mu, probs, trials):
         return 0.0
     return _expansion(mu, probs, trials, math.log)
@@ -31,6 +32,7 @@ def mi_approx_max(probs: BinaryDetectionProbs, trials):
     """(mu, value): the expansion's maximum over duty cycles, refused with
     ParameterError outside its region; (0.5, 0.0) without signal, as the
     other duty-cycle optima."""
+    check_trials(trials)
     if probs.p_off == probs.p_on:
         # refused outside the region, as at any other channel
         _without_signal(0.5, probs, trials)

@@ -55,6 +55,7 @@ def gap_offsets_large_A(p0, p1, trials):
     """
     check_open_unit(p0, "p0")
     check_unit(p1, "p1")
+    check_trials(trials)
     return _gap_offsets(p0, 1.0 - p0, 1.0 - p1, trials)
 
 
@@ -66,6 +67,7 @@ def gap_offsets_low_background(p0, p1, trials):
     """
     check_open_unit(p1, "p1")
     check_unit(p0, "p0")
+    check_trials(trials)
     return _gap_offsets(1.0 - p1, p1, p0, trials)
 
 
@@ -80,6 +82,8 @@ def gap_quadratic_coeff_low_A(p0, trials, dead_time):
     """Quadratic gap coefficient for low peak rate: 3 L (1-p0) tau^2 / (16 p0)."""
     if not 0.0 <= p0 < 1.0:
         raise ParameterError(f"p0 must be in [0, 1), got {p0}")
+    check_trials(trials)
+    check_positive(dead_time, "dead_time")
     if p0 == 0.0:
         return math.inf
     return 3.0 * trials * (1.0 - p0) * (dead_time * dead_time) / (16.0 * p0)

@@ -31,12 +31,18 @@ class BetaTriple:
     """Exponentiated divergences driving every rate bound.
 
     Satisfies beta >= beta**2 >= max(beta1, beta2) whenever p0 != p1, with
-    all three equal to 1 exactly when the laws coincide.
+    all three equal to 1 exactly when the laws coincide.  Each must lie in
+    [0, 1].
     """
 
     beta: float
     beta1: float
     beta2: float
+
+    def __post_init__(self):
+        check_unit(self.beta, "beta")
+        check_unit(self.beta1, "beta1")
+        check_unit(self.beta2, "beta2")
 
 
 def kl_binomial(p_from, p_to, trials):
@@ -116,8 +122,8 @@ def beta_triple(probs: BinaryDetectionProbs, trials) -> BetaTriple:
                 f"{name} = {value} rounds below 0 at p_off = {p0}, p_on = {p1}"
             )
     beta = math.exp(-trials * distance)
-    beta1 = 0.0 if math.isinf(kl10) else math.exp(-kl10)
-    beta2 = 0.0 if math.isinf(kl01) else math.exp(-kl01)
+    beta1 = math.exp(-kl10)
+    beta2 = math.exp(-kl01)
     return BetaTriple(beta=beta, beta1=beta1, beta2=beta2)
 
 

@@ -6,15 +6,15 @@ module or produced by it, so the routine favours robustness over speed:
 a dense coarse scan brackets the best point, then golden-section search
 refines the bracket.
 
-numpy picks the bracket; libm refines and prints.  A caller may pass the
-scan as one numpy call over the interior scan points, or as values it
-has cached for them (the tuned lower envelope's divergence pairs, one set
-per channel).  Its values only choose the bracket: the endpoints, the
-winner and every refinement point are evaluated by the scalar objective
-through ``math``, so a returned value can differ from the per-point
-scan's only where the two best scan values lie within a few ulp of each
-other.  The interior points are one read-only array per scan size, built
-once per process.
+numpy picks the bracket; libm refines and prints.  A caller passes one
+kernel twice: through ``math`` as the objective and through numpy as the
+scan, one call over the interior scan points (or over an array the
+caller cached for them, as the tuned lower envelope's divergence pairs).
+The scan's values only choose the bracket: the endpoints, the winner and
+every refinement point are evaluated by the scalar objective, so a
+returned value can differ from the per-point scan's only where the two
+best scan values lie within a few ulp of each other.  The interior
+points are one read-only array per scan size, built once per process.
 """
 
 import functools
@@ -41,8 +41,8 @@ def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS, sca
     read-only array of interior scan points ``i / (coarse_points - 1)``
     to the values of ``f`` there; ``f`` is evaluated again at the winner.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not tol > 0:  # NaN included
+        raise ParameterError(f"tol must be > 0, got {tol}")
     if coarse_points < 3:
         raise ParameterError("coarse_points must be >= 3")
 

@@ -45,21 +45,14 @@ def _upper_envelope(mu, beta1, beta2, log):
     )
 
 
-def envelope_difference(mu, triple: BetaTriple):
-    """F_u - F_l at one duty cycle, accurate in the difference.
+def _envelope_difference(mu, triple, log1p):
+    """F_u - F_l at 0 < mu < 1, accurate in the difference: a float with
+    math.log1p, or an array with np.log1p.
 
     Requires beta >= max(beta1, beta2), which every channel-derived triple
     satisfies; the two log ratios are then nonnegative and evaluated as
     log1p of small increments.
     """
-    check_unit(mu, "mu")
-    if mu == 0.0 or mu == 1.0:
-        return 0.0
-    return _envelope_difference(mu, triple, math.log1p)
-
-
-def _envelope_difference(mu, triple, log1p):
-    """F_u - F_l at 0 < mu < 1: a float with math.log1p, or an array with np.log1p."""
     beta, beta1, beta2 = triple.beta, triple.beta1, triple.beta2
     d1 = (1.0 - mu) * (beta - beta1) / ((1.0 - mu) * beta1 + mu)
     d2 = mu * (beta - beta2) / (mu * beta2 + (1.0 - mu))
@@ -113,10 +106,10 @@ def tuned_lower_curve(probs: BinaryDetectionProbs, trials):
 
     Each mu maximizes over alpha from a 65-point scan refined to 1e-9.
     The divergence pairs at the 63 interior scan orders i/64 depend only on
-    the channel, so building the curve computes them all (none without
-    signal), and a pair that raises refuses the channel there.  The
-    endpoints and the refinement evaluate their pairs afresh, so every
-    value is the one a per-point scan over alpha would give.
+    the channel, so building the curve computes them all into one array
+    (none without signal), and a pair that raises refuses the channel
+    there; each mu scans that array in one numpy call.  The endpoints and
+    the refinement evaluate their pairs afresh through ``math``.
     """
     p0, p1 = probs.p_off, probs.p_on
     check_unit(p0, "p_off")
@@ -131,7 +124,8 @@ def tuned_lower_curve(probs: BinaryDetectionProbs, trials):
             -_chernoff(alpha, p0, p1, trials)
         )
 
-    scan_betas = [] if p0 == p1 else [betas(i / last) for i in range(1, last)]
+    # row i - 1 holds the pair at the interior scan order i/64
+    pairs = None if p0 == p1 else np.array([betas(i / last) for i in range(1, last)])
 
     def curve(mu):
         check_unit(mu, "mu")
@@ -141,14 +135,9 @@ def tuned_lower_curve(probs: BinaryDetectionProbs, trials):
         def objective(alpha):
             return _upper_envelope(mu, *betas(alpha), math.log)
 
-        def scan(alphas):
-            # alphas are the interior points i/64, whose pairs scan_betas holds
-            return np.array(
-                [_upper_envelope(mu, b1, b2, math.log) for b1, b2 in scan_betas]
-            )
-
         _, value = optimize.maximize_scalar(
-            objective, tol=1e-9, coarse_points=points, scan=scan
+            objective, tol=1e-9, coarse_points=points,
+            scan=lambda alphas: _upper_envelope(mu, pairs[:, 0], pairs[:, 1], np.log),
         )
         return value
 
@@ -157,9 +146,14 @@ def tuned_lower_curve(probs: BinaryDetectionProbs, trials):
 
 def bound_gap(triple: BetaTriple):
     """Delta = max over mu of the pointwise difference F_u - F_l."""
+
+    def objective(mu):
+        if mu == 0.0 or mu == 1.0:
+            return 0.0
+        return _envelope_difference(mu, triple, math.log1p)
+
     _, gap = optimize.maximize_scalar(
-        lambda mu: envelope_difference(mu, triple),
-        scan=lambda mu: _envelope_difference(mu, triple, np.log1p),
+        objective, scan=lambda mu: _envelope_difference(mu, triple, np.log1p)
     )
     return gap
 

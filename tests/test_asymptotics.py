@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deadtime_channel import (
+    BetaTriple,
     BinaryDetectionProbs,
     ParameterError,
     beta_triple,
@@ -15,9 +17,13 @@ from deadtime_channel import (
     gap_offsets_large_A,
     gap_offsets_low_background,
     gap_quadratic_coeff_low_A,
+    maximize_scalar,
+    mi_approx_low_background,
     mi_discrete_poisson,
     quadratic_coeffs_low_A,
 )
+from deadtime_channel.approximation import mi_approx_max
+from deadtime_channel.channel import detection_probs
 from deadtime_channel.rate_bounds import tuned_lower_curve
 
 
@@ -61,6 +67,16 @@ def test_offset_reciprocity():
         swapped = gap_offsets_large_A(float(1.0 - p1), float(1.0 - p0), trials)
         assert direct[0] == pytest.approx(swapped[0], rel=1e-11, abs=1e-300)
         assert direct[1] == pytest.approx(swapped[1], rel=1e-11, abs=1e-300)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**20), st.integers(1, 2**20 - 1), st.integers(1, 100_000))
+def test_offset_reciprocity_bit_for_bit_at_dyadic_probabilities(k0, k1, trials):
+    # for p = k / 2^20 the complement 1 - p is exact, and so is 1 - (1 - p)
+    p0, p1 = k0 / 2**20, k1 / 2**20
+    direct = gap_offsets_low_background(p0, p1, trials)
+    swapped = gap_offsets_large_A(1.0 - p1, 1.0 - p0, trials)
+    assert [v.hex() for v in direct] == [v.hex() for v in swapped]
 
 
 def test_low_background_branch_predicate():
@@ -130,6 +146,9 @@ def test_estimate_rate_domain():
 
 # the tuned lower envelope of one channel, a function of the duty cycle
 _tuned_lower = tuned_lower_curve(BinaryDetectionProbs(0.1, 0.4), 30)
+# the published channel, inside the approximation's region at L = 10
+_published = detection_probs(10.0, 0.02, 0.02)
+_TRIALS = "trials must be a positive integer, got "
 
 
 # NaN passes a sign test, so without a finiteness guard each of these
@@ -151,6 +170,28 @@ _tuned_lower = tuned_lower_curve(BinaryDetectionProbs(0.1, 0.4), 30)
         (_tuned_lower, (2.0,), r"mu must be in \[0, 1\], got 2.0"),
         (_tuned_lower, (-0.5,), r"mu must be in \[0, 1\], got -0.5"),
         (_tuned_lower, (math.nan,), r"mu must be in \[0, 1\], got nan"),
+        (mi_approx_low_background, (0.5, _published, 2.5), _TRIALS + "2.5"),
+        (mi_approx_low_background, (0.5, _published, -3), _TRIALS + "-3"),
+        (mi_approx_low_background, (0.5, _published, 0), _TRIALS + "0"),
+        (mi_approx_max, (_published, 2.5), _TRIALS + "2.5"),
+        (gap_offsets_large_A, (0.5, 0.6, math.nan), _TRIALS + "nan"),
+        (gap_offsets_large_A, (0.5, 0.6, math.inf), _TRIALS + "inf"),
+        (gap_offsets_large_A, (0.5, 0.6, 2.5), _TRIALS + "2.5"),
+        (gap_offsets_large_A, (0.5, 0.6, 0), _TRIALS + "0"),
+        (gap_offsets_large_A, (0.5, 0.6, -3), _TRIALS + "-3"),
+        (gap_offsets_low_background, (0.5, 0.6, math.nan), _TRIALS + "nan"),
+        (gap_offsets_low_background, (0.5, 0.6, math.inf), _TRIALS + "inf"),
+        (gap_offsets_low_background, (0.5, 0.6, 2.5), _TRIALS + "2.5"),
+        (gap_offsets_low_background, (0.5, 0.6, 0), _TRIALS + "0"),
+        (gap_offsets_low_background, (0.5, 0.6, -3), _TRIALS + "-3"),
+        (gap_quadratic_coeff_low_A, (0.02, math.nan, 0.1), _TRIALS + "nan"),
+        (gap_quadratic_coeff_low_A, (0.02, 10, math.nan), "dead_time must be finite"),
+        (gap_quadratic_coeff_low_A, (0.02, 10, -1.0), "dead_time must be > 0, got -1.0"),
+        (maximize_scalar, (lambda x: x, math.nan), "tol must be > 0, got nan"),
+        (maximize_scalar, (lambda x: x, 0.0), "tol must be > 0, got 0.0"),
+        (BetaTriple, (math.nan, 0.5, 0.5), r"beta must be in \[0, 1\], got nan"),
+        (BetaTriple, (2.0, 0.5, 0.5), r"beta must be in \[0, 1\], got 2.0"),
+        (BetaTriple, (0.5, 0.5, -0.1), r"beta2 must be in \[0, 1\], got -0.1"),
     ],
     ids=[
         "poisson-nan-mean-on", "poisson-nan-mean-off", "quadratic-coeffs-nan",
@@ -158,6 +199,18 @@ _tuned_lower = tuned_lower_curve(BinaryDetectionProbs(0.1, 0.4), 30)
         "zero-background-nan-trials", "zero-background-fractional-trials",
         "offsets-large-A-nan", "offsets-low-background-nan",
         "tuned-lower-mu-above-1", "tuned-lower-mu-below-0", "tuned-lower-mu-nan",
+        "approx-fractional-trials", "approx-negative-trials", "approx-zero-trials",
+        "approx-max-fractional-trials",
+        "offsets-large-A-nan-trials", "offsets-large-A-inf-trials",
+        "offsets-large-A-fractional-trials", "offsets-large-A-zero-trials",
+        "offsets-large-A-negative-trials",
+        "offsets-low-background-nan-trials", "offsets-low-background-inf-trials",
+        "offsets-low-background-fractional-trials", "offsets-low-background-zero-trials",
+        "offsets-low-background-negative-trials",
+        "quadratic-gap-nan-trials", "quadratic-gap-nan-dead-time",
+        "quadratic-gap-negative-dead-time",
+        "maximize-nan-tol", "maximize-zero-tol",
+        "beta-triple-nan", "beta-triple-above-1", "beta-triple-below-0",
     ],
 )
 def test_nan_and_out_of_domain_arguments_refused(fn, args, message):

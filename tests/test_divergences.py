@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deadtime_channel import (
     BinaryDetectionProbs,
+    NumericalFailure,
     ParameterError,
     beta_triple,
     bhattacharyya_distance,
@@ -85,6 +87,25 @@ def test_chernoff_symmetry():
         a = chernoff_binomial(alpha, p1, p0, trials)
         b = chernoff_binomial(1.0 - alpha, p0, p1, trials)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+# probabilities over the whole unit interval, ends and subnormals included
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 64), _unit, _unit, st.integers(1, 100_000))
+def test_chernoff_symmetry_bit_for_bit_at_the_scan_orders(i, p_a, p_b, trials):
+    # i/64 are the tuned envelope's scan orders, and 1 - i/64 is exact, so
+    # both sides sum the same two products in the same order: the same
+    # value, or both refused where it rounds below 0
+    def outcome(alpha, p_from, p_to):
+        try:
+            return chernoff_binomial(alpha, p_from, p_to, trials).hex()
+        except NumericalFailure:
+            return "refused"
+
+    assert outcome(i / 64, p_a, p_b) == outcome(1.0 - i / 64, p_b, p_a)
 
 
 def test_chernoff_alpha_domain():

@@ -12,7 +12,6 @@ from deadtime_channel import (
     binary_entropy,
     bound_gap,
     detection_prob,
-    envelope_difference,
     gap_bounds,
     lower_bound_max,
     maximize_scalar,
@@ -22,9 +21,10 @@ from deadtime_channel import (
     upper_bound_max,
     upper_envelope,
 )
+from deadtime_channel import rate_bounds
 from deadtime_channel.channel import detection_probs
 from deadtime_channel.divergences import BetaTriple
-from deadtime_channel.rate_bounds import tuned_lower_curve
+from deadtime_channel.rate_bounds import _envelope_difference, tuned_lower_curve
 
 
 def lower_envelope(mu, beta):
@@ -184,7 +184,7 @@ def test_envelope_difference_matches_plain_subtraction():
         direct = upper_envelope(mu, triple.beta1, triple.beta2) - lower_envelope(
             mu, triple.beta
         )
-        assert envelope_difference(mu, triple) == pytest.approx(
+        assert _envelope_difference(mu, triple, math.log1p) == pytest.approx(
             direct, rel=1e-9, abs=1e-13
         )
 
@@ -193,8 +193,19 @@ def test_envelope_difference_deep_high_snr_stays_positive():
     # differences far below double-spacing of the envelopes themselves
     probs = BinaryDetectionProbs(0.0004, 0.18)
     triple = beta_triple(probs, 400)
-    diff = envelope_difference(0.5, triple)
+    diff = _envelope_difference(0.5, triple, math.log1p)
     assert 0.0 < diff < 1e-15
+    assert bound_gap(triple) > 0.0
+
+
+def test_bound_gap_checks_nothing_per_evaluation(monkeypatch):
+    # the triple is checked once, when it is built; the objective only
+    # evaluates the difference
+    triple = beta_triple(detection_probs(10.0, 0.02, 0.02), 30)
+    checked = []
+    monkeypatch.setattr(rate_bounds, "check_unit", lambda x, name: checked.append(name))
+    assert bound_gap(triple) > 0.0
+    assert checked == []
 
 
 def test_bound_gap_zero_when_envelopes_coincide():

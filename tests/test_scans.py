@@ -19,8 +19,9 @@ At the library's own sizes (1,024 points, 65 for the exact MI, and the
 default tolerance) the same draws agree as well, in about 20 s.
 
 The tuned lower envelope scans the divergence order instead: its scan
-pairs are computed once, when its curve is built, and the last tests hold
-it to the per-point scan over alpha that it replaces, at its own sizes.
+pairs are computed once, when its curve is built, and scanned in one
+numpy call per duty cycle; the last tests hold it to the per-point scan
+over alpha that it replaces, at its own sizes.
 """
 
 import math
@@ -229,3 +230,20 @@ def test_tuned_lower_curve_computes_each_scan_pair_once(kernel_calls):
         # two divergences per objective evaluation, and per interior scan order once
         assert len(alphas) == 2 * (evals[0] + 63)
         assert set(alphas) >= interior
+
+
+def test_tuned_lower_curve_scans_its_pairs_in_one_call(kernel_calls, monkeypatch):
+    _, evals = kernel_calls
+    envelope, calls = rate_bounds._upper_envelope, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return envelope(*args)
+
+    monkeypatch.setattr(rate_bounds, "_upper_envelope", counted)
+    curve = tuned_lower_curve(detection_probs(10.0, 0.02, 0.02), 30)
+    for mu in TUNED_MU_GRID[1:-1]:
+        calls[0] = evals[0] = 0
+        curve(mu)
+        # one envelope per objective evaluation, and one for the whole scan
+        assert calls[0] == evals[0] + 1
