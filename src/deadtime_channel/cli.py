@@ -30,9 +30,10 @@ Exit codes: 0 success, 1 validation failure, 2 usage or parameter error
 (including a flag the preset does not hold, Poisson benchmark means above
 100000, oversized grids or Monte Carlo chunks, grids whose values overflow
 to a non-finite value, and an --out path that cannot be written, which is
-refused before any work), 3 numerical failure: a gap point or a capacity
-point (A * tau underflowing) that double precision cannot resolve, or any
-other exception.  Every error prints one line on stderr.
+refused before any work), 3 numerical failure: a gap point (a gap below
+the normal range included) or a capacity point (A * tau underflowing)
+that double precision cannot resolve, or any other exception.  Every
+error prints one line on stderr.
 """
 
 import argparse

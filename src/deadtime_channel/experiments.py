@@ -17,6 +17,7 @@ that do not apply to a scenario hold nan.
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -377,7 +378,8 @@ def gap_rows(settings):
         except NumericalFailure as exc:
             raise _unresolved(point, x, exc) from exc
         gap = y = bound_gap(triple)
-        if not (math.isfinite(gap) and gap > 0.0):
+        # a subnormal gap keeps few correct digits, as a gap of 0 keeps none
+        if not (math.isfinite(gap) and gap >= sys.float_info.min):
             raise _unresolved(point, x, f"gap_numeric is {gap}")
         if scenario == "large-L":
             _, high_snr, general_lower = gap_bounds(triple)

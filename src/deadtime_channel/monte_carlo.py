@@ -8,19 +8,22 @@ keyed by (seed, chunk_index): every 16384-symbol chunk owns an independent,
 reproducible stream (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11).  The chunks run on up to one thread per CPU and their
 int64 histograms are summed, which is exact, so the result does not
-depend on the order in which chunks finish.  Inside a chunk the window uniforms are
+depend on the order in which chunks finish.  Inside a chunk the window words are
 drawn in blocks of about 2**16 windows; the generator is consumed
 sequentially, so the blocks see the same bits as one chunk-sized draw and
 a run is bit-stable for a fixed seed.
 
-A window's uniform is never formed as a float.  numpy's
-``Generator.random()`` returns (x >> 11) * 2**-53 for the raw Philox word
-x, so u < p holds exactly when x < ceil(p * 2**53) << 11.  Each symbol
-class's threshold is computed once per run, and the raw words are compared
-with it directly: the same windows fire as with ``random() < p``, from the
-same words in the same order, without the float conversion and its pass
-over memory.  At p = 1 the threshold would be 2**64, past uint64; every
-window of that class fires, as every uniform is below 1.
+No draw forms a float uniform, neither a symbol's duty-cycle bit nor a
+window.  numpy's ``Generator.random()`` returns (x >> 11) * 2**-53 for
+the raw Philox word x, so u < p holds exactly when
+x < ceil(p * 2**53) << 11.  The thresholds of mu and of each symbol
+class are computed once per run, and the raw words are compared with
+them directly: the same symbols are on and the same windows fire as with
+``random() < p``, from the same words in the same order, without the
+float conversion and its pass over memory.  At p = 1 the threshold would
+be 2**64, past uint64; every window of that class fires, as every
+uniform is below 1 (mu < 1 never saturates).  Only the bootstrap's
+multinomial draws through a ``Generator``.
 
 ``detection_from_counts``, ``plugin_mi_from_counts`` and
 ``bootstrap_mi_sigma`` score the histogram of ``joint_counts``; an estimate
@@ -102,16 +105,16 @@ def _chunk_rng(seed, chunk_index, stream=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _thresholds(probs):
-    """The raw-word thresholds of the (off, on) symbol classes, as uint64,
-    and which classes are saturated (p = 1: every window fires).
+def _thresholds(*probs):
+    """The raw-word thresholds of the Bernoulli(p) draws for each p in
+    ``probs``, as uint64, and which p are saturated (p = 1: every draw fires).
 
-    A window fires when its word x is below ceil(p * 2**53) << 11, the
+    A draw fires when its word x is below ceil(p * 2**53) << 11, the
     words whose uniform (x >> 11) * 2**-53 is below p.  Scaling by 2**53 is
-    exact for every p in [0, 1].  A saturated class gets threshold 0, so
+    exact for every p in [0, 1].  A saturated p gets threshold 0, so
     that its counts are wrong at once unless they are set to L.
     """
-    scaled = [math.ceil(p * 2.0**53) for p in (probs.p_off, probs.p_on)]
+    scaled = [math.ceil(p * 2.0**53) for p in probs]
     saturated = [c == 2**53 for c in scaled]
     words = [0 if full else c << 11 for c, full in zip(scaled, saturated)]
     return np.array(words, dtype=np.uint64), np.array(saturated)
@@ -121,9 +124,9 @@ def _chunk_counts(config, thresholds, chunk):
     """(2, L + 1) histogram of one keyed chunk of the run."""
     L = config.samples
     n = min(CHUNK_SYMBOLS, config.symbols - chunk * CHUNK_SYMBOLS)
-    rng = _chunk_rng(config.seed, chunk)
-    bits = rng.random(n) < config.mu
-    words, saturated = thresholds
+    raw = _chunk_rng(config.seed, chunk).bit_generator.random_raw
+    words, saturated = thresholds  # the (off, on) classes', then mu's
+    bits = raw(n) < words[2]
     level = bits.view(np.uint8)  # each symbol's class, as an index
     bound = words[level][:, None]
     nhat = np.empty(n, dtype=np.int64)
@@ -134,7 +137,7 @@ def _chunk_counts(config, thresholds, chunk):
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         block = fired[: hi - lo]
-        np.less(rng.bit_generator.random_raw((hi - lo, L)), bound[lo:hi], out=block)
+        np.less(raw((hi - lo, L)), bound[lo:hi], out=block)
         nhat[lo:hi] = np.einsum("ij->i", block.view(np.uint8), dtype=count_type)
     nhat[saturated[level]] = L
     return np.bincount(nhat + (L + 1) * bits, minlength=2 * (L + 1)).reshape(2, L + 1)
@@ -156,7 +159,7 @@ def joint_counts(config: SimConfig):
     chunk, so memory stays flat however many chunks a run has.
     """
     probs = detection_probs(config.peak_rate, config.background, config.dead_time)
-    thresholds = _thresholds(probs)
+    thresholds = _thresholds(probs.p_off, probs.p_on, config.mu)
     chunks = -(-config.symbols // CHUNK_SYMBOLS)
     workers = min(_cpus(), chunks)
 

@@ -13,8 +13,11 @@ caller cached for them, as the tuned lower envelope's divergence pairs).
 The scan's values only choose the bracket: the endpoints, the winner and
 every refinement point are evaluated by the scalar objective, so a
 returned value can differ from the per-point scan's only where the two
-best scan values lie within a few ulp of each other.  The interior
-points are one read-only array per scan size, built once per process.
+best scan values lie within a few ulp of each other.  A caller without
+an array form (the brute-force capacity) gets the per-point scan, the
+objective at each interior point in turn, through the same statement.
+The interior points are one read-only array per scan size, built once
+per process.
 """
 
 import functools
@@ -37,8 +40,8 @@ def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS, sca
     (ties break toward smaller x, so results are deterministic), then
     golden-section search shrinks the bracket below ``tol``.  Non-finite
     values are treated as -inf; if more than half the scan is non-finite
-    the objective is considered broken.  ``scan``, if given, maps the
-    read-only array of interior scan points ``i / (coarse_points - 1)``
+    the objective is considered broken.  ``scan`` (default: ``f`` per point)
+    maps the read-only array of interior scan points ``i / (coarse_points - 1)``
     to the values of ``f`` there; ``f`` is evaluated again at the winner.
     """
     if not tol > 0:  # NaN included
@@ -48,10 +51,9 @@ def maximize_scalar(f, tol=DEFAULT_TOL, coarse_points=DEFAULT_COARSE_POINTS, sca
 
     last = coarse_points - 1
     if scan is None:
-        vals = np.array([f(i / last) for i in range(coarse_points)], dtype=float)
-    else:
-        with np.errstate(all="ignore"):
-            vals = np.concatenate(([f(0.0)], scan(_interior(coarse_points)), [f(1.0)]))
+        scan = lambda points: [f(x) for x in points.tolist()]
+    with np.errstate(all="ignore"):
+        vals = np.concatenate(([f(0.0)], scan(_interior(coarse_points)), [f(1.0)]), dtype=float)
     vals[~np.isfinite(vals)] = -math.inf
     bad = int(np.count_nonzero(vals == -math.inf))
     if bad > coarse_points // 2:

@@ -155,7 +155,8 @@ def check_offset_rates():
 
     Large peak rate: exponential rate min(1/2, (1-p0)L) * tau in the peak
     rate.  Low background: the offset follows a power law in the
-    background rate; the fitted exponent must match min(1/2, p1 L).
+    background rate; the fitted exponent must match min(1/2, p(A) L), with
+    p(A) = 1 - exp(-A tau) the limit of p1 as the background goes to 0.
     """
     return CheckResult("gap-offset-rates", tuple(
         (label, _rate_error(_columns("gap", scenario=scenario)), "<=", 0.05)

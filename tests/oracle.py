@@ -1,4 +1,5 @@
-"""High-precision mpmath versions of the capacity and duty-imax sweeps' cells.
+"""High-precision mpmath versions of the capacity, duty-imax and gap sweeps'
+cells.
 
 Each function takes the same double inputs as the library and evaluates
 its quantity exactly in those inputs, to ``DIGITS`` significant digits
@@ -104,14 +105,18 @@ def limit_large_A(background_rate, dead_time, sampling_interval):
 
 
 def _relative_entropy(p_from, q_from, p_to, q_to):
-    """KL(Bern(p_from) || Bern(p_to)) with q = 1 - p given, 0 ln 0 = 0."""
-    return sum(a * mpmath.log(a / b) for a, b in ((p_from, p_to), (q_from, q_to)) if a > 0)
+    """KL(Bern(p_from) || Bern(p_to)) with q = 1 - p given, 0 ln 0 = 0 and
+    a ln(a / 0) = +inf."""
+    pairs = [(a, b) for a, b in ((p_from, p_to), (q_from, q_to)) if a > 0]
+    if any(b == 0 for _, b in pairs):
+        return mpmath.inf
+    return sum(a * mpmath.log(a / b) for a, b in pairs)
 
 
 def _beta_triple(peak_rate, background_rate, dead_time, trials):
     """(beta, beta1, beta2) as mpf for Bin(L, p0) against Bin(L, p1):
-    (sqrt(p0 p1) + sqrt(q0 q1))^L, exp(-L KL(p1||p0)) and exp(-L KL(p0||p1)),
-    for a positive background (p0 > 0)."""
+    (sqrt(p0 p1) + sqrt(q0 q1))^L, exp(-L KL(p1||p0)) and exp(-L KL(p0||p1));
+    beta1 = 0 at zero background (p0 = 0)."""
     p0, q0, p1, q1, _ = levels(peak_rate, background_rate, dead_time)
     beta = (mpmath.sqrt(p0 * p1) + mpmath.sqrt(q0 * q1)) ** trials
     beta1 = mpmath.exp(-trials * _relative_entropy(p1, q1, p0, q0))
@@ -150,3 +155,103 @@ def duty_imax_bounds(peak_rate, background_rate, dead_time, trials):
             float(mu),
             float(_upper_envelope(mu, beta1, beta2)),
         )
+
+
+def _gap(beta, beta1, beta2):
+    """max over mu of F_u(mu, beta1, beta2) - F_l(mu, beta), at the root of
+    the difference of the two slopes: positive at mu = 0 and negative at
+    mu = 1 when beta >= max(beta1, beta2).  A scan of the interior points
+    i/64 and 1e-30 from either end, where the slopes stay finite at
+    beta1 = 0, brackets the root.  The maximizer nears 0 as beta does:
+    at zero-lambda's preset settings it passes 1e-30 between A = 280 and
+    300, where no bracket is found and max() raises."""
+    def slope(mu):
+        return _upper_envelope_slope(mu, beta1, beta2) - _upper_envelope_slope(mu, beta, beta)
+
+    edge = mpmath.mpf(10) ** -(DIGITS // 2)
+    points = [edge] + [mpmath.mpf(i) / 64 for i in range(1, 64)] + [1 - edge]
+    lo = max(i for i, mu in enumerate(points[:-1]) if slope(mu) > 0)
+    mu = mpmath.findroot(slope, (points[lo], points[lo + 1]), solver="anderson")
+    return _upper_envelope(mu, beta1, beta2) - _upper_envelope(mu, beta, beta)
+
+
+def _gap_offsets(b, c, other, trials):
+    """(eps_u, eps_l) of the large-A (b = p0, other = q1) and low-lambda
+    (b = q1, other = p0) offsets, c = 1 - b: piecewise in c L versus 1/2."""
+    L, root = trials, mpmath.sqrt(other)
+    if c * L >= 0.5:
+        lead = L * b ** (mpmath.mpf(L - 1) / 2) * mpmath.sqrt(c)
+        denom = 1 + b ** (mpmath.mpf(L) / 2)
+        if c * L > 0.5:
+            return 2 * lead * root, lead * root / denom
+        spike = b ** (mpmath.mpf(1) / 2 - L) / mpmath.sqrt(c)
+        return (2 * lead - spike) * root, (lead / denom - spike / 2) * root
+    mag = 0 if other == 0 else mpmath.exp(
+        -L * b * mpmath.log(b) - L * c * mpmath.log(c) + L * c * mpmath.log(other)
+    )
+    return -mag, -mag / 2
+
+
+def gap_cells(scenario, x, peak_rate, background_rate, dead_time, trials):
+    """The exact cells of the gap row at sweep value x, by column, with the
+    fit's value y under "y": every column but fitted_rate that the scenario
+    fills.  x is L at large-L, the background at low-lambda and A
+    otherwise; the other settings are the preset's."""
+    with mpmath.workdps(DIGITS):
+        if scenario == "large-L":
+            trials = int(x)
+        elif scenario == "low-lambda":
+            background_rate = x
+        else:
+            peak_rate = x
+        p0, q0, p1, q1, _ = levels(peak_rate, background_rate, dead_time)
+        beta, beta1, beta2 = _beta_triple(peak_rate, background_rate, dead_time, trials)
+        gap = _gap(beta, beta1, beta2)
+        tau, L = mpmath.mpf(dead_time), trials
+        cells = {"gap_numeric": gap, "y": gap}
+        if scenario == "large-L":
+            cells["gap_lower_formula"] = (
+                mpmath.log1p(beta) - (mpmath.log1p(beta1) + mpmath.log1p(beta2)) / 2
+            )
+            cells["gap_upper_formula"] = 2 * beta - beta1 - beta2
+            cells["predicted_rate"] = -mpmath.log(mpmath.sqrt(p0 * p1) + mpmath.sqrt(q0 * q1))
+        elif scenario == "zero-lambda":
+            lead = q1 ** (mpmath.mpf(L) / 2)
+            cells["gap_lower_formula"], cells["gap_upper_formula"] = lead, 2 * lead
+            cells["predicted_rate"] = L * tau / 2
+        elif scenario == "low-A":
+            A = mpmath.mpf(x)
+            coeff = 3 * L * q0 * tau**2 / (16 * p0)
+            cells["gap_lower_formula"] = cells["gap_upper_formula"] = coeff * A**2
+            cells["offset_numeric"], cells["offset_formula"] = gap / A**2, coeff
+            cells["predicted_rate"] = 2
+        else:
+            if scenario == "large-A":
+                b, (eps_u, eps_l) = p0, _gap_offsets(p0, q0, q1, L)
+                cells["predicted_rate"] = min(mpmath.mpf(1) / 2, q0 * L) * tau
+            else:
+                b, (eps_u, eps_l) = q1, _gap_offsets(q1, p1, p0, L)
+                p_peak = -mpmath.expm1(-mpmath.mpf(peak_rate) * tau)
+                cells["predicted_rate"] = min(mpmath.mpf(1) / 2, p_peak * L)
+            half, full = b ** (mpmath.mpf(L) / 2), b**L
+            const_u = 2 * half - full
+            offset = 2 * beta - beta1 - beta2 - const_u
+            cells["gap_lower_formula"] = mpmath.log1p(half) - mpmath.log1p(full) / 2 + eps_l
+            cells["gap_upper_formula"] = const_u + eps_u
+            cells["offset_numeric"], cells["offset_formula"] = offset, eps_u
+            cells["y"] = abs(offset)
+        return {column: float(value) for column, value in cells.items()}
+
+
+def fitted_rate(points, power_law):
+    """The convergence constant of a gap sweep: the least-squares slope of
+    ln y against ln x (a power law) or x (an exponential decay, whose rate
+    is minus the slope), for exact points (x, y)."""
+    with mpmath.workdps(DIGITS):
+        xs = [mpmath.log(x) if power_law else mpmath.mpf(x) for x, _ in points]
+        ys = [mpmath.log(y) for _, y in points]
+        mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = sum((u - mean_x) * (v - mean_y) for u, v in zip(xs, ys)) / sum(
+            (u - mean_x) ** 2 for u in xs
+        )
+        return float(slope if power_law else -slope)

@@ -700,6 +700,11 @@ def test_duty_imax_zero_signal_row_is_zero(capsys):
         (["gap", "--scenario", "large-L", "--peak-rate", "5e-324"],
          3, "large-L gap at x = 50 cannot be resolved in double precision: "
          "gap_numeric is 0.0", False),
+        # a subnormal gap keeps few correct digits
+        (["gap", "--scenario", "large-L", "--peak-rate", "100", "--background", "1e-4",
+          "--dead-time", "0.05", "--l-grid", "lin:290,298,5"],
+         3, "large-L gap at x = 290 cannot be resolved in double precision: "
+         "gap_numeric is 3.23279246834e-312", False),
     ],
 )
 def test_extreme_inputs_exit_with_one_line(capsys, argv, expected, fragment, in_subprocess):

@@ -125,7 +125,7 @@ def test_threshold_fires_exactly_the_uniforms_below_p(p):
     # the words on either side of the threshold, with their low 11 bits at
     # both extremes, and random words: the kernel's test, x below the
     # class's word threshold or the class saturated, is random() < p on each
-    words, saturated = _thresholds(SimpleNamespace(p_off=p, p_on=p))
+    words, saturated = _thresholds(p, p)
     c = math.ceil(p * 2.0**53)
     tops = [top for top in (c - 1, c) if 0 <= top < 2**53]
     edges = [(top << 11) | low for top in tops for low in (0, 1, 2**11 - 2, 2**11 - 1)]
@@ -172,6 +172,8 @@ _BIT_IDENTITY_CONFIGS = [
     _config(
         peak_rate=1e5, background=1e4, dead_time=2.0**-17, samples=2**17, symbols=5, seed=8
     ),
+    # mu == 1 - 2**-53, the duty cycle's largest threshold
+    _config(symbols=2 * CHUNK_SYMBOLS + 9, seed=13, mu=1.0 - 2.0**-53),
     # p_off == 0: no off-symbol window fires
     _config(background=0.0, symbols=2 * CHUNK_SYMBOLS + 9, seed=2**64 - 1),
     # p_on == 1: its word threshold would be 2**64
@@ -197,7 +199,7 @@ def test_bit_identity_configs_reach_the_threshold_edges():
     _BIT_IDENTITY_CONFIGS,
     ids=[
         "one-symbol", "one-chunk", "partial-fourth-chunk", "L300", "L131072",
-        "dark-off", "saturated-on", "saturated-both", "on-below-1",
+        "mu-below-1", "dark-off", "saturated-on", "saturated-both", "on-below-1",
     ],
 )
 def test_joint_counts_match_serial_chunk_loop(monkeypatch, config, cpus):
@@ -207,6 +209,20 @@ def test_joint_counts_match_serial_chunk_loop(monkeypatch, config, cpus):
     counts = joint_counts(config)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, _serial_joint_counts(config))
+
+
+def test_chunk_draws_only_raw_words(monkeypatch):
+    # symbols and windows alike compare raw words with their thresholds: a
+    # chunk stream that exposes only its bit generator gives the same run
+    config = _config(symbols=2 * CHUNK_SYMBOLS + 7, seed=14, mu=0.3)
+    expected = joint_counts(config)
+    keyed = monte_carlo._chunk_rng
+
+    def raw_only(seed, chunk):
+        return SimpleNamespace(bit_generator=keyed(seed, chunk).bit_generator)
+
+    monkeypatch.setattr(monte_carlo, "_chunk_rng", raw_only)
+    assert np.array_equal(joint_counts(config), expected)
 
 
 def test_window_frequency_matches_closed_form():

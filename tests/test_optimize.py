@@ -12,7 +12,7 @@ from deadtime_channel import (
     maximize_scalar,
     upper_envelope,
 )
-from deadtime_channel import capacity
+from deadtime_channel import capacity, optimize
 
 
 def test_quadratic_maximum():
@@ -121,6 +121,25 @@ def test_scan_called_once_with_interior_points():
     assert maximize_scalar(f, scan=scan) == maximize_scalar(f)
     assert len(calls) == 1
     assert calls[0].tolist() == [i / 1023 for i in range(1, 1023)]
+
+
+def test_default_scan_calls_f_at_the_shared_interior_points(monkeypatch):
+    # without a scan, f itself is the scan, over the same cached points
+    shared, sizes, seen = optimize._interior, [], []
+
+    def interior(coarse_points):
+        sizes.append(coarse_points)
+        return shared(coarse_points)
+
+    def f(x):
+        seen.append(x)
+        return -((x - 0.3) ** 2)
+
+    monkeypatch.setattr(optimize, "_interior", interior)
+    maximize_scalar(f, coarse_points=5, tol=1.0)
+    assert sizes == [5]
+    assert seen[:5] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert {type(x) for x in seen} == {float}
 
 
 def test_scan_value_is_not_returned():

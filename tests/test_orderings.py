@@ -64,7 +64,7 @@ BETA_MIN, BETA_MAX = 1e-6, 1.0 - 1e-6
 # below MU_MIN the exact MI is within its rounding of 0 (item 3)
 MU_MIN = 1e-3
 # a large-L gap is about beta at strong signal, and below GAP_BETA_MIN it
-# nears the subnormal range, where it keeps few digits; above GAP_BETA_MAX
+# nears the subnormal range, which gap_rows refuses; above GAP_BETA_MAX
 # the general lower bound on the gap lies within the rounding of the gap
 # and of the bound, each computed from betas near 1 (item 17)
 GAP_BETA_MIN, GAP_BETA_MAX = 1e-300, 1.0 - 1e-3
@@ -416,14 +416,16 @@ def test_gap_above_its_general_lower_bound_at_weak_signal():
     assert not _violated("gap", sweep, "gap_lower_formula <= gap_numeric")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 15: a large-L gap in the subnormal range keeps few "
-    "digits, and gap_rows prints it; its general lower bound rounds above it",
-)
-def test_gap_above_its_general_lower_bound_where_it_is_subnormal():
+def test_gap_below_the_normal_range_is_refused():
+    # these gaps run from 3.2e-312 down to 8.3e-321 with few correct digits,
+    # and the general lower bound rounds above three of them
     sweep = {
         "scenario": "large-L", "peak_rate": 100.0, "background": 1e-4,
         "dead_time": 0.05, "l_grid": "lin:290,298,5",
     }
-    assert not _violated("gap", sweep, "gap_lower_formula <= gap_numeric")
+    with pytest.raises(NumericalFailure) as refused:
+        experiments.run("gap", sweep)
+    assert str(refused.value) == (
+        "large-L gap at x = 290 cannot be resolved in double precision: "
+        "gap_numeric is 3.23279246834e-312"
+    )

@@ -1,6 +1,6 @@
 """The audited cells of the references against the mpmath oracle: every
-computed cell of the capacity references, and the bound columns of the
-duty-imax references.
+computed cell of the capacity and gap references, and the bound columns of
+the duty-imax references.
 
 The files under perfbench/reference/ pin today's bytes, not the truth.
 This test reads them (and only reads them) and scores each audited cell
@@ -57,6 +57,56 @@ BOUNDS = {
 DUTY_IMAX_BOUNDS = {
     "samples30": {"imax_lower": 8.9e-15, "mu_upper": 1.7e-8, "imax_upper": 2.6e-15},
     "samples20": {"imax_lower": 9.9e-15, "mu_upper": 2.4e-8, "imax_upper": 2.4e-15},
+}
+
+
+# worst relative error per gap preset and filled column.  gap_numeric is
+# the maximum of F_u - F_l; at low A it keeps about 7 digits, since beta -
+# beta1 and beta - beta2 cancel.  The large-A offset is high_snr - const_u,
+# whose terms cancel to about 1e-9 of the betas' rounding.
+GAP_BOUNDS = {
+    "large-L": {
+        "gap_numeric": 2.8e-14,
+        "gap_lower_formula": 2.8e-14,
+        "gap_upper_formula": 2.8e-14,
+        "fitted_rate": 7.7e-16,
+        "predicted_rate": 7.7e-16,
+    },
+    "large-A": {
+        "gap_numeric": 7.4e-13,
+        "gap_lower_formula": 7.4e-13,
+        "gap_upper_formula": 7.8e-13,
+        "offset_numeric": 1.1e-9,
+        "offset_formula": 1.1e-9,
+        "fitted_rate": 3.2e-11,
+        "predicted_rate": 0.0,
+    },
+    "low-lambda": {
+        "gap_numeric": 1.1e-15,
+        "gap_lower_formula": 7.7e-16,
+        "gap_upper_formula": 1.1e-15,
+        "offset_numeric": 5.0e-14,
+        "offset_formula": 9.7e-16,
+        "fitted_rate": 8.1e-15,
+        "predicted_rate": 0.0,
+    },
+    # the leading constant (1 - p1)^(L/2) forms 1 - p1 from p1 near 1
+    "zero-lambda": {
+        "gap_numeric": 4.6e-13,
+        "gap_lower_formula": 4.6e-13,
+        "gap_upper_formula": 4.6e-13,
+        "fitted_rate": 7.8e-15,
+        "predicted_rate": 0.0,
+    },
+    "low-A": {
+        "gap_numeric": 1.4e-7,
+        "gap_lower_formula": 2.3e-16,
+        "gap_upper_formula": 2.3e-16,
+        "offset_numeric": 1.4e-7,
+        "offset_formula": 1.9e-16,
+        "fitted_rate": 1.8e-9,
+        "predicted_rate": 0.0,
+    },
 }
 
 
@@ -131,6 +181,37 @@ def test_duty_imax_reference_bound_columns_within_bounds(name):
             float(row["A"]), preset["background"], preset["dead_time"], preset["samples"]
         )
         return dict(zip(("imax_lower", "mu_upper", "imax_upper"), exact))
+
+    worst = _worst_errors(rows, oracle_row, bounds)
+    over = {c: w for c, w in worst.items() if w > bounds[c]}
+    assert over == {}, worst
+
+
+def test_every_gap_preset_has_bounds():
+    assert sorted(GAP_BOUNDS) == sorted(PRESETS["gap"])
+
+
+@pytest.mark.parametrize("name", list(GAP_BOUNDS))
+def test_gap_reference_within_bounds(name):
+    preset = PRESETS["gap"][name]
+    bounds = GAP_BOUNDS[name]
+    fieldnames, rows = _reference("gap", name)
+    # every column but x is audited, or nan on every row
+    unfilled = {c for c in fieldnames if all(row[c] == "nan" for row in rows)}
+    assert set(fieldnames) - unfilled == {"x", *bounds}
+
+    exact = {
+        row["x"]: oracle.gap_cells(
+            name, float(row["x"]), preset.get("peak_rate"), preset.get("background"),
+            preset["dead_time"], preset.get("samples"),
+        )
+        for row in rows
+    }
+    points = [(float(row["x"]), exact[row["x"]].pop("y")) for row in rows]
+    fitted = oracle.fitted_rate(points, power_law=name in ("low-lambda", "low-A"))
+
+    def oracle_row(row):
+        return {**exact[row["x"]], "fitted_rate": fitted}
 
     worst = _worst_errors(rows, oracle_row, bounds)
     over = {c: w for c, w in worst.items() if w > bounds[c]}
