@@ -37,6 +37,7 @@ error prints one line on stderr.
 """
 
 import argparse
+import functools
 import sys
 
 from . import experiments, validation
@@ -65,6 +66,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="deadtime-channel",

@@ -552,10 +552,14 @@ def format_csv(header, rows):
 
     Each row is formatted by one %-template, "%.17g" for a float cell (as
     ``f"{value:.17g}"``) and "%s" for any other, its ``str()``, so that an
-    int keeps every digit where "%.17g" would print 10**17 as 1e+17.
+    int keeps every digit where "%.17g" would print 10**17 as 1e+17.  The
+    template is built once per row shape, the tuple of the cells' types.
     """
+    templates = {}
     lines = [",".join(header)]
     for row in rows:
-        template = ",".join(["%.17g" if isinstance(v, float) else "%s" for v in row])
-        lines.append(template % tuple(row))
+        shape = tuple(map(type, row))
+        if shape not in templates:
+            templates[shape] = ",".join(["%.17g" if issubclass(t, float) else "%s" for t in shape])
+        lines.append(templates[shape] % tuple(row))
     return "\n".join(lines) + "\n"

@@ -3,13 +3,14 @@
 The imperfect receiver reduces, per symbol, to binary input with
 Bin(L, p0) / Bin(L, p1) outputs; the perfect-counting benchmark has
 Poisson outputs.  Both mutual informations are computed by direct
-summation of the mixture in the log domain, so they serve as the ground
-truth against which every bound and approximation is measured.  The
-log-factorials come from a table that reproduces scipy's ``gammaln``
-(cephes ``lgam``) bit for bit at the integers, so numpy is the only
-dependency.
+summation of the mixture over the bins either law can reach (a binomial
+law's Bernstein window, a Poisson law's tail bound), so they serve as the
+ground truth against which every bound and approximation is measured.
+The log-factorials come from a table that reproduces scipy's ``gammaln``
+(cephes ``lgam``) bit for bit at the integers; numpy is the only dependency.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,8 +20,8 @@ from .errors import ParameterError
 from .guards import check_finite, check_trials, check_unit
 from . import optimize
 
-# Full-support summation beyond this trial count (or Poisson mean) is
-# wasteful.
+# The exact sums refuse a trial count (or Poisson mean) above this: the
+# log-factorial table and the Poisson support grow linearly with it.
 MAX_TRIALS_EXACT = 100_000
 
 POISSON_TAIL_MASS = 1e-14
@@ -77,18 +78,30 @@ def _xlogy(k, y):
         return np.where(k == 0.0, 0.0, k * log_y)
 
 
-def _binomial_logpmf_support(trials, p):
-    """Log pmf over the full support k = 0..trials as a numpy array;
-    impossible outcomes are -inf."""
+def _binomial_window(trials, p):
+    """(lo, hi): the bins within t of the mean, t = 250 + sqrt(250^2 +
+    1500 L p q), clipped to 0..trials.  By Bernstein's bound any other bin
+    has P(Bin(L, p) = k) < e^-750, which exp rounds to 0.0."""
+    mean = trials * p
+    t = 250.0 + math.sqrt(62_500.0 + 1500.0 * mean * (1.0 - p))
+    return max(0, math.floor(mean - t)), min(trials, math.ceil(mean + t))
+
+
+def _binomial_logpmf_support(trials, p, ranges=None):
+    """Log pmf over the bins of each range (lo, hi) in turn (default: the
+    full support 0..trials) as a numpy array; impossible outcomes are -inf."""
     table = _log_factorials(trials)
-    k = np.arange(trials + 1, dtype=np.float64)
-    comb = table[trials] - table[: trials + 1] - table[trials::-1]
-    return comb + _xlogy(k, p) + _xlogy(trials - k, 1.0 - p)
+    parts = []
+    for lo, hi in ranges or [(0, trials)]:
+        k = np.arange(lo, hi + 1, dtype=np.float64)
+        comb = table[trials] - table[lo : hi + 1] - table[trials - hi : trials - lo + 1][::-1]
+        parts.append(comb + _xlogy(k, p) + _xlogy(trials - k, 1.0 - p))
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def _entropy_from_pmf(pmf):
-    mask = pmf > 0.0
-    return float(-(pmf[mask] * np.log(pmf[mask])).sum())
+    pmf = pmf if pmf.all() else pmf[pmf > 0.0]  # a copy only if some bin is 0
+    return float(-(pmf * np.log(pmf)).sum())
 
 
 def _row_entropies(mix):
@@ -136,9 +149,15 @@ def _binomial_curve(probs, trials):
     trials = int(trials)
     mi = scan = None
     if probs.p_off != probs.p_on:
+        # the union of the two windows, as one range or two disjoint ones
+        (lo0, hi0), (lo1, hi1) = sorted(
+            _binomial_window(trials, p) for p in (probs.p_off, probs.p_on)
+        )
+        hi = max(hi0, hi1)
+        ranges = [(lo0, hi0), (lo1, hi)] if hi0 < lo1 else [(lo0, hi)]
         mi, scan = _mixture_curve(
-            np.exp(_binomial_logpmf_support(trials, probs.p_off)),
-            np.exp(_binomial_logpmf_support(trials, probs.p_on)),
+            np.exp(_binomial_logpmf_support(trials, probs.p_off, ranges)),
+            np.exp(_binomial_logpmf_support(trials, probs.p_on, ranges)),
         )
 
     def curve(mu):
@@ -151,7 +170,7 @@ def _binomial_curve(probs, trials):
 
 
 def mi_binomial_mixture(mu, probs: BinaryDetectionProbs, trials):
-    """I(X; N_hat) in nats for prior P(X=1) = mu, by full-support summation."""
+    """I(X; N_hat) in nats for prior P(X=1) = mu, summed over the reachable bins."""
     check_unit(mu, "mu")
     return mi_binomial_curve(probs, trials)(mu)
 
@@ -185,7 +204,8 @@ def mi_discrete_poisson(mu, mean_off, mean_on):
 
     The perfect-receiver benchmark: summation stops where the tail mass of
     both laws is below POISSON_TAIL_MASS.  Means above MAX_TRIALS_EXACT are
-    refused, like the trial counts of the binomial sum.
+    refused, like the trial counts of the binomial sum.  Every call makes
+    every check; the laws of the last pair of means are kept.
     """
     check_unit(mu, "mu")
     if mean_off < 0 or mean_on < 0:
@@ -200,8 +220,15 @@ def mi_discrete_poisson(mu, mean_off, mean_on):
     check_finite(mean_on, "mean_on")
     if mu == 0.0 or mu == 1.0 or mean_off == mean_on:
         return 0.0
-    n_max = _poisson_support_max(top)
+    return _poisson_curve(mean_off, mean_on)(mu)
+
+
+@functools.lru_cache(maxsize=1)
+def _poisson_curve(mean_off, mean_on):
+    """mu -> I for one checked pair of means, kept for the last pair seen, so
+    that a sweep over mu builds its two laws once."""
+    n_max = _poisson_support_max(max(mean_off, mean_on))
     return _mixture_curve(
         _poisson_pmf_support(mean_off, n_max),
         _poisson_pmf_support(mean_on, n_max),
-    )[0](mu)
+    )[0]

@@ -105,8 +105,14 @@ def _csv_per_cell(header, rows):
         [[np.float64(0.1), np.float64(-0.0), np.int64(10**17), np.int64(-3)]],
         # rows of different types and lengths in one table
         [[1, 2.5], [2.5, 1], [3], [], [np.float64(math.nan), "x"]],
+        # one column, an int in some rows and a float in others: each row
+        # is formatted by its own types, not by the first row's template
+        [[10**17, 0.5], [1e17, 0.5], [10**17, 2], [np.float64(1e17), 0.5]],
     ],
-    ids=["header-only", "special-floats", "extreme-floats", "ints", "numpy-scalars", "mixed"],
+    ids=[
+        "header-only", "special-floats", "extreme-floats", "ints", "numpy-scalars", "mixed",
+        "int-and-float-column",
+    ],
 )
 def test_format_csv_matches_per_cell_rule(rows):
     header = ["a", "b", "c"]
@@ -292,6 +298,18 @@ _FLAGS = {
         "--seed", "--mu",
     ],
 }
+
+
+def test_main_calls_in_one_process_parse_independently(capsys):
+    # the parser is built once per process; no flag of one call reaches the next
+    code, out, _ = _run(capsys, ["gap", "--scenario", "large-A", "--a-grid", "lin:100,120,3"])
+    large_a = experiments.run("gap", {"scenario": "large-A", "a_grid": "lin:100,120,3"})
+    assert (code, out) == (0, experiments.format_csv(*large_a))
+    code, out, _ = _run(capsys, ["gap", "--scenario", "large-L"])
+    large_l = experiments.run("gap", {"scenario": "large-L"})
+    assert (code, out) == (0, experiments.format_csv(*large_l))
+    assert _run(capsys, ["gap"]) == (2, "", "error: gap requires --scenario\n")
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_subcommand_flags_come_from_presets():

@@ -24,10 +24,12 @@ from deadtime_channel import (
     upper_envelope,
 )
 from deadtime_channel import experiments, mutual_info
+from deadtime_channel.channel import detection_probs
 from deadtime_channel.mutual_info import (
     MAX_TRIALS_EXACT,
     POISSON_TAIL_MASS,
     _binomial_logpmf_support,
+    _binomial_window,
     _entropy_from_pmf,
     _log_factorials,
     _poisson_pmf_support,
@@ -244,14 +246,60 @@ def test_mi_curve_matches_pointwise_bit_for_bit(pa, pb, trials, mu):
         )
 
 
+# p = 0, 1, log-uniform down to 1e-12, within 1e-16..1e-1 of 1, and uniform
+_window_p = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, MAX_TRIALS_EXACT), _window_p)
+def test_binomial_pmf_vanishes_outside_its_window(trials, p):
+    full = np.exp(_binomial_logpmf_support(trials, p))
+    lo, hi = _binomial_window(trials, p)
+    assert 0 <= lo <= hi <= trials
+    assert not full[:lo].any() and not full[hi + 1 :].any()
+    window = np.exp(_binomial_logpmf_support(trials, p, [(lo, hi)]))
+    assert np.array_equal(window, full[lo : hi + 1])
+
+
+@pytest.mark.parametrize(
+    "trials, peak_rate, background",
+    [
+        (100_000, 10.0, 0.02),  # the large-L mi-sweep: [0, 640] and [13181, 23138]
+        (10_000, 200.0, 0.02),  # [0, 516] and [8990, 10000]
+        (10_000, 0.5, 0.0),  # p_off = 0: [0, 500] within [0, 809], one range
+    ],
+)
+def test_mi_curve_on_windows_matches_full_support_bit_for_bit(trials, peak_rate, background):
+    probs = detection_probs(peak_rate, background, 0.02)
+    curve, scan = mutual_info._binomial_curve(probs, trials)
+    pmf0 = np.exp(_binomial_logpmf_support(trials, probs.p_off))
+    pmf1 = np.exp(_binomial_logpmf_support(trials, probs.p_on))
+    mus = np.linspace(0.0, 1.0, 17)[1:-1]
+    expected = [
+        _entropy_from_pmf((1.0 - mu) * pmf0 + mu * pmf1)
+        - (1.0 - mu) * _entropy_from_pmf(pmf0)
+        - mu * _entropy_from_pmf(pmf1)
+        for mu in mus.tolist()
+    ]
+    assert [curve(mu) for mu in mus.tolist()] == expected
+    reached = (pmf0 > 0.0) | (pmf1 > 0.0)
+    full_scan = mutual_info._mixture_curve(pmf0[reached], pmf1[reached])[1]
+    assert np.array_equal(scan(mus), full_scan(mus))
+
+
 @pytest.fixture
 def pmf_calls(monkeypatch):
     calls = []
     original = mutual_info._binomial_logpmf_support
 
-    def counted(trials, p):
+    def counted(trials, p, *window):
         calls.append((trials, p))
-        return original(trials, p)
+        return original(trials, p, *window)
 
     monkeypatch.setattr(mutual_info, "_binomial_logpmf_support", counted)
     return calls
@@ -266,6 +314,41 @@ def test_mi_sweep_builds_each_pmf_once(pmf_calls):
     _, rows = experiments.run("mi-sweep", {"mu_grid": "lin:0,1,41"})
     assert len(rows) == 41
     assert len(pmf_calls) == 2
+
+
+@pytest.fixture
+def poisson_pmf_calls(monkeypatch):
+    calls = []
+    original = mutual_info._poisson_pmf_support
+
+    def counted(mean, n_max):
+        calls.append((mean, n_max))
+        return original(mean, n_max)
+
+    monkeypatch.setattr(mutual_info, "_poisson_pmf_support", counted)
+    # the one-entry cache may hold this test's means from an earlier test
+    mutual_info._poisson_curve.cache_clear()
+    yield calls
+    mutual_info._poisson_curve.cache_clear()
+
+
+def test_mi_sweep_builds_each_poisson_pmf_once(poisson_pmf_calls):
+    _, rows = experiments.run("mi-sweep", {"mu_grid": "lin:0,1,41"})
+    assert len(rows) == 41
+    assert [mean for mean, _ in poisson_pmf_calls] == [0.02, 10.02]
+
+
+def test_poisson_mi_refusals_are_not_cached(poisson_pmf_calls):
+    value = mi_discrete_poisson(0.5, 0.02, 10.02)
+    with pytest.raises(ParameterError, match="exceeds exact-summation cap"):
+        mi_discrete_poisson(0.5, 0.02, math.inf)
+    with pytest.raises(ParameterError, match=r"^mu must be in \[0, 1\], got 1.5$"):
+        mi_discrete_poisson(1.5, 0.02, 10.02)
+    assert mi_discrete_poisson(0.5, 0.02, 10.02) == value
+    # one entry: the swapped pair replaces it, and the first pair is rebuilt
+    mi_discrete_poisson(0.5, 10.02, 0.02)
+    assert mi_discrete_poisson(0.5, 0.02, 10.02) == value
+    assert [mean for mean, _ in poisson_pmf_calls] == [0.02, 10.02, 10.02, 0.02, 0.02, 10.02]
 
 
 def test_mi_curve_refusals(pmf_calls):
