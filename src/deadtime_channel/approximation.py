@@ -1,11 +1,13 @@
 """Medium-SNR expansion of the achievable rate for low background rates.
 
 Valid when the expected number of background-only firings per symbol,
-L*p0, is well below one; the guard below refuses parameters outside that
-region instead of returning a silently wrong number.  The expansion is
-most accurate at medium duty cycles: the -ln(mu L p1) term diverges as
-mu -> 0, so only the exact corner values mu in {0, 1} are pinned to 0, as
-is a channel without signal (p_off == p_on) inside the validity region.
+L*p0, is well below one.  ``mi_approx_low_background`` alone refuses
+parameters outside that region instead of returning a silently wrong
+number; ``mi_approx_max`` asks it once per optimum, at the first interior
+scan point.  The expansion is most accurate at medium duty cycles: the
+-ln(mu L p1) term diverges as mu -> 0, so only the exact corner values mu
+in {0, 1} are pinned to 0, as is a channel without signal (p_off == p_on)
+inside the validity region.
 """
 
 import math
@@ -20,39 +22,12 @@ from . import optimize
 
 
 def mi_approx_low_background(mu, probs: BinaryDetectionProbs, trials):
-    """Expansion of I(X; N_hat) in nats, dropping o(L p0) and O(1/L) terms."""
+    """Expansion of I(X; N_hat) in nats, dropping o(L p0) and O(1/L) terms;
+    ParameterError at 0 < mu < 1 outside its region."""
     check_unit(mu, "mu")
     check_trials(trials)
-    if mu == 0.0 or mu == 1.0 or _without_signal(mu, probs, trials):
+    if mu == 0.0 or mu == 1.0:
         return 0.0
-    return _expansion(mu, probs, trials, math.log)
-
-
-def mi_approx_max(probs: BinaryDetectionProbs, trials):
-    """(mu, value): the expansion's maximum over duty cycles, refused with
-    ParameterError outside its region; (0.5, 0.0) without signal, as the
-    other duty-cycle optima."""
-    check_trials(trials)
-    if probs.p_off == probs.p_on:
-        # refused outside the region, as at any other channel
-        _without_signal(0.5, probs, trials)
-        return 0.5, 0.0
-
-    def scan(mu):
-        # refused if any one of the ascending scan points is, and only the
-        # signal's underflow depends on mu, first at the smallest
-        _without_signal(mu[0], probs, trials)
-        return _expansion(mu, probs, trials, np.log)
-
-    # the module-global name, so that a wrapper installed on it sees each call
-    return optimize.maximize_scalar(
-        lambda mu: mi_approx_low_background(mu, probs, trials), scan=scan
-    )
-
-
-def _without_signal(mu, probs, trials):
-    """Refuse the expansion at 0 < mu < 1 outside its region; True where
-    the channel has no signal (p_off == p_on), so that it is 0."""
     p0, p1 = probs.p_off, probs.p_on
     if not 0.0 < p1 < 1.0:
         raise ParameterError(f"approximation needs 0 < p_on < 1, got {p1}")
@@ -62,13 +37,28 @@ def _without_signal(mu, probs, trials):
             f"approximation outside validity region: trials * p_off = {lp0} >= 1"
         )
     if p0 == p1:
-        return True
+        return 0.0
     signal = mu * trials * p1
     if signal == 0.0:
         raise ParameterError(
             f"approximation needs mu * trials * p_on > 0, got {signal} (underflow)"
         )
-    return False
+    return _expansion(mu, probs, trials, math.log)
+
+
+def mi_approx_max(probs: BinaryDetectionProbs, trials):
+    """(mu, value): the expansion's maximum over duty cycles; (0.5, 0.0)
+    without signal, as the other duty-cycle optima.  The public entry
+    refuses the region once per optimum, at the first interior scan point:
+    the signal underflows there first, so the scan is the bare expansion."""
+    # the module-global name, so that a wrapper installed on it sees each refusal
+    mi_approx_low_background(1.0 / (optimize.DEFAULT_COARSE_POINTS - 1), probs, trials)
+    if probs.p_off == probs.p_on:
+        return 0.5, 0.0
+    return optimize.maximize_scalar(
+        lambda mu: mi_approx_low_background(mu, probs, trials),
+        scan=lambda mu: _expansion(mu, probs, trials, np.log),
+    )
 
 
 def _expansion(mu, probs, trials, log):

@@ -1,9 +1,10 @@
-"""High-precision mpmath versions of the capacity, duty-imax and gap sweeps'
-cells.
+"""High-precision mpmath versions of the capacity, duty-imax, gap, mi-sweep
+and simulate sweeps' cells.
 
 Each function takes the same double inputs as the library and evaluates
 its quantity exactly in those inputs, to ``DIGITS`` significant digits
-(more where a ratio of rates needs them), and returns a float.  The
+(``SWEEP_DIGITS`` for the mutual informations and the expansion, more
+where a ratio of rates needs them), and returns a float.  The
 probabilities are built from the rates, so that q = e^(-x) holds exactly
 instead of being rebuilt as 1 - p.  Nothing here calls the library, so a
 test that scores the library against these functions checks it against
@@ -255,3 +256,161 @@ def fitted_rate(points, power_law):
             (u - mean_x) ** 2 for u in xs
         )
         return float(slope if power_law else -slope)
+
+
+# The mi-sweep, approximation and simulate cells lose at most a few digits
+# to cancellation, so 50 digits leave more than 40.
+SWEEP_DIGITS = 50
+
+# the mi-sweep columns that vary with the duty cycle
+MI_SWEEP_DUTY_COLUMNS = (
+    "exact_mi", "lower", "lower_sub", "upper", "approx", "poisson_benchmark",
+)
+
+
+def _binomial_law(p, q, trials):
+    """P(Bin(L, p) = k) for k = 0..L, q = 1 - p given."""
+    return [math.comb(trials, k) * p**k * q ** (trials - k) for k in range(trials + 1)]
+
+
+def _poisson_law(mean):
+    """P(Poisson(mean) = k) from k = 0 until past the mean the terms fall
+    below 10^(-2 digits), far below the precision of any sum of them."""
+    mean = mpmath.mpf(mean)
+    term, law, k = mpmath.exp(-mean), [], 0
+    while k <= mean or term > mpmath.mpf(10) ** (-2 * mpmath.mp.dps):
+        law.append(term)
+        k += 1
+        term = term * mean / k
+    return law
+
+
+def _mixture_mi(mu, law0, law1):
+    """I(X; Y) for P(X = 1) = mu and the output laws law0, law1, padded
+    with zeros to one length: sum of (1-mu) a ln(a/m) + mu b ln(b/m) over
+    the bins, m = (1-mu) a + mu b, with 0 ln 0 = 0."""
+    size = max(len(law0), len(law1))
+    law0, law1 = (list(law) + [0] * (size - len(law)) for law in (law0, law1))
+    total = mpmath.mpf(0)
+    for a, b in zip(law0, law1):
+        m = (1 - mu) * a + mu * b
+        for weight, v in ((1 - mu, a), (mu, b)):
+            if weight > 0 and v > 0:
+                total += weight * v * mpmath.log(v / m)
+    return total
+
+
+def _tuned_lower(mu, p0, q0, p1, q1, trials):
+    """max over alpha of F_u(mu, S(alpha)^L, S'(alpha)^L), with S(alpha) =
+    p1^alpha p0^(1-alpha) + q1^alpha q0^(1-alpha) = e^(-C_alpha(P1||P0)/L)
+    and S'(alpha) = S(1 - alpha): F_u is 0 at alpha = 0 and 1, and the
+    root of its alpha-derivative, written out, is bracketed by a scan of
+    the points i/16."""
+    lp, lq = mpmath.log(p1 / p0), mpmath.log(q1 / q0)
+
+    def pair(alpha):
+        """(S(alpha), S'(alpha)) and their alpha-derivatives."""
+        a = p1**alpha * p0 ** (1 - alpha), q1**alpha * q0 ** (1 - alpha)
+        b = p0**alpha * p1 ** (1 - alpha), q0**alpha * q1 ** (1 - alpha)
+        return sum(a), sum(b), a[0] * lp + a[1] * lq, -(b[0] * lp + b[1] * lq)
+
+    def slope(alpha):
+        s, t, ds, dt = pair(alpha)
+        b1, b2 = s**trials, t**trials
+        db1, db2 = trials * s ** (trials - 1) * ds, trials * t ** (trials - 1) * dt
+        return -(mu * (1 - mu) * db1 / ((1 - mu) * b1 + mu)
+                 + (1 - mu) * mu * db2 / (mu * b2 + (1 - mu)))
+
+    points = [mpmath.mpf(i) / 16 for i in range(17)]
+    lo = max(i for i, alpha in enumerate(points[:-1]) if slope(alpha) > 0)
+    alpha = mpmath.findroot(slope, (points[lo], points[lo + 1]), solver="anderson")
+    s, t, _, _ = pair(alpha)
+    return _upper_envelope(mu, s**trials, t**trials)
+
+
+def _upper_bound_max(beta1, beta2):
+    """|b1 - b2| (1 - min(b1, b2)) / (1 - b1 b2) - ln((1 - b1 b2) / (2 - b1 - b2))."""
+    return abs(beta1 - beta2) * (1 - min(beta1, beta2)) / (1 - beta1 * beta2) - mpmath.log(
+        (1 - beta1 * beta2) / (2 - beta1 - beta2)
+    )
+
+
+def _expansion_terms(mu, p0, p1, q1, trials):
+    """The medium-SNR expansion and its mu-derivative at 0 < mu < 1: with
+    Q = q1^L and Z = mu Q + 1 - mu,
+    -Z ln Z + mu L Q ln q1 - mu (1 - Q) ln mu
+    + (1 - mu) L p0 [ln Z - ln(mu L p1) - (L - 1) ln q1] - (1 - mu) h_b(L p0)."""
+    L, lp0, log_q1 = trials, trials * p0, mpmath.log(q1)
+    Q = q1**trials
+    Z = mu * Q + (1 - mu)
+    h = _entropy(lp0, 1 - lp0)
+    log_ratio = mpmath.log(Z) - mpmath.log(mu * L * p1) - (L - 1) * log_q1
+    value = (
+        -Z * mpmath.log(Z)
+        + mu * L * Q * log_q1
+        - mu * (1 - Q) * mpmath.log(mu)
+        + (1 - mu) * lp0 * log_ratio
+        - (1 - mu) * h
+    )
+    slope = (
+        (1 - Q) * (mpmath.log(Z) - mpmath.log(mu))
+        + L * Q * log_q1
+        - lp0 * log_ratio
+        - (1 - mu) * lp0 * ((1 - Q) / Z + 1 / mu)
+        + h
+    )
+    return value, slope
+
+
+def mi_sweep_cells(mus, peak_rate, background_rate, dead_time, trials):
+    """The exact cells of the mi-sweep rows at the duty cycles ``mus``, one
+    dict by column per duty cycle: the binomial and the Poisson-benchmark
+    MI (means background and peak + background, summed in double as the
+    sweep sums them) by direct summation, the tuned lower envelope, F_l
+    and F_u at the beta triple, the closed-form upper_sub and the
+    expansion.  At mu in {0, 1} every column but upper_sub is 0: the rates
+    vanish there, and the expansion, which diverges as mu -> 0, is pinned
+    to 0 as the library pins it."""
+    with mpmath.workdps(SWEEP_DIGITS):
+        p0, q0, p1, q1, _ = levels(peak_rate, background_rate, dead_time)
+        beta, beta1, beta2 = _beta_triple(peak_rate, background_rate, dead_time, trials)
+        laws = _binomial_law(p0, q0, trials), _binomial_law(p1, q1, trials)
+        poisson = _poisson_law(background_rate), _poisson_law(peak_rate + background_rate)
+        upper_sub = float(_upper_bound_max(beta1, beta2))
+        rows = []
+        for mu in mus:
+            if mu in (0.0, 1.0):
+                rows.append({**dict.fromkeys(MI_SWEEP_DUTY_COLUMNS, 0.0), "upper_sub": upper_sub})
+                continue
+            mu = mpmath.mpf(mu)
+            cells = {
+                "exact_mi": _mixture_mi(mu, *laws),
+                "lower": _tuned_lower(mu, p0, q0, p1, q1, trials),
+                "lower_sub": _upper_envelope(mu, beta, beta),
+                "upper": _upper_envelope(mu, beta1, beta2),
+                "approx": _expansion_terms(mu, p0, p1, q1, trials)[0],
+                "poisson_benchmark": _mixture_mi(mu, *poisson),
+            }
+            rows.append({**{c: float(v) for c, v in cells.items()}, "upper_sub": upper_sub})
+        return rows
+
+
+def approximation_optimum(peak_rate, background_rate, dead_time, trials, mu_start):
+    """(mu_approx, imax_approx): the root of the expansion's mu-derivative,
+    found from ``mu_start``, and the expansion there.  Whether the
+    expansion applies at the channel is not judged."""
+    with mpmath.workdps(SWEEP_DIGITS):
+        p0, _, p1, q1, _ = levels(peak_rate, background_rate, dead_time)
+        mu = mpmath.findroot(lambda m: _expansion_terms(m, p0, p1, q1, trials)[1], mu_start)
+        return float(mu), float(_expansion_terms(mu, p0, p1, q1, trials)[0])
+
+
+def simulate_closed(peak_rate, background_rate, dead_time, trials, mu):
+    """The seed-free cells of a simulate row: p0_closed, p1_closed and the
+    exact MI at duty cycle mu."""
+    with mpmath.workdps(SWEEP_DIGITS):
+        p0, q0, p1, q1, _ = levels(peak_rate, background_rate, dead_time)
+        mi = _mixture_mi(
+            mpmath.mpf(mu), _binomial_law(p0, q0, trials), _binomial_law(p1, q1, trials)
+        )
+        return {"p0_closed": float(p0), "p1_closed": float(p1), "mi_exact": float(mi)}

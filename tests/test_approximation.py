@@ -13,6 +13,7 @@ from deadtime_channel import (
     mi_binomial_mixture,
     upper_envelope,
 )
+from deadtime_channel import approximation
 from deadtime_channel.approximation import mi_approx_max
 
 
@@ -69,6 +70,33 @@ def test_validity_guard():
         mi_approx_low_background(0.5, BinaryDetectionProbs(0.05, 0.5), 30)
     with pytest.raises(ParameterError):
         mi_approx_low_background(0.5, BinaryDetectionProbs(0.0, 1.0), 30)
+
+
+@pytest.mark.parametrize(
+    "probs, match",
+    [
+        (BinaryDetectionProbs(0.05, 0.5), "validity"),
+        (BinaryDetectionProbs(0.05, 0.05), "validity"),  # without signal
+        (BinaryDetectionProbs(0.0, 1.0), "0 < p_on < 1"),
+        (BinaryDetectionProbs(0.0, 5e-324), "underflow"),
+    ],
+)
+def test_mi_approx_max_refuses_through_the_public_entry(monkeypatch, probs, match):
+    # a wrapper installed on the module-global name, as the benchmark's
+    # tracer installs one, sees the optimum's refusal, once
+    entry, refusals = approximation.mi_approx_low_background, []
+
+    def wrapped(*args):
+        try:
+            return entry(*args)
+        except ParameterError as exc:
+            refusals.append(exc)
+            raise
+
+    monkeypatch.setattr(approximation, "mi_approx_low_background", wrapped)
+    with pytest.raises(ParameterError, match=match) as refused:
+        mi_approx_max(probs, 30)
+    assert refusals == [refused.value]
 
 
 def test_published_point_beats_envelopes():

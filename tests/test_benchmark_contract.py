@@ -38,27 +38,55 @@ from deadtime_channel import cli
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
-codes = []
+codes, outputs = [], []
 for argv in json.loads(sys.argv[2]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         codes.append(cli.main(argv))
+    outputs.append(out.getvalue())
 traced = [f"{module}.{name}" for module, names in tracing.TRACED.items() for name in names]
-print(json.dumps({"codes": codes, "calls": tracer.summary()["calls"], "traced": traced}))
+summary = tracer.summary()
+print(json.dumps({"codes": codes, "outputs": outputs, "calls": summary["calls"],
+                  "counts": summary["counts"], "traced": traced}))
 """
 
 
-def test_traced_commands_reach_every_traced_function():
+def _traced_run(commands):
+    """The report of one traced interpreter that runs ``commands``."""
     src = Path(deadtime_channel.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_RUN, str(PERFBENCH), json.dumps(COMMANDS)],
+        [sys.executable, "-c", _TRACED_RUN, str(PERFBENCH), json.dumps(commands)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_traced_commands_reach_every_traced_function():
+    report = _traced_run(COMMANDS)
     assert report["codes"] == [0] * len(COMMANDS)
     missed = [name for name in report["traced"] if report["calls"].get(name, 0) < 1]
     assert missed == []
+
+
+# Outside the expansion's region at background 5: every duty-imax row and
+# the interior mi-sweep row print NaN approximation cells.
+REFUSED_COMMANDS = [
+    ["duty-imax", "--background", "5", "--a-grid", "lin:1,2,2"],
+    ["mi-sweep", "--background", "5", "--mu-grid", "lin:0,1,3"],
+]
+
+
+def test_traced_runs_count_every_approximation_refusal():
+    report = _traced_run(REFUSED_COMMANDS)
+    assert report["codes"] == [0] * len(REFUSED_COMMANDS)
+    nan_cells = 0
+    for output in report["outputs"]:
+        header, *rows = [line.split(",") for line in output.splitlines()]
+        columns = [header.index(c) for c in ("mu_approx", "approx") if c in header]
+        nan_cells += sum(row[i] == "nan" for row in rows for i in columns)
+    assert nan_cells == 3
+    assert report["counts"]["approximation.refusals"] == nan_cells
 
 
 def test_validation_checks_match_the_benchmark():

@@ -1,6 +1,7 @@
 """The audited cells of the references against the mpmath oracle: every
-computed cell of the capacity and gap references, and the bound columns of
-the duty-imax references.
+computed cell of the capacity, gap and mi-sweep references, the bound and
+approximation columns of the duty-imax references, and the seed-free
+cells of the simulate reference.
 
 The files under perfbench/reference/ pin today's bytes, not the truth.
 This test reads them (and only reads them) and scores each audited cell
@@ -110,6 +111,32 @@ GAP_BOUNDS = {
 }
 
 
+# worst relative error per duty-imax preset and approximation column; the
+# oracle roots the expansion's mu-derivative and does not judge whether the
+# expansion applies.  mu_approx is an argmax, resolved to about sqrt(eps)
+DUTY_IMAX_APPROX_BOUNDS = {
+    "samples30": {"mu_approx": 2.5e-8, "imax_approx": 1.1e-15},
+    "samples20": {"mu_approx": 4.1e-8, "imax_approx": 1.5e-15},
+}
+
+
+# worst relative error per mi-sweep column over the published grid, the
+# exact zeros at mu in {0, 1} counted as matches
+MI_SWEEP_BOUNDS = {
+    "exact_mi": 6.1e-15,
+    "lower": 7.8e-16,
+    "lower_sub": 1.2e-15,
+    "upper": 6.0e-16,
+    "upper_sub": 0.0,
+    "approx": 5.8e-16,
+    "poisson_benchmark": 2.2e-15,
+}
+
+
+# worst relative error per seed-free column of the simulate reference
+SIMULATE_BOUNDS = {"p0_closed": 0.0, "p1_closed": 0.0, "mi_exact": 3.8e-15}
+
+
 def _oracle_row(peak, tau, background, sampling_interval):
     t_s = tau if sampling_interval is None else sampling_interval
     cap = oracle.capacity(peak, background, tau, t_s)
@@ -215,4 +242,57 @@ def test_gap_reference_within_bounds(name):
 
     worst = _worst_errors(rows, oracle_row, bounds)
     over = {c: w for c, w in worst.items() if w > bounds[c]}
+    assert over == {}, worst
+
+
+@pytest.mark.parametrize("name", list(DUTY_IMAX_APPROX_BOUNDS))
+def test_duty_imax_reference_approximation_columns_within_bounds(name):
+    preset = PRESETS["duty-imax"][name]
+    bounds = DUTY_IMAX_APPROX_BOUNDS[name]
+    _, rows = _reference("duty-imax", name)
+
+    def oracle_row(row):
+        exact = oracle.approximation_optimum(
+            float(row["A"]), preset["background"], preset["dead_time"], preset["samples"],
+            float(row["mu_approx"]),
+        )
+        return dict(zip(("mu_approx", "imax_approx"), exact))
+
+    worst = _worst_errors(rows, oracle_row, bounds)
+    over = {c: w for c, w in worst.items() if w > bounds[c]}
+    assert over == {}, worst
+
+
+def test_every_mi_sweep_cell_within_bounds():
+    assert sorted(PRESETS["mi-sweep"]) == ["published"]
+    preset = PRESETS["mi-sweep"]["published"]
+    fieldnames, rows = _reference("mi-sweep", "published")
+    assert set(fieldnames) == {"mu", *MI_SWEEP_BOUNDS}
+    mus = [float(row["mu"]) for row in rows]
+    exact = oracle.mi_sweep_cells(
+        mus, preset["peak_rate"], preset["background"], preset["dead_time"], preset["samples"]
+    )
+    ends = [row for row, mu in zip(rows, mus) if mu in (0.0, 1.0)]
+    assert len(ends) == 2
+    assert {row[c] for row in ends for c in oracle.MI_SWEEP_DUTY_COLUMNS} == {"0"}
+
+    by_mu = {row["mu"]: cells for row, cells in zip(rows, exact)}
+    worst = _worst_errors(rows, lambda row: by_mu[row["mu"]], MI_SWEEP_BOUNDS)
+    over = {c: w for c, w in worst.items() if w > MI_SWEEP_BOUNDS[c]}
+    assert over == {}, worst
+
+
+def test_simulate_reference_seed_free_cells_within_bounds():
+    preset = PRESETS["simulate"]["published"]
+    _, rows = _reference("simulate", "published")
+    assert len(rows) == 1
+
+    def oracle_row(row):
+        return oracle.simulate_closed(
+            preset["peak_rate"], preset["background"], preset["dead_time"],
+            preset["samples"], preset["mu"],
+        )
+
+    worst = _worst_errors(rows, oracle_row, SIMULATE_BOUNDS)
+    over = {c: w for c, w in worst.items() if w > SIMULATE_BOUNDS[c]}
     assert over == {}, worst
