@@ -14,7 +14,6 @@ from .divergences import (
     bhattacharyya_distance,
     chernoff_binomial,
     kl_binomial,
-    optimal_alpha_grid,
 )
 from .errors import NumericalFailure, ParameterError
 from .mutual_info import (
@@ -85,7 +84,6 @@ __all__ = [
     "mi_binomial_mixture",
     "mi_discrete_poisson",
     "mi_max_bruteforce",
-    "optimal_alpha_grid",
     "optimal_prior_upper",
     "quadratic_coeffs_low_A",
     "upper_bound_max",

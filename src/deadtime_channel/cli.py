@@ -10,7 +10,10 @@ capacity    capacity sweep versus peak rate (or dead time) with the
             continuous-channel reference and both asymptotic laws
 simulate    Monte Carlo validation of the channel model (z-scores)
 validate    run the acceptance suite; one pass/fail line per check, listing
-            its measurements as <label> <value> <op> <limit>
+            its measurements as <label> <value> <op> <limit>, or with
+            --format json one object: the package version, the count of
+            checks passed, and per check its name, verdict, runtime_s and
+            rows of {label, value, op, limit}
 
 Units use the normalized convention: the symbol duration is 1, rates are
 photons per symbol, and the dead time is a fraction of the symbol.  In
@@ -40,7 +43,7 @@ import argparse
 import functools
 import sys
 
-from . import experiments, validation
+from . import __version__, experiments, validation
 from .experiments import PRESETS
 from .errors import NumericalFailure, ParameterError
 
@@ -62,8 +65,12 @@ _OPTIONS = {
     "seed": (int, "simulation seed (64-bit unsigned)"),
     "mu": (float, "duty cycle for the simulation"),
     "preset": (str, "named parameter preset"),
+    "format": (str, "validate output: text (default) | json"),
     "out": (str, "output path (default: stdout)"),
 }
+
+
+_FORMATS = ("text", "json")
 
 
 @functools.cache  # one parser per process; parse_args keeps no state in it
@@ -77,13 +84,15 @@ def _build_parser():
     for command, table in [*PRESETS.items(), ("validate", {})]:
         keys = {key for preset in table.values() for key in preset}
         dests = [dest for dest in _OPTIONS if dest in keys]
-        dests += ["preset", "out"] if table else ["out"]
+        dests += ["preset", "out"] if table else ["format", "out"]
         epilog = f"presets: {', '.join(sorted(table))}" if table else None
         sub = subs.add_parser(command, epilog=epilog)
         for dest in dests:
             conv, help_text = _OPTIONS[dest]
+            choices = _FORMATS if dest == "format" else None
             sub.add_argument(
-                experiments.flag(dest), dest=dest, type=conv, default=None, help=help_text
+                experiments.flag(dest), dest=dest, type=conv, default=None,
+                choices=choices, help=help_text,
             )
     return parser
 
@@ -103,6 +112,27 @@ def _emit(text, out_path):
         _write_out(out_path, "w", text)
 
 
+def _validate_report(runs, passed):
+    """The version, the count passed, and each check's verdict, runtime and
+    rows, as ``validate --format json`` prints them; NaN prints as NaN."""
+    return {
+        "version": __version__,
+        "passed": passed,
+        "checks": [
+            {
+                "name": result.name,
+                "passed": result.passed,
+                "runtime_s": seconds,
+                "rows": [
+                    {"label": label, "value": float(value), "op": op, "limit": float(limit)}
+                    for label, value, op, limit in result.rows
+                ],
+            }
+            for result, seconds in runs
+        ],
+    }
+
+
 def main(argv=None):
     args = vars(_build_parser().parse_args(argv))
     command = args.pop("command")
@@ -114,12 +144,18 @@ def main(argv=None):
             # an existing file as it is if the command then fails
             _write_out(out, "a")
         if command == "validate":
-            results = validation.run_all()
-            passed = sum(r.passed for r in results)
-            lines = [r.line() for r in results]
-            lines.append(f"{passed}/{len(results)} checks passed")
-            _emit("\n".join(lines) + "\n", out)
-            return 0 if passed == len(results) else 1
+            runs = validation.run_all()
+            passed = sum(result.passed for result, _ in runs)
+            if settings.get("format") == "json":
+                import json  # here, so that no other command pays its import
+
+                text = json.dumps(_validate_report(runs, passed), indent=2) + "\n"
+            else:
+                lines = [result.line() for result, _ in runs]
+                lines.append(f"{passed}/{len(runs)} checks passed")
+                text = "\n".join(lines) + "\n"
+            _emit(text, out)
+            return 0 if passed == len(runs) else 1
         header, rows = experiments.run(command, settings)
         _emit(experiments.format_csv(header, rows), out)
         return 0

@@ -13,6 +13,11 @@ Infinite divergences (absolute-continuity failures, e.g. p0 = 0) are kept
 as +inf and map to an exact 0 on the beta scale.  A divergence that
 rounds below 0, where the two laws agree to within rounding, raises
 NumericalFailure: its beta would exceed 1.
+
+Everything here is scalar and reads only ``math``.  The verification
+oracle of the optimal order alpha* = 1/2, which scans C_alpha over an
+array of orders, lives beside the check that reads it, in ``validation``;
+it refuses with ``_below_zero``'s message, as ``_chernoff`` does.
 """
 
 import math
@@ -21,10 +26,6 @@ from dataclasses import dataclass
 from .channel import BinaryDetectionProbs
 from .errors import NumericalFailure
 from .guards import check_trials, check_unit
-
-# Points of optimal_alpha_grid's grid on [0, 1]; odd, so that 1/2 is one.
-ALPHA_GRID_SIZE = 999
-
 
 @dataclass(frozen=True)
 class BetaTriple:
@@ -85,10 +86,15 @@ def _chernoff(alpha, p_a, p_b, trials):
         return math.inf
     value = -trials * math.log(s)
     if value < 0.0:
-        raise NumericalFailure(
-            f"C_alpha = {value} rounds below 0 at alpha = {alpha}, p_a = {p_a}, p_b = {p_b}"
-        )
+        raise _below_zero(value, alpha, p_a, p_b)
     return value
+
+
+def _below_zero(value, alpha, p_a, p_b):
+    """The refusal of a C_alpha(p_a||p_b) ``value`` that rounds below 0."""
+    return NumericalFailure(
+        f"C_alpha = {value} rounds below 0 at alpha = {alpha}, p_a = {p_a}, p_b = {p_b}"
+    )
 
 
 def bhattacharyya_distance(p0, p1):
@@ -125,26 +131,3 @@ def beta_triple(probs: BinaryDetectionProbs, trials) -> BetaTriple:
     beta1 = math.exp(-kl10)
     beta2 = math.exp(-kl01)
     return BetaTriple(beta=beta, beta1=beta1, beta2=beta2)
-
-
-def optimal_alpha_grid(probs: BinaryDetectionProbs, trials):
-    """Argmax over the ALPHA_GRID_SIZE-point grid on [0, 1] of
-    min{C_alpha(P1||P0), C_alpha(P0||P1)}.
-
-    Verification oracle for the closed-form optimum alpha* = 1/2: returns
-    (alpha_star, value).  Degenerate p0 = p1 yields (0.5, 0.0).
-    """
-    p0, p1 = probs.p_off, probs.p_on
-    if p0 == p1:
-        return 0.5, 0.0
-    best_alpha, best_val = 0.5, -math.inf
-    for i in range(ALPHA_GRID_SIZE):
-        alpha = i / (ALPHA_GRID_SIZE - 1)
-        val = min(
-            chernoff_binomial(alpha, p1, p0, trials),
-            chernoff_binomial(alpha, p0, p1, trials),
-        )
-        if val > best_val:
-            best_alpha, best_val = alpha, val
-    return best_alpha, best_val
-

@@ -73,9 +73,11 @@ def _log_factorials(n):
 
 def _xlogy(k, y):
     """k ln y over an array k, with 0 ln y = 0 (so 0 ln 0 = 0)."""
-    log_y = math.log(y) if y > 0.0 else -math.inf
+    if y > 0.0:
+        # 0 ln y is -0.0 for y < 1, which leaves every log-pmf sum as +0.0 would
+        return k * math.log(y)
     with np.errstate(invalid="ignore"):
-        return np.where(k == 0.0, 0.0, k * log_y)
+        return np.where(k == 0.0, 0.0, k * -math.inf)
 
 
 def _binomial_window(trials, p):
@@ -114,9 +116,10 @@ def _mixture_curve(pmf0, pmf1):
     """(mi, scan): mu -> H(mixture) - (1-mu) H(pmf0) - mu H(pmf1) over a
     shared support, and the same over an array of duty cycles,
     SCAN_BLOCK_CELLS cells at a time.  Both laws are compacted once, to the
-    bins either law reaches, and the component entropies computed once."""
+    bins either law reaches (no copy when that is every bin), and the
+    component entropies computed once."""
     reached = (pmf0 > 0.0) | (pmf1 > 0.0)
-    law0, law1 = pmf0[reached], pmf1[reached]
+    law0, law1 = (pmf0, pmf1) if reached.all() else (pmf0[reached], pmf1[reached])
     h0, h1 = _entropy_from_pmf(law0), _entropy_from_pmf(law1)
     rows = max(1, SCAN_BLOCK_CELLS // law0.size)
 
@@ -149,12 +152,14 @@ def _binomial_curve(probs, trials):
     trials = int(trials)
     mi = scan = None
     if probs.p_off != probs.p_on:
-        # the union of the two windows, as one range or two disjoint ones
-        (lo0, hi0), (lo1, hi1) = sorted(
-            _binomial_window(trials, p) for p in (probs.p_off, probs.p_on)
-        )
-        hi = max(hi0, hi1)
-        ranges = [(lo0, hi0), (lo1, hi)] if hi0 < lo1 else [(lo0, hi)]
+        ranges = None  # t >= 500, so up to 500 trials each window is all of 0..trials
+        if trials > 500:
+            # the union of the two windows, as one range or two disjoint ones
+            (lo0, hi0), (lo1, hi1) = sorted(
+                _binomial_window(trials, p) for p in (probs.p_off, probs.p_on)
+            )
+            hi = max(hi0, hi1)
+            ranges = [(lo0, hi0), (lo1, hi)] if hi0 < lo1 else [(lo0, hi)]
         mi, scan = _mixture_curve(
             np.exp(_binomial_logpmf_support(trials, probs.p_off, ranges)),
             np.exp(_binomial_logpmf_support(trials, probs.p_on, ranges)),

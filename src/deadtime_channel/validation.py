@@ -10,6 +10,10 @@ The four gap-rate checks, the four capacity-law checks (duty-cycle and
 capacity limits, Poisson convergence, monotonicity), the Monte Carlo check
 and ``approx-beats-bounds`` assert on the rows the CLI emits for the same
 settings (experiments.run), not on a second copy of the sweeps.
+``half-alpha-optimal`` reads ``optimal_alpha_grid``, the grid oracle of
+the optimal Chernoff order, which lives here because no sweep calls it:
+one numpy scan over all ALPHA_GRID_SIZE orders picks the grid point, and
+the scalar ``chernoff_binomial`` prints its value.
 
 Known red check: ``approx-beats-bounds`` asks the medium-SNR expansion to
 beat both envelopes at >= 90% of a grid reaching peak rate 20, but the
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BinaryDetectionProbs, detection_probs
-from .divergences import ALPHA_GRID_SIZE, beta_triple, optimal_alpha_grid
+from .divergences import _below_zero, beta_triple, chernoff_binomial
+from .guards import check_trials
 from .mutual_info import mi_binomial_mixture
 from .capacity import (
     asymptotic_capacity_coeff_large_A,
@@ -41,6 +46,9 @@ from .rate_bounds import upper_envelope
 from . import experiments
 
 _OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge}
+
+# Points of optimal_alpha_grid's grid on [0, 1]; odd, so that 1/2 is one.
+ALPHA_GRID_SIZE = 999
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,41 @@ def check_sandwich():
         ("worst slack nats", float(np.min(slacks)), ">=", -1e-9),
         ("seconds", time.time() - t0, "<", 10.0),
     ))
+
+
+def optimal_alpha_grid(probs: BinaryDetectionProbs, trials):
+    """Argmax over the ALPHA_GRID_SIZE-point grid i / (ALPHA_GRID_SIZE - 1)
+    on [0, 1] of min{C_alpha(P1||P0), C_alpha(P0||P1)}.
+
+    Verification oracle for the closed-form optimum alpha* = 1/2: returns
+    (alpha_star, value).  Degenerate p0 = p1 yields (0.5, 0.0).  numpy
+    picks and libm prints: both orientations are evaluated at every order
+    in one array, ``np.argmax`` takes the first largest minimum, and the
+    value is the scalar ``chernoff_binomial`` pair there.  A grid value
+    below 0 refuses the channel with ``_chernoff``'s message, at the first
+    such order, P1||P0 before P0||P1.
+    """
+    p0, p1 = probs.p_off, probs.p_on
+    if p0 == p1:
+        return 0.5, 0.0
+    check_trials(trials)
+    alpha = np.arange(ALPHA_GRID_SIZE) / (ALPHA_GRID_SIZE - 1)
+    # row j is C_alpha(p_a||p_b) for the j-th law pair: P1||P0, then P0||P1
+    laws = ((p1, p0), (p0, p1))
+    p_a, p_b = (np.array(side)[:, None] for side in zip(*laws))
+    with np.errstate(divide="ignore"):  # s = 0 gives +inf
+        s = p_a**alpha * p_b ** (1.0 - alpha) + (1.0 - p_a) ** alpha * (1.0 - p_b) ** (
+            1.0 - alpha
+        )
+        pairs = -trials * np.log(s)
+    below = np.argwhere(pairs.T < 0.0)  # in grid order, P1||P0 first
+    if below.size:
+        i, j = below[0]
+        raise _below_zero(float(pairs[j, i]), float(alpha[i]), *laws[j])
+    best = float(alpha[np.argmax(pairs.min(axis=0))])
+    return best, min(
+        chernoff_binomial(best, p1, p0, trials), chernoff_binomial(best, p0, p1, trials)
+    )
 
 
 def check_half_alpha_optimal():
@@ -355,5 +398,10 @@ EXPECTED_FAILURES = {"approx-beats-bounds"}
 
 
 def run_all():
-    """Run every acceptance check; returns the list of CheckResult."""
-    return [check() for check in ALL_CHECKS]
+    """Run every acceptance check; returns (CheckResult, runtime_s) per check."""
+    runs = []
+    for check in ALL_CHECKS:
+        t0 = time.perf_counter()
+        result = check()
+        runs.append((result, time.perf_counter() - t0))
+    return runs

@@ -405,6 +405,42 @@ def approximation_optimum(peak_rate, background_rate, dead_time, trials, mu_star
         return float(mu), float(_expansion_terms(mu, p0, p1, q1, trials)[0])
 
 
+def _mi_slopes(mu, law0, law1):
+    """dI/dmu = H0 - H1 - sum (b - a) ln m and d2I/dmu2 = -sum (b - a)^2 / m,
+    m = (1 - mu) a + mu b, for laws a, b of one length summing to 1."""
+    slope, curvature = mpmath.mpf(0), mpmath.mpf(0)
+    for a, b in zip(law0, law1):
+        m = (1 - mu) * a + mu * b
+        slope += sum(-v * mpmath.log(v) * sign for v, sign in ((a, 1), (b, -1)) if v > 0)
+        if m > 0:
+            slope -= (b - a) * mpmath.log(m)
+            curvature -= (b - a) ** 2 / m
+    return slope, curvature
+
+
+def mi_max_cells(peak_rate, background_rate, dead_time, trials, mu_exact):
+    """The exact-MI maximum columns of a duty-imax row with the printed
+    ``mu_exact``: the root of dI/dmu, by Newton's method from ``mu_exact``
+    (I is concave in mu), and imax_exact as the exact MI at ``mu_exact``,
+    by direct summation."""
+    with mpmath.workdps(SWEEP_DIGITS):
+        p0, q0, p1, q1, _ = levels(peak_rate, background_rate, dead_time)
+        laws = _binomial_law(p0, q0, trials), _binomial_law(p1, q1, trials)
+        mu = mpmath.mpf(mu_exact)
+        for _ in range(50):
+            slope, curvature = _mi_slopes(mu, *laws)
+            step = slope / curvature
+            mu -= step
+            if abs(step) < mpmath.mpf(10) ** (10 - SWEEP_DIGITS):
+                break
+        else:
+            raise ArithmeticError(f"Newton's method did not settle from mu = {mu_exact}")
+        return {
+            "mu_exact": float(mu),
+            "imax_exact": float(_mixture_mi(mpmath.mpf(mu_exact), *laws)),
+        }
+
+
 def simulate_closed(peak_rate, background_rate, dead_time, trials, mu):
     """The seed-free cells of a simulate row: p0_closed, p1_closed and the
     exact MI at duty cycle mu."""

@@ -316,7 +316,7 @@ def test_subcommand_flags_come_from_presets():
     parser = cli._build_parser()
     subs = next(a for a in parser._actions if a.dest == "command").choices
     expected = {c: flags + ["--preset", "--out"] for c, flags in _FLAGS.items()}
-    expected["validate"] = ["--out"]
+    expected["validate"] = ["--format", "--out"]
     found = {
         command: [a.option_strings[0] for a in sub._actions if a.dest != "help"]
         for command, sub in subs.items()
@@ -502,6 +502,34 @@ def test_validate_reports_every_check(capsys):
     # exactly the documented red criterion fails; exit code reflects it
     assert failing == validation.EXPECTED_FAILURES
     assert code == 1
+
+
+def test_validate_json_rows_are_the_text_lines(monkeypatch, capsys):
+    import json
+
+    from deadtime_channel import __version__, validation
+
+    # three quick checks, one of them failing, stand in for the suite
+    checks = [validation.check_half_alpha_optimal, validation.check_saturation_coefficient]
+    failing = validation.CheckResult("demo", (("count", 2, "==", 0), ("nan", math.nan, "<", 1.0)))
+    monkeypatch.setattr(validation, "ALL_CHECKS", checks + [lambda: failing])
+    code, out, _ = _run(capsys, ["validate", "--format", "json"])
+    report = json.loads(out)
+    assert code == 1 and out.endswith("}\n")
+    assert report["version"] == __version__
+    assert report["passed"] == 2
+    code, text, _ = _run(capsys, ["validate"])
+    lines = text.splitlines()
+    assert (code, lines[-1]) == (1, "2/3 checks passed")
+    assert [check["name"] for check in report["checks"]] == [
+        "half-alpha-optimal", "saturation-coefficient", "demo",
+    ]
+    for check, line in zip(report["checks"], lines[:-1]):
+        assert check["runtime_s"] >= 0.0
+        rows = tuple((r["label"], r["value"], r["op"], r["limit"]) for r in check["rows"])
+        result = validation.CheckResult(check["name"], rows)
+        assert result.passed == check["passed"]
+        assert result.line() == line
 
 
 def _assert_one_line_error(code, err, expected_code, fragment):

@@ -12,7 +12,6 @@ from deadtime_channel import (
     bhattacharyya_distance,
     chernoff_binomial,
     kl_binomial,
-    optimal_alpha_grid,
 )
 
 
@@ -166,19 +165,6 @@ def test_kl_asymmetry_vanishes_on_complementary_pair():
     assert kl_binomial(0.75, 0.25, trials) == pytest.approx(
         kl_binomial(0.25, 0.75, trials), rel=1e-14
     )
-
-
-def test_alpha_grid_hits_half():
-    rng = np.random.default_rng(25)
-    for _ in range(20):
-        p0, p1 = _random_probs(rng)
-        trials = int(rng.integers(1, 60))
-        alpha, _ = optimal_alpha_grid(BinaryDetectionProbs(p0, p1), trials)
-        assert abs(alpha - 0.5) <= 1.0 / 998.0 + 1e-12
-
-
-def test_alpha_grid_degenerate_convention():
-    assert optimal_alpha_grid(BinaryDetectionProbs(0.2, 0.2), 5) == (0.5, 0.0)
 
 
 def test_alpha_grid_half_dominates_everywhere():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import gammaln, xlogy
 from scipy.stats import poisson
 
@@ -34,6 +34,7 @@ from deadtime_channel.mutual_info import (
     _log_factorials,
     _poisson_pmf_support,
     _poisson_support_max,
+    _row_entropies,
     _xlogy,
     mi_binomial_curve,
 )
@@ -290,6 +291,72 @@ def test_mi_curve_on_windows_matches_full_support_bit_for_bit(trials, peak_rate,
     reached = (pmf0 > 0.0) | (pmf1 > 0.0)
     full_scan = mutual_info._mixture_curve(pmf0[reached], pmf1[reached])[1]
     assert np.array_equal(scan(mus), full_scan(mus))
+
+
+def _where_xlogy(k, y):
+    """k ln y with 0 ln y = +0.0 at every y, through np.where."""
+    log_y = math.log(y) if y > 0.0 else -math.inf
+    with np.errstate(invalid="ignore"):
+        return np.where(k == 0.0, 0.0, k * log_y)
+
+
+def _windowed_curve(probs, trials):
+    """(curve, scan) built the long way: both Bernstein windows at every
+    trial count, the np.where log-pmf terms, and every law compacted
+    through its mask, with the library's entropies."""
+    (lo0, hi0), (lo1, hi1) = sorted(
+        _binomial_window(trials, p) for p in (probs.p_off, probs.p_on)
+    )
+    hi = max(hi0, hi1)
+    ranges = [(lo0, hi0), (lo1, hi)] if hi0 < lo1 else [(lo0, hi)]
+    table = _log_factorials(trials)
+
+    def pmf(p):
+        parts = []
+        for lo, top in ranges:
+            k = np.arange(lo, top + 1, dtype=np.float64)
+            tail = table[trials - top : trials - lo + 1][::-1]
+            comb = table[trials] - table[lo : top + 1] - tail
+            parts.append(comb + _where_xlogy(k, p) + _where_xlogy(trials - k, 1.0 - p))
+        return np.exp(np.concatenate(parts))
+
+    pmf0, pmf1 = pmf(probs.p_off), pmf(probs.p_on)
+    reached = (pmf0 > 0.0) | (pmf1 > 0.0)
+    law0, law1 = pmf0[reached], pmf1[reached]
+    h0, h1 = _entropy_from_pmf(law0), _entropy_from_pmf(law1)
+
+    def curve(mu):
+        mix = (1.0 - mu) * law0 + mu * law1
+        return _entropy_from_pmf(mix) - (1.0 - mu) * h0 - mu * h1
+
+    def scan(mu):
+        rows = max(1, mutual_info.SCAN_BLOCK_CELLS // law0.size)
+        blocks = []
+        for i in range(0, mu.size, rows):
+            mix = (1.0 - mu[i : i + rows, None]) * law0 + mu[i : i + rows, None] * law1
+            blocks.append(
+                _row_entropies(mix) - (1.0 - mu[i : i + rows, None]) * h0
+                - mu[i : i + rows, None] * h1
+            )
+        return np.concatenate(blocks).ravel()
+
+    return curve, scan
+
+
+@settings(max_examples=200, deadline=None)
+@given(_window_p, _window_p, st.one_of(st.integers(1, 500), st.integers(1, MAX_TRIALS_EXACT)))
+def test_mi_curve_without_window_arithmetic_matches_windowed_bit_for_bit(pa, pb, trials):
+    # up to 500 trials the library skips the windows, np.where and the
+    # masked copies; the curve and the scan keep every bit
+    assume(pa != pb)
+    probs = BinaryDetectionProbs(min(pa, pb), max(pa, pb))
+    curve, scan = mutual_info._binomial_curve(probs, trials)
+    expected_curve, expected_scan = _windowed_curve(probs, trials)
+    mus = np.linspace(0.0, 1.0, 9)[1:-1]
+    assert [curve(mu).hex() for mu in mus.tolist()] == [
+        expected_curve(mu).hex() for mu in mus.tolist()
+    ]
+    assert scan(mus).tobytes() == expected_scan(mus).tobytes()
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """The audited cells of the references against the mpmath oracle: every
-computed cell of the capacity, gap and mi-sweep references, the bound and
-approximation columns of the duty-imax references, and the seed-free
-cells of the simulate reference.
+computed cell of the capacity, gap, mi-sweep and duty-imax references, and
+the seed-free cells of the simulate reference.
 
 The files under perfbench/reference/ pin today's bytes, not the truth.
 This test reads them (and only reads them) and scores each audited cell
@@ -117,6 +116,15 @@ GAP_BOUNDS = {
 DUTY_IMAX_APPROX_BOUNDS = {
     "samples30": {"mu_approx": 2.5e-8, "imax_approx": 1.1e-15},
     "samples20": {"mu_approx": 4.1e-8, "imax_approx": 1.5e-15},
+}
+
+
+# worst relative error per duty-imax preset and exact-MI column: mu_exact
+# against the root of dI/dmu, an argmax resolved to about sqrt(eps), and
+# imax_exact against the exact MI at the printed mu_exact
+DUTY_IMAX_EXACT_BOUNDS = {
+    "samples30": {"mu_exact": 3.2e-8, "imax_exact": 4.7e-15},
+    "samples20": {"mu_exact": 3.3e-8, "imax_exact": 2.5e-15},
 }
 
 
@@ -257,6 +265,27 @@ def test_duty_imax_reference_approximation_columns_within_bounds(name):
             float(row["mu_approx"]),
         )
         return dict(zip(("mu_approx", "imax_approx"), exact))
+
+    worst = _worst_errors(rows, oracle_row, bounds)
+    over = {c: w for c, w in worst.items() if w > bounds[c]}
+    assert over == {}, worst
+
+
+@pytest.mark.parametrize("name", list(DUTY_IMAX_EXACT_BOUNDS))
+def test_duty_imax_reference_exact_columns_within_bounds(name):
+    preset = PRESETS["duty-imax"][name]
+    bounds = DUTY_IMAX_EXACT_BOUNDS[name]
+    fieldnames, rows = _reference("duty-imax", name)
+    # every column is audited; mu_lower is F_l's argmax 1/2 on every row
+    audited = {*DUTY_IMAX_BOUNDS[name], *DUTY_IMAX_APPROX_BOUNDS[name], *bounds}
+    assert set(fieldnames) == {"A", "mu_lower", *audited}
+    assert {row["mu_lower"] for row in rows} == {"0.5"}
+
+    def oracle_row(row):
+        return oracle.mi_max_cells(
+            float(row["A"]), preset["background"], preset["dead_time"], preset["samples"],
+            float(row["mu_exact"]),
+        )
 
     worst = _worst_errors(rows, oracle_row, bounds)
     over = {c: w for c, w in worst.items() if w > bounds[c]}
